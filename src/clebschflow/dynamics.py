@@ -12,7 +12,11 @@ out so the field is consistent with the PDE).
 
 The midpoint equations  z+ = z + dt*F((z + z+)/2)  are solved by Newton
 iteration with a finite-difference Jacobian, assembled once per step and
-reused across iterations by default.
+reused across iterations by default.  The assembly takes the field value
+F(mid) that the residual has just computed and evaluates every perturbed
+state in one batched call, so a step costs one field evaluation per Newton
+round plus one batched evaluation; vector fields must accept column-stacked
+(d, m) batches, and there is no single-state fallback.
 """
 
 from __future__ import annotations
@@ -135,12 +139,22 @@ def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid,
 
 
 def _k_product(u: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
-    """(K(u) g)_i = ((u_i + u_{i+1}) g_{i+1} - (u_{i-1} + u_i) g_{i-1}) / (2 dx)."""
-    u_next = np.roll(u, -1, axis=0)
-    u_prev = np.roll(u, 1, axis=0)
-    g_next = np.roll(g, -1, axis=0)
-    g_prev = np.roll(g, 1, axis=0)
-    return ((u + u_next) * g_next - (u_prev + u) * g_prev) / (2.0 * dx)
+    """(K(u) g)_i = ((u_i + u_{i+1}) g_{i+1} - (u_{i-1} + u_i) g_{i-1}) / (2 dx).
+
+    Built from shifted slices like the grid stencils, bitwise equal to the
+    rolled form.
+    """
+    s = np.empty_like(u)                 # s_i = u_i + u_{i+1}
+    np.add(u[:-1], u[1:], out=s[:-1])
+    np.add(u[-1:], u[:1], out=s[-1:])
+    out = np.empty_like(s)               # s_i g_{i+1}
+    np.multiply(s[:-1], g[1:], out=out[:-1])
+    np.multiply(s[-1:], g[:1], out=out[-1:])
+    s *= g                               # s_i g_i, taken one row back below
+    out[1:] -= s[:-1]
+    out[:1] -= s[-1:]
+    out /= 2.0 * dx
+    return out
 
 
 def apply_K(grid: PeriodicGrid, u: Field, g: Field) -> Field:
@@ -208,27 +222,21 @@ def unpack_state(z: np.ndarray, C: float) -> ClebschState:
 # -- implicit midpoint ------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                step: float) -> np.ndarray:
-    """Forward-difference Jacobian of f at z.
+                step: float, f0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward-difference Jacobian of f at z from one batched evaluation.
 
-    Tries one batched evaluation on column-stacked perturbed states first
-    and falls back to a column-by-column loop for callables that only accept
-    single states.
+    f must accept column-stacked states of shape (d, m) and return (d, m);
+    all perturbed states go through it in one call.  f0 is f(z) when the
+    caller already has it (the midpoint residual does), saving a call.
     """
     d = z.shape[0]
-    f0 = np.asarray(f(z), dtype=float)
-    try:
-        batch = np.asarray(f(z[:, None] + step * np.eye(d)), dtype=float)
-        if batch.shape == (d, d):
-            return (batch - f0[:, None]) / step
-    except Exception:
-        pass
-    J = np.empty((d, d))
-    for k in range(d):
-        zk = z.copy()
-        zk[k] += step
-        J[:, k] = (np.asarray(f(zk), dtype=float) - f0) / step
-    return J
+    if f0 is None:
+        f0 = np.asarray(f(z), dtype=float)
+    batch = np.asarray(f(z[:, None] + step * np.eye(d)), dtype=float)
+    if batch.shape != (d, d):
+        raise ValueError(f"batched field returned shape {batch.shape}, "
+                         f"expected {(d, d)}")
+    return (batch - f0[:, None]) / step
 
 
 DEFAULT_NEWTON = NewtonConfig()
@@ -250,7 +258,8 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     r_norm = np.inf
     for rounds in range(1, cfg.max_iter + 2):
         mid = 0.5 * (z + z_new)
-        r = z_new - z - dt * np.asarray(field(mid), dtype=float)
+        f_mid = np.asarray(field(mid), dtype=float)
+        r = z_new - z - dt * f_mid
         r_norm = float(np.max(np.abs(r))) if d else 0.0
         if not np.isfinite(r_norm):
             raise NonConvergenceError(
@@ -260,7 +269,8 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
         if rounds > cfg.max_iter:
             break
         if J is None or cfg.jacobian_mode is JacobianMode.FINITE_DIFFERENCE:
-            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, cfg.fd_step)
+            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, cfg.fd_step,
+                                                    f0=f_mid)
         z_new = z_new - np.linalg.solve(J, r)
     raise NonConvergenceError(
         f"midpoint Newton stalled at residual {r_norm:.3e} "

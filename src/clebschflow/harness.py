@@ -16,6 +16,7 @@ direct method uses the full grid for both.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import math
@@ -198,25 +199,64 @@ TRAVELLING_WAVE_PARAMS: Optional[tuple] = (
     1.15, -0.1073784320582456, -0.4796968369753656)
 TRAVELLING_WAVE_L = 8.0
 
-_SAFE_EXPR_GLOBALS = {"__builtins__": {}}
+#: The grammar of ``custom:`` profiles: numbers, these names, these
+#: functions called with positional arguments, + - * / ** and unary +/-.
+_PROFILE_NAMES = ("x", "L", "pi")
+_PROFILE_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
+                      "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+_PROFILE_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_PROFILE_UNARYOPS = (ast.UAdd, ast.USub)
+
+
+def _check_profile_node(node: ast.AST, expr: str) -> None:
+    """Raise ConfigError unless the tree is inside the profile grammar."""
+    if isinstance(node, ast.Expression):
+        children = [node.body]
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        children = []
+    elif isinstance(node, ast.Name) and node.id in _PROFILE_NAMES:
+        children = []
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _PROFILE_BINOPS):
+        children = [node.left, node.right]
+    elif (isinstance(node, ast.UnaryOp)
+          and isinstance(node.op, _PROFILE_UNARYOPS)):
+        children = [node.operand]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _PROFILE_FUNCTIONS and not node.keywords):
+        children = node.args
+    else:
+        what = (node.id if isinstance(node, ast.Name)
+                else type(node).__name__)
+        raise ConfigError(
+            f"custom profile {expr!r}: {what} is not allowed; use numbers, "
+            f"x, L, pi, + - * / **, and calls to "
+            f"{', '.join(_PROFILE_FUNCTIONS)}")
+    for child in children:
+        _check_profile_node(child, expr)
 
 
 def _custom_profile(expr: str, L: float) -> Callable:
-    namespace = {
-        "np": np, "pi": np.pi, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-        "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs, "L": L,
-    }
+    """Compile a ``custom:`` expression in x once, after checking it
+    against the profile grammar."""
+    try:
+        tree = ast.parse(expr.strip(), mode="eval")
+        _check_profile_node(tree, expr)
+        code = compile(tree, "<custom profile>", "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ConfigError(f"cannot parse custom profile {expr!r}: "
+                          f"{str(exc) or type(exc).__name__}")
+    namespace = dict(_PROFILE_FUNCTIONS, pi=np.pi, L=L)
+    no_builtins = {"__builtins__": {}}
 
     def profile(x):
-        local = dict(namespace)
-        local["x"] = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         try:
-            value = eval(expr, _SAFE_EXPR_GLOBALS, local)  # noqa: S307
+            value = eval(code, no_builtins, dict(namespace, x=x))  # noqa: S307
         except Exception as exc:
             raise ConfigError(f"cannot evaluate custom profile {expr!r}: {exc}")
         arr = np.asarray(value, dtype=float)
-        if arr.shape != local["x"].shape:
-            arr = np.broadcast_to(arr, local["x"].shape).copy()
+        if arr.shape != x.shape:
+            arr = np.broadcast_to(arr, x.shape).copy()
         return arr
 
     return profile

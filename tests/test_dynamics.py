@@ -222,6 +222,24 @@ class TestMidpointStep:
                                  NewtonConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE))
         assert np.max(np.abs(frozen - fresh)) < 1e-11
 
+    def test_frozen_step_evaluates_the_field_once_per_round_plus_one_batch(self):
+        g = PeriodicGrid(16, L)
+        u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
+        state = lift(g, u0)
+        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        calls = []
+
+        def counted(z):
+            calls.append(z.ndim)
+            return rhs(z)
+
+        cfg = NewtonConfig(
+            jacobian_mode=JacobianMode.FROZEN_FINITE_DIFFERENCE)
+        _, report = midpoint_step(counted, pack_state(state), 2.0 ** -6, cfg)
+        assert report.newton_iterations >= 2
+        assert len(calls) == report.newton_iterations + 1
+        assert calls.count(2) == 1
+
     def test_iteration_budget_exhaustion_raises(self):
         # wildly oscillatory stiff field with a huge step cannot converge
         rhs = lambda z: 1e6 * np.sin(1e6 * z)
@@ -244,17 +262,31 @@ class TestJacobianAssembly:
     def test_batched_equals_columnwise(self):
         g = PeriodicGrid(8, L)
         rhs = conventional_flat_field(EXTENDED_BURGERS, g)
-
-        def loop_only(z):
-            z = np.asarray(z)
-            if z.ndim != 1:
-                raise ValueError("single states only")
-            return rhs(z)
-
         z = 1.0 + 0.3 * np.cos(W * g.full_nodes)
-        J_batch = fd_jacobian(rhs, z, 1e-7)
-        J_loop = fd_jacobian(loop_only, z, 1e-7)
-        np.testing.assert_array_equal(J_batch, J_loop)
+        step = 1e-7
+        f0 = rhs(z)
+        J_loop = np.empty((g.N, g.N))
+        for k in range(g.N):
+            zk = z.copy()
+            zk[k] += step
+            J_loop[:, k] = (rhs(zk) - f0) / step
+        np.testing.assert_array_equal(fd_jacobian(rhs, z, step), J_loop)
+        np.testing.assert_array_equal(fd_jacobian(rhs, z, step, f0=f0),
+                                      J_loop)
+
+    def test_rhs_errors_propagate(self):
+        def broken(z):
+            raise ZeroDivisionError("bug in the field")
+
+        with pytest.raises(ZeroDivisionError):
+            fd_jacobian(broken, np.ones(3), 1e-7, f0=np.zeros(3))
+
+    def test_wrong_batch_shape_raises(self):
+        def single_only(z):
+            return -np.asarray(z)[..., 0]
+
+        with pytest.raises(ValueError):
+            fd_jacobian(single_only, np.ones(3), 1e-7, f0=np.zeros(3))
 
     def test_linear_field_recovered_exactly(self):
         A = np.array([[0.0, 1.0], [-2.0, 0.5]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clebschflow.dynamics import _k_product
 from clebschflow.grid import (
     Field,
     PeriodicGrid,
@@ -11,8 +12,12 @@ from clebschflow.grid import (
     apply_St,
     apply_T,
     apply_Tt,
+    s_avg,
     s_matrix,
+    st_avg,
+    t_diff,
     t_matrix,
+    tt_diff,
 )
 
 
@@ -123,6 +128,44 @@ class TestStencils:
         g = PeriodicGrid(4, 1.0)
         with pytest.raises(StaggeringError):
             op(g, Field.full(np.ones(4)))
+
+
+# np.roll forms of the slice-based stencils: the oracle for bitwise equality.
+ROLLED = {
+    t_diff: lambda v: v - np.roll(v, 1, axis=0),
+    tt_diff: lambda v: v - np.roll(v, -1, axis=0),
+    s_avg: lambda v: 0.5 * (v + np.roll(v, 1, axis=0)),
+    st_avg: lambda v: 0.5 * (v + np.roll(v, -1, axis=0)),
+}
+
+
+def rolled_k_product(u, g, dx):
+    u_next, u_prev = np.roll(u, -1, axis=0), np.roll(u, 1, axis=0)
+    g_next, g_prev = np.roll(g, -1, axis=0), np.roll(g, 1, axis=0)
+    return ((u + u_next) * g_next - (u_prev + u) * g_prev) / (2.0 * dx)
+
+
+class TestSliceStencilsMatchRolledForms:
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_stencils_bitwise(self, N, shape):
+        rng = np.random.default_rng(N)
+        v = rng.standard_normal((N,) + shape)
+        before = v.copy()
+        for stencil, rolled in ROLLED.items():
+            out = stencil(v)
+            assert out.shape == v.shape
+            assert np.array_equal(out, rolled(v)), stencil.__name__
+        assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_k_product_bitwise(self, N, shape):
+        rng = np.random.default_rng(100 + N)
+        u = 1.0 + rng.standard_normal((N,) + shape)
+        g = rng.standard_normal((N,) + shape)
+        dx = 8.0 / N
+        assert np.array_equal(_k_product(u, g, dx), rolled_k_product(u, g, dx))
 
 
 class TestOperatorProperties:

@@ -164,6 +164,39 @@ class TestInitialConditions:
             ic = resolve_initial_condition(cfg)
             ic.profile(np.zeros(3))
 
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__[1].__subclasses__().__len__()",
+        "x.real",
+        "x[0]",
+        "(lambda: 1)()",
+        "[t for t in (1, 2)]",
+        "np.sin(x)",
+        "__import__('os')",
+        "sin(x=1)",
+        "x % 2",
+        "'1'",
+        "True",
+        "1 +",
+    ])
+    def test_custom_expression_outside_the_grammar_rejected(self, expr):
+        with pytest.raises(ConfigError):
+            resolve_initial_condition(
+                quick_config(initial_condition="custom:" + expr))
+
+    @pytest.mark.parametrize("shift", [0.0, 3.141592653589793, 7.25])
+    def test_custom_benchmark_profiles_match_numpy(self, shift):
+        x = np.linspace(0, L, 64, endpoint=False)
+        expected = {
+            f"1 + 0.5*cos(2*pi*(x - {shift!r})/L)":
+                1 + 0.5 * np.cos(2 * np.pi * (x - shift) / L),
+            f"1 + 0.5*exp(-sin(pi*(x - {shift!r})/L)**2)":
+                1 + 0.5 * np.exp(-np.sin(np.pi * (x - shift) / L) ** 2),
+        }
+        for expr, values in expected.items():
+            ic = resolve_initial_condition(
+                quick_config(initial_condition="custom:" + expr))
+            assert np.array_equal(ic.profile(x), values)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             resolve_initial_condition(quick_config(initial_condition="step"))
