@@ -51,8 +51,10 @@ from .dynamics import (
     NonConvergenceError,
     StepReport,
     apply_K,
+    collective_colouring,
     collective_field,
     collective_flat_field,
+    conventional_colouring,
     conventional_field,
     conventional_flat_field,
     integrate,

@@ -109,9 +109,15 @@ def _cmd_run(args) -> int:
         script_path = csv_path.with_suffix(".gp")
         emit_gnuplot_script(str(csv_path), str(script_path))
         print(f"wrote {script_path}")
+    reached = config.n_steps * config.dt
+    if abs(reached - config.t_end) > 1e-12 * max(1.0, abs(config.t_end)):
+        print(f"t_end = {config.t_end:.12g} is not a multiple of dt = "
+              f"{config.dt:.12g}; rounded to the step grid, "
+              f"t = {reached:.12g}")
     for run in result.runs:
         if run.converged:
-            print(f"{run.method}: completed {config.n_steps} steps")
+            print(f"{run.method}: completed {config.n_steps} steps "
+                  f"to t = {reached:.12g}")
         else:
             print(f"{run.method}: Newton diverged at step {run.failed_step}; "
                   f"partial records written")

@@ -29,7 +29,9 @@ from .clebsch import lift, momentum_map
 from .dynamics import (
     JacobianMode,
     NewtonConfig,
+    collective_colouring,
     collective_flat_field,
+    conventional_colouring,
     conventional_flat_field,
     integrate,
     pack_state,
@@ -363,6 +365,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
         winding = state0.C
         z0 = pack_state(state0)
         rhs = collective_flat_field(spec, grid, winding)
+        colouring = collective_colouring(grid)
         compare = Staggering.HALF
 
         def recover(z):
@@ -373,6 +376,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
     else:
         z0 = u0.values.copy()
         rhs = conventional_flat_field(spec, grid)
+        colouring = conventional_colouring(grid)
         compare = Staggering.FULL
 
         def recover(z):
@@ -417,7 +421,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
         if step % config.observe_every == 0 or step == n_steps:
             observe(step, t, z, report.newton_iterations)
 
-    result = integrate(rhs, z0, config.dt, n_steps, config.newton, observer)
+    result = integrate(rhs, z0, config.dt, n_steps, config.newton, observer,
+                       colouring=colouring)
     finals = {"u": recover(result.z)}
     if method == COLLECTIVE:
         final_state = unpack_state(result.z, winding)

@@ -34,6 +34,7 @@ from .clebsch import lift, momentum_map
 from .dynamics import (
     NewtonConfig,
     NonConvergenceError,
+    collective_colouring,
     collective_flat_field,
     integrate,
     pack_state,
@@ -411,7 +412,8 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     n_steps = int(round(t_end / dt_fine))
     if newton is None:
         newton = NewtonConfig(tol=1e-10)
-    result = integrate(rhs, pack_state(state), dt_fine, n_steps, newton)
+    result = integrate(rhs, pack_state(state), dt_fine, n_steps, newton,
+                       colouring=collective_colouring(fine))
     if not result.converged:
         raise result.failure
     final = unpack_state(result.z, state.C)

@@ -44,6 +44,27 @@ class TestRunCommand:
         header = out.read_text().splitlines()[0]
         assert header.startswith("method,step,t,H_hat,casimir")
 
+    def test_summary_reports_the_reached_time(self, tmp_path, capsys):
+        out = tmp_path / "diag.csv"
+        code, stdout, _ = run_cli(
+            capsys, "run", "--method", "conventional", "--N", "16",
+            "--dt", "0.1", "--t-end", "0.25", "--out", str(out))
+        assert code == 0
+        assert "conventional: completed 2 steps to t = 0.2\n" in stdout
+        assert ("t_end = 0.25 is not a multiple of dt = 0.1; rounded to "
+                "the step grid, t = 0.2") in stdout
+        assert len(out.read_text().splitlines()) == 1 + 3
+
+    def test_summary_has_no_rounding_note_on_the_step_grid(self, tmp_path,
+                                                           capsys):
+        code, stdout, _ = run_cli(
+            capsys, "run", "--method", "conventional", "--N", "16",
+            "--dt", "0.1", "--t-end", "0.3", "--out",
+            str(tmp_path / "diag.csv"))
+        assert code == 0
+        assert "completed 3 steps to t = 0.3" in stdout
+        assert "rounded" not in stdout
+
     def test_emit_plots_writes_script(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         code, _, _ = run_cli(

@@ -7,8 +7,11 @@ from clebschflow.dynamics import (
     NewtonConfig,
     NonConvergenceError,
     apply_K,
+    band_colouring,
+    collective_colouring,
     collective_field,
     collective_flat_field,
+    conventional_colouring,
     conventional_field,
     conventional_flat_field,
     d1_matrix,
@@ -240,6 +243,22 @@ class TestMidpointStep:
         assert len(calls) == report.newton_iterations + 1
         assert calls.count(2) == 1
 
+    def test_extrapolated_guess_reaches_the_same_solution(self):
+        g = PeriodicGrid(16, L)
+        state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
+        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        colouring = collective_colouring(g)
+        cfg = NewtonConfig()
+        dt = 2.0 ** -6
+        z_prev = pack_state(state)
+        z, _ = midpoint_step(rhs, z_prev, dt, cfg, colouring=colouring)
+        plain, plain_report = midpoint_step(rhs, z, dt, cfg,
+                                            colouring=colouring)
+        guessed, report = midpoint_step(rhs, z, dt, cfg, colouring=colouring,
+                                        guess=2.0 * z - z_prev)
+        assert np.max(np.abs(guessed - plain)) < 4 * cfg.tol
+        assert report.newton_iterations < plain_report.newton_iterations
+
     def test_iteration_budget_exhaustion_raises(self):
         # wildly oscillatory stiff field with a huge step cannot converge
         rhs = lambda z: 1e6 * np.sin(1e6 * z)
@@ -258,9 +277,20 @@ class TestMidpointStep:
             midpoint_step(lambda z: z, np.ones(2), 0.0)
 
 
+def scheme_field(scheme, spec, g):
+    """Flat field, its colouring and a random state of the given scheme."""
+    rng = np.random.default_rng(g.N)
+    if scheme == "collective":
+        return (collective_flat_field(spec, g, g.L), collective_colouring(g),
+                1.0 + 0.3 * rng.standard_normal(2 * g.N))
+    return (conventional_flat_field(spec, g), conventional_colouring(g),
+            1.0 + 0.3 * rng.standard_normal(g.N))
+
+
 class TestJacobianAssembly:
     def test_batched_equals_columnwise(self):
-        g = PeriodicGrid(8, L)
+        # N = 16 puts the direct field's colouring at 6 colours, not 16
+        g = PeriodicGrid(16, L)
         rhs = conventional_flat_field(EXTENDED_BURGERS, g)
         z = 1.0 + 0.3 * np.cos(W * g.full_nodes)
         step = 1e-7
@@ -270,9 +300,56 @@ class TestJacobianAssembly:
             zk = z.copy()
             zk[k] += step
             J_loop[:, k] = (rhs(zk) - f0) / step
+        colouring = conventional_colouring(g)
+        assert colouring.n_colours < g.N
         np.testing.assert_array_equal(fd_jacobian(rhs, z, step), J_loop)
         np.testing.assert_array_equal(fd_jacobian(rhs, z, step, f0=f0),
                                       J_loop)
+        np.testing.assert_array_equal(
+            fd_jacobian(rhs, z, step, f0=f0, colouring=colouring), J_loop)
+
+    @pytest.mark.parametrize("N", [3, 4, 7, 8, 13, 16, 33, 64])
+    @pytest.mark.parametrize("spec", [BURGERS, EXTENDED_BURGERS],
+                             ids=["burgers", "extended"])
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_coloured_equals_uncoloured(self, scheme, spec, N):
+        rhs, colouring, z = scheme_field(scheme, spec, PeriodicGrid(N, L))
+        f0 = rhs(z)
+        np.testing.assert_array_equal(
+            fd_jacobian(rhs, z, 1e-7, f0=f0, colouring=colouring),
+            fd_jacobian(rhs, z, 1e-7, f0=f0))
+
+    @pytest.mark.parametrize("N", [3, 7, 14, 20, 32, 33, 64, 512])
+    @pytest.mark.parametrize("build", [collective_colouring,
+                                       conventional_colouring])
+    def test_columns_of_one_colour_share_no_row(self, build, N):
+        colouring = build(PeriodicGrid(N, L))
+        d, m = colouring.seed.shape
+        rows, cols = np.divmod(colouring.entries, d)
+        source_rows, colours = np.divmod(colouring.sources, m)
+        # every column has exactly one colour, and each entry is read from
+        # its own row and its column's colour
+        np.testing.assert_array_equal(colouring.seed.sum(axis=1), np.ones(d))
+        np.testing.assert_array_equal(source_rows, rows)
+        np.testing.assert_array_equal(colouring.seed[cols, colours],
+                                      np.ones(cols.size))
+        # a (row, colour) slot is read by one listed entry only, and no
+        # entry is listed twice
+        assert np.unique(colouring.sources).size == colouring.sources.size
+        assert np.unique(colouring.entries).size == colouring.entries.size
+
+    @pytest.mark.parametrize("N", [32, 64, 512])
+    def test_colour_counts(self, N):
+        g = PeriodicGrid(N, L)
+        assert collective_colouring(g).n_colours == 16
+        assert conventional_colouring(g).n_colours == 6
+
+    def test_default_colouring_is_the_identity(self):
+        colouring = band_colouring(5, 5)
+        np.testing.assert_array_equal(colouring.seed, np.eye(5))
+        np.testing.assert_array_equal(np.sort(colouring.entries),
+                                      np.arange(25))
+        assert not colouring.seed.flags.writeable  # shared through a cache
 
     def test_rhs_errors_propagate(self):
         def broken(z):
@@ -318,6 +395,43 @@ class TestIntegrate:
         assert result.failure is not None
         assert result.failure.step == result.steps_completed + 1
         assert len(calls) == result.steps_completed
+
+    def test_first_step_starts_from_the_initial_state(self):
+        g = PeriodicGrid(16, L)
+        state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
+        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        colouring = collective_colouring(g)
+        z0 = pack_state(state)
+        result = integrate(rhs, z0, 2.0 ** -6, 1, colouring=colouring)
+        z1, _ = midpoint_step(rhs, z0, 2.0 ** -6, colouring=colouring)
+        np.testing.assert_array_equal(result.z, z1)
+
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_one_solve_per_step_after_the_first(self, scheme, monkeypatch):
+        # the shock-every-step benchmark configuration, cut to 64 steps
+        g = PeriodicGrid(64, L)
+        u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
+        if scheme == "collective":
+            state = lift(g, u0)
+            rhs = collective_flat_field(BURGERS, g, state.C)
+            colouring, z0 = collective_colouring(g), pack_state(state)
+        else:
+            rhs = conventional_flat_field(BURGERS, g)
+            colouring, z0 = conventional_colouring(g), u0.values
+        solve = np.linalg.solve
+        solves = []
+
+        def counted(*args):
+            solves.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        per_step = []
+        result = integrate(rhs, z0, 2.0 ** -12, 64, colouring=colouring,
+                           observer=lambda k, t, z, rep: per_step.append(
+                               len(solves)))
+        assert result.converged
+        assert max(np.diff(per_step)) <= 1
 
     def test_winding_constant_is_untouched(self):
         g = PeriodicGrid(16, L)
