@@ -26,14 +26,7 @@ from .grid import (
     apply_T,
     apply_Tt,
 )
-from .clebsch import (
-    ClebschState,
-    JetTable,
-    jet,
-    jet_adjoint_accumulate,
-    lift,
-    momentum_map,
-)
+from .clebsch import ClebschState, lift, momentum_arrays, momentum_map
 from .hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -46,16 +39,13 @@ from .hamiltonian import (
 )
 from .dynamics import (
     IntegrationResult,
-    JacobianMode,
     NewtonConfig,
     NonConvergenceError,
     StepReport,
     apply_K,
     collective_colouring,
-    collective_field,
     collective_flat_field,
     conventional_colouring,
-    conventional_field,
     conventional_flat_field,
     integrate,
     midpoint_step,

@@ -1,42 +1,37 @@
-"""Lifted phase space: Clebsch pairs (q, p), the discrete momentum map and
-the jet recursion.
+"""Lifted phase space: Clebsch pairs (q, p) and the discrete momentum map.
 
 A physical half-grid sample u is recovered from a pair of full-grid samples
 by the bilinear momentum map
 
     J(q, p) = (D q) . (S p)        (componentwise product)
 
-where D is the winding-corrected staggered derivative.  Higher derivatives
-of u alternate between the half and full grids:
-
-    row 0:  J(q, p)                 half grid
-    row k:  -T^t(row k-1) / dx      full grid, k odd
-    row k:   T  (row k-1) / dx      half grid, k even
+where D is the winding-corrected staggered derivative.  The raw-array
+kernel :func:`momentum_arrays` is the one implementation of J: the
+collective Hamiltonian and its gradient call it on packed states, and
+:func:`momentum_map` wraps its result in a half-staggered Field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import (
     Field,
     PeriodicGrid,
     Staggering,
     StaggeringError,
-    apply_D,
-    apply_S,
-    apply_T,
-    apply_Tt,
     _require,
+    s_avg,
+    t_diff,
 )
 
 __all__ = [
     "ClebschState",
-    "JetTable",
     "lift",
+    "momentum_arrays",
     "momentum_map",
-    "jet",
-    "jet_adjoint_accumulate",
 ]
 
 
@@ -63,31 +58,6 @@ class ClebschState:
             raise ValueError("q and p must live on the same grid")
 
 
-@dataclass(frozen=True)
-class JetTable:
-    """Rows k = 0..K approximating the k-th spatial derivative of u.
-
-    Even rows are half-staggered, odd rows full-staggered, by construction
-    of the recursion.
-    """
-
-    rows: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for k, row in enumerate(self.rows):
-            want = Staggering.HALF if k % 2 == 0 else Staggering.FULL
-            if row.staggering is not want:
-                raise StaggeringError(
-                    f"jet row {k} must be {want.value}-staggered, "
-                    f"got {row.staggering.value}"
-                )
-
-    @property
-    def depth(self) -> int:
-        return len(self.rows) - 1
-
-
 def lift(grid: PeriodicGrid, u0: Field) -> ClebschState:
     """Lift full-grid samples u0 to the canonical Clebsch pair.
 
@@ -103,42 +73,22 @@ def lift(grid: PeriodicGrid, u0: Field) -> ClebschState:
     return ClebschState(q=q, p=p, C=grid.L)
 
 
+def momentum_arrays(dx: float, C: float, q: np.ndarray, p: np.ndarray):
+    """Momentum map u = (D q) . (S p) on raw arrays, with its two factors.
+
+    Axis 0 is space and trailing axes broadcast, so a column-stacked batch
+    of states maps in one call.  Returns (u, D q, S p); the gradient of the
+    collective sum reuses the factors.
+    """
+    dq = t_diff(q)
+    dq[0] += C
+    dq /= dx
+    sp = s_avg(p)
+    return dq * sp, dq, sp
+
+
 def momentum_map(grid: PeriodicGrid, state: ClebschState) -> Field:
     """Half-grid product (D q) . (S p) recovering u from the pair."""
-    return apply_D(grid, state.q, state.C) * apply_S(grid, state.p)
-
-
-def jet(grid: PeriodicGrid, state: ClebschState, K: int) -> JetTable:
-    """Jet table of depth K for the state's physical field."""
-    if K < 0:
-        raise ValueError(f"jet depth must be nonnegative, got {K}")
-    rows = [momentum_map(grid, state)]
-    inv_dx = 1.0 / grid.dx
-    for k in range(1, K + 1):
-        if k % 2 == 1:
-            rows.append(-inv_dx * apply_Tt(grid, rows[-1]))
-        else:
-            rows.append(apply_T(grid, rows[-1]))
-    return JetTable(tuple(rows))
-
-
-def jet_adjoint_accumulate(grid: PeriodicGrid, jet_gradients: JetTable) -> Field:
-    """Pull per-row cotangents back to a single half-grid cotangent on row 0.
-
-    The transpose of each recursion step is applied in reverse order (the
-    adjoint of -T^t/dx is -T/dx, the adjoint of T/dx is T^t/dx), so the
-    result g satisfies  <g, du0> = sum_k <g_k, d(row k)>  for every
-    perturbation du0 of row 0.
-    """
-    rows = jet_gradients.rows
-    if not rows:
-        raise ValueError("need at least the row-0 cotangent")
-    inv_dx = 1.0 / grid.dx
-    acc = rows[-1]
-    for k in range(len(rows) - 1, 0, -1):
-        if k % 2 == 1:
-            acc = -apply_T(grid, acc)
-        else:
-            acc = inv_dx * apply_Tt(grid, acc)
-        acc = acc + rows[k - 1]
-    return acc
+    u, _, _ = momentum_arrays(grid.dx, state.C, state.q.values,
+                              state.p.values)
+    return Field.half(u)

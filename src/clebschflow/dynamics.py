@@ -11,8 +11,8 @@ derivative of the quadrature sum (the quadrature weight dx is divided back
 out so the field is consistent with the PDE).
 
 The midpoint equations  z+ = z + dt*F((z + z+)/2)  are solved by Newton
-iteration with a finite-difference Jacobian, assembled once per step and
-reused across iterations by default.  The assembly takes the field value
+iteration with a forward-difference Jacobian (step FD_STEP), assembled once
+per step and reused across iterations.  The assembly takes the field value
 F(mid) that the residual has just computed and evaluates the perturbed
 states in one batched call, so a step costs one field evaluation per Newton
 round plus one batched evaluation; vector fields must accept column-stacked
@@ -33,21 +33,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 from .clebsch import ClebschState
-from .grid import Field, PeriodicGrid, Staggering, _require
-from .hamiltonian import (
-    HamiltonianSpec,
-    collective_grad_arrays,
-    conventional_grad_array,
-)
+from .grid import Field, PeriodicGrid
+from .hamiltonian import HamiltonianSpec, grad_collective, grad_conventional
 
 __all__ = [
-    "JacobianMode",
+    "FD_STEP",
     "NewtonConfig",
     "StepReport",
     "NonConvergenceError",
@@ -56,26 +51,15 @@ __all__ = [
     "band_colouring",
     "collective_colouring",
     "conventional_colouring",
-    "collective_field",
     "collective_flat_field",
-    "conventional_field",
     "conventional_flat_field",
     "apply_K",
-    "k_matrix",
-    "d1_matrix",
     "pack_state",
     "unpack_state",
     "midpoint_step",
     "fd_jacobian",
     "integrate",
 ]
-
-
-class JacobianMode(Enum):
-    #: reassemble the finite-difference Jacobian at every Newton iteration
-    FINITE_DIFFERENCE = "finite-difference"
-    #: assemble once per step at the initial guess and reuse (default)
-    FROZEN_FINITE_DIFFERENCE = "frozen-finite-difference"
 
 
 @dataclass(frozen=True)
@@ -90,16 +74,16 @@ class NewtonConfig:
 
     tol: float = 1e-12
     max_iter: int = 50
-    jacobian_mode: JacobianMode = JacobianMode.FROZEN_FINITE_DIFFERENCE
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
+
+
+#: Forward-difference step of the Newton Jacobian.
+FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -128,14 +112,6 @@ class NonConvergenceError(RuntimeError):
 
 # -- vector fields --------------------------------------------------------------
 
-def collective_field(spec: HamiltonianSpec, grid: PeriodicGrid,
-                     state: ClebschState):
-    """Canonical right-hand side (qdot, pdot) = (g_p, -g_q) at a state."""
-    gq, gp = collective_grad_arrays(
-        spec, grid.dx, state.C, state.q.values, state.p.values)
-    return Field.full(gp), Field.full(-gq)
-
-
 def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid,
                           C: float) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side on packed states z = (q, p).
@@ -147,7 +123,7 @@ def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid,
     dx = grid.dx
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        gq, gp = collective_grad_arrays(spec, dx, C, z[:N], z[N:])
+        gq, gp = grad_collective(spec, dx, C, z[:N], z[N:])
         return np.concatenate([gp, -gq], axis=0)
 
     return rhs
@@ -167,11 +143,14 @@ def collective_colouring(grid: PeriodicGrid) -> "Colouring":
     return band_colouring(grid.N, COLLECTIVE_HALF_WIDTH, blocks=2)
 
 
-def _k_product(u: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
-    """(K(u) g)_i = ((u_i + u_{i+1}) g_{i+1} - (u_{i-1} + u_i) g_{i-1}) / (2 dx).
+def apply_K(u: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
+    """Skew product of the direct picture on raw arrays,
 
-    Built from shifted slices like the grid stencils, bitwise equal to the
-    rolled form.
+        (K(u) g)_i = ((u_i + u_{i+1}) g_{i+1} - (u_{i-1} + u_i) g_{i-1}) / (2 dx),
+
+    broadcasting over trailing axes.  K(u) is exactly skew-symmetric, so
+    <K(u) g, h> = -<g, K(u) h> for all g, h.  Built from shifted slices
+    like the grid stencils, bitwise equal to the rolled form.
     """
     s = np.empty_like(u)                 # s_i = u_i + u_{i+1}
     np.add(u[:-1], u[1:], out=s[:-1])
@@ -186,32 +165,14 @@ def _k_product(u: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def apply_K(grid: PeriodicGrid, u: Field, g: Field) -> Field:
-    """Skew product K(u) g of the direct picture; K is exactly
-    skew-symmetric, so <K(u) g, h> = -<g, K(u) h> for all g, h."""
-    uv = _require(u, Staggering.FULL, "apply_K")
-    gv = _require(g, Staggering.FULL, "apply_K")
-    if uv.shape != gv.shape:
-        raise ValueError("u and g must have equal length")
-    return Field.full(_k_product(uv, gv, grid.dx))
-
-
-def conventional_field(spec: HamiltonianSpec, grid: PeriodicGrid,
-                       u: Field) -> Field:
-    """Skew-gradient right-hand side udot = K(u) gradH/dx."""
-    v = _require(u, Staggering.FULL, "conventional_field")
-    grad = conventional_grad_array(spec, grid.dx, v)
-    return Field.full(_k_product(v, grad / grid.dx, grid.dx))
-
-
 def conventional_flat_field(spec: HamiltonianSpec,
                             grid: PeriodicGrid) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side on raw sample vectors; accepts (N,) or (N, m)."""
     dx = grid.dx
 
     def rhs(u: np.ndarray) -> np.ndarray:
-        grad = conventional_grad_array(spec, dx, u)
-        return _k_product(u, grad / dx, dx)
+        grad = grad_conventional(spec, dx, u)
+        return apply_K(u, grad / dx, dx)
 
     return rhs
 
@@ -219,25 +180,6 @@ def conventional_flat_field(spec: HamiltonianSpec,
 def conventional_colouring(grid: PeriodicGrid) -> "Colouring":
     """Jacobian colouring of :func:`conventional_flat_field` on the grid."""
     return band_colouring(grid.N, CONVENTIONAL_HALF_WIDTH, blocks=1)
-
-
-def d1_matrix(grid: PeriodicGrid) -> np.ndarray:
-    """Dense centered-difference matrix with periodic corner entries."""
-    N = grid.N
-    D = np.zeros((N, N))
-    w = 1.0 / (2.0 * grid.dx)
-    for i in range(N):
-        D[i, (i + 1) % N] += w
-        D[i, (i - 1) % N] -= w
-    return D
-
-
-def k_matrix(grid: PeriodicGrid, u: Field) -> np.ndarray:
-    """Dense skew form U D1 + D1 U (small-N verification only)."""
-    uv = _require(u, Staggering.FULL, "k_matrix")
-    U = np.diag(uv)
-    D = d1_matrix(grid)
-    return U @ D + D @ U
 
 
 # -- state packing ---------------------------------------------------------------
@@ -383,8 +325,8 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
             return z_new, StepReport(rounds, r_norm, True)
         if rounds > cfg.max_iter:
             break
-        if J is None or cfg.jacobian_mode is JacobianMode.FINITE_DIFFERENCE:
-            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, cfg.fd_step,
+        if J is None:
+            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, FD_STEP,
                                                     f0=f_mid,
                                                     colouring=colouring)
         z_new = z_new - np.linalg.solve(J, r)

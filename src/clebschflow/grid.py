@@ -47,8 +47,6 @@ __all__ = [
     "tt_diff",
     "s_avg",
     "st_avg",
-    "t_matrix",
-    "s_matrix",
 ]
 
 
@@ -244,22 +242,3 @@ def apply_St(grid: PeriodicGrid, f: Field) -> Field:
     """Transpose of S: second-order average back onto the full grid."""
     v = _require(f, Staggering.HALF, "apply_St")
     return Field(st_avg(v), Staggering.FULL)
-
-
-# -- dense materialisation (small-N verification only) ------------------------
-
-def t_matrix(N: int) -> np.ndarray:
-    """Dense unscaled difference matrix T (1 on the diagonal, -1 below,
-    -1 in the top-right corner)."""
-    T = np.eye(N)
-    for j in range(N):
-        T[j, (j - 1) % N] -= 1.0
-    return T
-
-
-def s_matrix(N: int) -> np.ndarray:
-    """Dense averaging matrix S (1/2 on the diagonal and below, wrapping)."""
-    S = 0.5 * np.eye(N)
-    for j in range(N):
-        S[j, (j - 1) % N] += 0.5
-    return S

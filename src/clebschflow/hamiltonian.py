@@ -2,20 +2,23 @@
 lifted and direct pictures, exact gradients, and the square-root Casimir.
 
 The density C1 u^2 + C2 u_x^2 + C3 u^3 + C4 u_x^3 splits into an even part
-(powers of u) and an odd part (powers of u_x).  The lifted sum evaluates the
-whole jet on the half grid: the odd row, which the recursion produces on
-full nodes, is averaged back with S first.  An alternative sum that keeps
-the odd part on the full nodes (skipping the averaging) is consistent to
-the same order but turns out to destabilise the fibre directions of the
-lifted system over long runs: the half-grid form damps the near-Nyquist
-modes that the averaging matrix annihilates, and measured growth rates of
-the linearised flow drop several-fold with it.  Only the half-grid form is
-provided.
+(powers of u) and an odd part (powers of u_x).  The lifted sum evaluates
+both on the half grid: the slope of u, which the transpose difference
+produces on full nodes, is averaged back with S first.  An alternative sum
+that keeps the odd part on the full nodes (skipping the averaging) is
+consistent to the same order but turns out to destabilise the fibre
+directions of the lifted system over long runs: the half-grid form damps
+the near-Nyquist modes that the averaging matrix annihilates, and measured
+growth rates of the linearised flow drop several-fold with it.  Only the
+half-grid form is provided.
 
 Scale convention: the lifted (collective) sum carries *no* dx factor (the
 dx lives in the scaled symplectic form dx * sum dq^j ^ dp_j, which puts the
 canonical equations in standard form), while the direct-picture sum is a
 plain quadrature and does carry dx.
+
+Each sum and each gradient has one kernel, on raw arrays: the lifted pair
+(q, p) with its winding constant C, or the direct samples u.
 """
 
 from __future__ import annotations
@@ -24,21 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clebsch import ClebschState, JetTable, jet, jet_adjoint_accumulate
-from .grid import (
-    Field,
-    PeriodicGrid,
-    Staggering,
-    _require,
-    apply_D,
-    apply_S,
-    apply_St,
-    apply_Tt,
-    s_avg,
-    st_avg,
-    t_diff,
-    tt_diff,
-)
+from .clebsch import momentum_arrays
+from .grid import Field, PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
 
 __all__ = [
     "HamiltonianSpec",
@@ -54,12 +44,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Coefficients of the density C1 u^2 + C2 u_x^2 + C3 u^3 + C4 u_x^3."""
+    """Coefficients of the density C1 u^2 + C2 u_x^2 + C3 u^3 + C4 u_x^3;
+    a term left out is zero."""
 
-    C1: float
-    C2: float
-    C3: float
-    C4: float
+    C1: float = 0.0
+    C2: float = 0.0
+    C3: float = 0.0
+    C4: float = 0.0
 
     def __post_init__(self):
         for name in ("C1", "C2", "C3", "C4"):
@@ -87,84 +78,55 @@ EXTENDED_BURGERS = HamiltonianSpec(0.5, 0.5, -0.25, 0.5)
 
 
 # -- lifted (collective) picture ----------------------------------------------
+#
+# Both kernels take raw arrays with axis 0 as space; the gradient broadcasts
+# over trailing axes, so the time steppers evaluate batches in one call.
 
-def discrete_H_collective(spec: HamiltonianSpec, grid: PeriodicGrid,
-                          state: ClebschState) -> float:
+def discrete_H_collective(spec: HamiltonianSpec, dx: float, C: float,
+                          q: np.ndarray, p: np.ndarray) -> float:
     """Collective Hamiltonian sum over the half grid, without a dx factor.
 
-    The even density takes jet row 0; the odd density takes jet row 1
-    averaged back onto the half grid with S.
+    The even density takes u = J(q, p); the odd density takes the
+    full-grid slope -T^t u / dx averaged back onto the half grid with S.
     """
-    table = jet(grid, state, 1)
-    u = table.rows[0].values
-    ux_half = s_avg(table.rows[1].values)
+    u, _, _ = momentum_arrays(dx, C, q, p)
+    w = (-1.0 / dx) * tt_diff(u)
     return float(np.sum(spec.even_density(u))
-                 + np.sum(spec.odd_density(ux_half)))
+                 + np.sum(spec.odd_density(s_avg(w))))
 
 
-def grad_collective(spec: HamiltonianSpec, grid: PeriodicGrid,
-                    state: ClebschState):
+def grad_collective(spec: HamiltonianSpec, dx: float, C: float,
+                    q: np.ndarray, p: np.ndarray):
     """Exact gradient pair (g_q, g_p) of the collective sum.
 
-    Per-row density derivatives (the odd one routed back through S^t) are
-    pulled through the adjoint of the jet recursion to a single half-grid
-    cotangent g_u, which then splits over the two factors of the momentum
-    map:  g_q = T^t(S p . g_u)/dx,  g_p = S^t(D q . g_u).
+    The density derivatives (the odd one routed back through S^t and the
+    adjoint of the slope) give a single half-grid cotangent g_u, which then
+    splits over the two factors of the momentum map:
+    g_q = T^t(S p . g_u)/dx,  g_p = S^t(D q . g_u).
     """
-    dq = apply_D(grid, state.q, state.C)
-    sp = apply_S(grid, state.p)
-    u = dq * sp
-    w = -(1.0 / grid.dx) * apply_Tt(grid, u)
-    ux_half = apply_S(grid, w)
-    cotangents = JetTable((
-        Field(spec.even_derivative(u.values), Staggering.HALF),
-        apply_St(grid, Field(spec.odd_derivative(ux_half.values),
-                             Staggering.HALF)),
-    ))
-    gu = jet_adjoint_accumulate(grid, cotangents)
-    gq = (1.0 / grid.dx) * apply_Tt(grid, sp * gu)
-    gp = apply_St(grid, dq * gu)
-    return gq, gp
-
-
-def collective_grad_arrays(spec: HamiltonianSpec, dx: float, C: float,
-                           q: np.ndarray, p: np.ndarray):
-    """Raw-array form of :func:`grad_collective` (axis 0 is space, trailing
-    axes broadcast), used by the time steppers for batched evaluations."""
-    dq_v = t_diff(q)
-    dq_v[0] += C
-    dq_v /= dx
-    sp_v = s_avg(p)
-    u = dq_v * sp_v
+    u, dq, sp = momentum_arrays(dx, C, q, p)
     w = -tt_diff(u) / dx
     odd_cot = st_avg(spec.odd_derivative(s_avg(w)))
     gu = spec.even_derivative(u) - t_diff(odd_cot) / dx
-    gq = tt_diff(sp_v * gu) / dx
-    gp = st_avg(dq_v * gu)
+    gq = tt_diff(sp * gu) / dx
+    gp = st_avg(dq * gu)
     return gq, gp
 
 
 # -- direct picture -------------------------------------------------------------
 
-def discrete_H_conventional(spec: HamiltonianSpec, grid: PeriodicGrid,
-                            u: Field) -> float:
+def discrete_H_conventional(spec: HamiltonianSpec, dx: float,
+                            u: np.ndarray) -> float:
     """Plain quadrature dx * sum of the density with u_x = (T u)/dx."""
-    v = _require(u, Staggering.FULL, "discrete_H_conventional")
-    ux = t_diff(v) / grid.dx
-    return float(grid.dx * (np.sum(spec.even_density(v))
-                            + np.sum(spec.odd_density(ux))))
+    ux = t_diff(u) / dx
+    return float(dx * (np.sum(spec.even_density(u))
+                       + np.sum(spec.odd_density(ux))))
 
 
-def grad_conventional(spec: HamiltonianSpec, grid: PeriodicGrid,
-                      u: Field) -> Field:
-    """Exact gradient of the direct-picture sum with respect to the samples."""
-    v = _require(u, Staggering.FULL, "grad_conventional")
-    return Field(conventional_grad_array(spec, grid.dx, v), Staggering.FULL)
-
-
-def conventional_grad_array(spec: HamiltonianSpec, dx: float,
-                            u: np.ndarray) -> np.ndarray:
-    """Raw-array form of :func:`grad_conventional`."""
+def grad_conventional(spec: HamiltonianSpec, dx: float,
+                      u: np.ndarray) -> np.ndarray:
+    """Exact gradient of the direct-picture sum with respect to the
+    samples; broadcasts over trailing axes like the collective gradient."""
     ux = t_diff(u) / dx
     return dx * spec.even_derivative(u) + tt_diff(spec.odd_derivative(ux))
 

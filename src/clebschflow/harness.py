@@ -20,14 +20,14 @@ import ast
 import csv
 import io
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Callable, Optional
+from dataclasses import (
+    asdict, dataclass, field as dataclass_field, fields, is_dataclass, replace)
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
-from .clebsch import lift, momentum_map
+from .clebsch import lift, momentum_arrays
 from .dynamics import (
-    JacobianMode,
     NewtonConfig,
     collective_colouring,
     collective_flat_field,
@@ -75,7 +75,6 @@ __all__ = [
 COLLECTIVE = "collective"
 CONVENTIONAL = "conventional"
 _METHODS = (COLLECTIVE, CONVENTIONAL, "both")
-_JACOBIAN_MODES = {mode.value: mode for mode in JacobianMode}
 
 
 class ConfigError(ValueError):
@@ -197,8 +196,7 @@ def _rel_err(v0: float, v: float) -> float:
 #: travelling wave of the extended Burgers' flow, crest pinned at s = 0 by
 #: f'(0) = 0.  Found by period-tuning the closed orbits of the wave-frame
 #: reduction; the profile closes up to ~1e-14 over one period.
-TRAVELLING_WAVE_PARAMS: Optional[tuple] = (
-    1.15, -0.1073784320582456, -0.4796968369753656)
+TRAVELLING_WAVE_PARAMS = (1.15, -0.1073784320582456, -0.4796968369753656)
 TRAVELLING_WAVE_L = 8.0
 
 #: The grammar of ``custom:`` profiles: numbers, these names, these
@@ -265,10 +263,6 @@ def _custom_profile(expr: str, L: float) -> Callable:
 
 
 def _travelling_wave_profile(spec: HamiltonianSpec, L: float) -> Callable:
-    if TRAVELLING_WAVE_PARAMS is None:
-        raise ConfigError(
-            "no frozen travelling-wave parameters available; run the "
-            "shooting search or pick another initial condition")
     if spec != EXTENDED_BURGERS:
         raise ConfigError(
             "the frozen travelling wave solves the extended Burgers' flow; "
@@ -346,7 +340,7 @@ def resolve_initial_condition(config: ExperimentConfig) -> InitialCondition:
     quadratic = spec.C2 == 0.0 and spec.C3 == 0.0 and spec.C4 == 0.0
     if quadratic and spec.C1 != 0.0:
         reference = _characteristics_reference(profile, spec, L)
-    elif name == "travelling-wave" and TRAVELLING_WAVE_PARAMS is not None:
+    elif name == "travelling-wave":
         reference = _travelling_wave_reference(
             profile, TRAVELLING_WAVE_PARAMS[2], L)
     return InitialCondition(name, profile, reference)
@@ -358,7 +352,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
                     grid: PeriodicGrid, u0: Field,
                     reference: Optional[Callable]) -> MethodRun:
     spec = config.spec
-    nyquist_ok = grid.N % 2 == 0
+    N, dx = grid.N, grid.dx
+    nyquist_ok = N % 2 == 0
 
     if method == COLLECTIVE:
         state0 = lift(grid, u0)
@@ -369,10 +364,10 @@ def _run_one_method(method: str, config: ExperimentConfig,
         compare = Staggering.HALF
 
         def recover(z):
-            return momentum_map(grid, unpack_state(z, winding))
+            return Field.half(momentum_arrays(dx, winding, z[:N], z[N:])[0])
 
         def energy(z):
-            return discrete_H_collective(spec, grid, unpack_state(z, winding))
+            return discrete_H_collective(spec, dx, winding, z[:N], z[N:])
     else:
         z0 = u0.values.copy()
         rhs = conventional_flat_field(spec, grid)
@@ -383,7 +378,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
             return Field.full(z)
 
         def energy(z):
-            return discrete_H_conventional(spec, grid, Field.full(z))
+            return discrete_H_conventional(spec, dx, z)
 
     nodes = grid.nodes(compare)
     H0 = energy(z0)
@@ -437,12 +432,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Newton failure in either scheme does not raise: the affected run is
     flagged and keeps every record collected before the failing step, which
-    is the honest endpoint of a diverging scheme.
+    is the honest endpoint of a diverging scheme.  An initial profile that
+    is not finite at every node raises ConfigError.
     """
     config.validate()
     grid = PeriodicGrid(config.N, config.L)
-    ic = resolve_initial_condition(config)
-    u0 = Field.full(np.asarray(ic.profile(grid.full_nodes), dtype=float))
+    # a profile that is not finite everywhere is reported once, below
+    with np.errstate(all="ignore"):
+        ic = resolve_initial_condition(config)
+        u0 = Field.full(np.asarray(ic.profile(grid.full_nodes), dtype=float))
+    if not np.all(np.isfinite(u0.values)):
+        raise ConfigError(f"initial condition {ic.name!r} is not finite at "
+                          f"every grid node")
     methods = ([COLLECTIVE, CONVENTIONAL] if config.method == "both"
                else [config.method])
     runs = [_run_one_method(m, config, grid, u0, ic.reference)
@@ -603,79 +604,62 @@ plot "{csv_path}" using 3:10 with lines
 
 # -- JSON config ---------------------------------------------------------------------
 
-_CONFIG_KEYS = {"method", "spec", "N", "L", "dt", "t_end",
-                "initial_condition", "observe_every", "newton", "output_path"}
-_SPEC_KEYS = {"C1", "C2", "C3", "C4"}
-_NEWTON_KEYS = {"tol", "max_iter", "jacobian_mode", "fd_step"}
+def _config_value(kind, value, key: str):
+    """Check one parsed JSON value against its field's annotated type."""
+    if is_dataclass(kind):
+        return _config_object(kind, value, key)
+    if kind == Optional[str] and value is None:
+        return None
+    if kind in (str, Optional[str]):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _config_object(cls, data, path: str):
+    """Build the dataclass ``cls`` from a JSON object found at ``path`` ("" at
+    the top level).  Fields left out take their defaults; unknown keys,
+    mistyped values and values the class rejects are ConfigErrors."""
+    label = path or "configuration"
+    names = [f.name for f in fields(cls)]
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} must be a JSON object with keys {names}")
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+    kinds = get_type_hints(cls)
+    values = {name: _config_value(kinds[name], data[name],
+                                  f"{path}.{name}" if path else name)
+              for name in names if name in data}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a configuration from parsed JSON; unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = {}
-    if "spec" in data:
-        spec = data["spec"]
-        if not isinstance(spec, dict) or set(spec) - _SPEC_KEYS:
-            raise ConfigError(f"spec must be an object with keys "
-                              f"{sorted(_SPEC_KEYS)}")
-        kwargs["spec"] = HamiltonianSpec(
-            float(spec.get("C1", 0.0)), float(spec.get("C2", 0.0)),
-            float(spec.get("C3", 0.0)), float(spec.get("C4", 0.0)))
-    if "newton" in data:
-        newton = data["newton"]
-        if not isinstance(newton, dict) or set(newton) - _NEWTON_KEYS:
-            raise ConfigError(f"newton must be an object with keys "
-                              f"{sorted(_NEWTON_KEYS)}")
-        fields = {}
-        if "tol" in newton:
-            fields["tol"] = float(newton["tol"])
-        if "max_iter" in newton:
-            fields["max_iter"] = int(newton["max_iter"])
-        if "fd_step" in newton:
-            fields["fd_step"] = float(newton["fd_step"])
-        if "jacobian_mode" in newton:
-            mode = str(newton["jacobian_mode"])
-            if mode not in _JACOBIAN_MODES:
-                raise ConfigError(f"jacobian_mode must be one of "
-                                  f"{sorted(_JACOBIAN_MODES)}")
-            fields["jacobian_mode"] = _JACOBIAN_MODES[mode]
-        try:
-            kwargs["newton"] = NewtonConfig(**fields)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    for key, cast in (("method", str), ("N", int), ("L", float),
-                      ("dt", float), ("t_end", float),
-                      ("initial_condition", str), ("observe_every", int)):
-        if key in data:
-            kwargs[key] = cast(data[key])
-    if "output_path" in data and data["output_path"] is not None:
-        kwargs["output_path"] = str(data["output_path"])
-    config = ExperimentConfig(**kwargs)
+    """Build a configuration from parsed JSON; unknown keys, values of the
+    wrong type and out-of-range values are errors."""
+    config = _config_object(ExperimentConfig, data, "")
     config.validate()
     return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "method": config.method,
-        "spec": {"C1": config.spec.C1, "C2": config.spec.C2,
-                 "C3": config.spec.C3, "C4": config.spec.C4},
-        "N": config.N,
-        "L": config.L,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "initial_condition": config.initial_condition,
-        "observe_every": config.observe_every,
-        "newton": {"tol": config.newton.tol,
-                   "max_iter": config.newton.max_iter,
-                   "jacobian_mode": config.newton.jacobian_mode.value,
-                   "fd_step": config.newton.fd_step},
-        "output_path": config.output_path,
-    }
+    return asdict(config)
 
 
 # -- presets ------------------------------------------------------------------------

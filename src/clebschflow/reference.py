@@ -58,7 +58,6 @@ __all__ = [
     "integrate_ode_adaptive",
     "AdaptiveSolution",
     "fine_grid_reference",
-    "find_periodic_travelling_wave",
 ]
 
 
@@ -424,65 +423,3 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     else:
         take = refine * (idx + 1) - 1
     return Field(u_full.values[take], staggering)
-
-
-# -- best-effort periodic travelling-wave search -----------------------------------
-
-def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
-                                  f0: float, f2: float, c: float,
-                                  rel_tol: float = 1e-12,
-                                  abs_tol: float = 1e-12,
-                                  max_newton: int = 60,
-                                  mismatch_tol: float = 1e-9):
-    """Search for an L-periodic wave profile by shooting on (f(0), f''(0), c).
-
-    The crest is pinned by f'(0) = 0; a damped quasi-Newton iteration drives
-    the period-L mismatch y(L) - y(0) to zero.  Returns the refined
-    (f0, f2, c) triple or None when the search stalls, which callers must
-    treat as "no reference available".
-    """
-    unknowns = np.array([f0, f2, c], dtype=float)
-
-    def mismatch(vec):
-        rhs = travelling_wave_ode(spec, float(vec[2]))
-        sol = integrate_ode_adaptive(rhs, [vec[0], 0.0, vec[1]], (0.0, L),
-                                     rel_tol=rel_tol, abs_tol=abs_tol)
-        return sol.y[-1] - sol.y[0]
-
-    try:
-        g = mismatch(unknowns)
-    except (SingularReductionError, StepSizeUnderflowError,
-            MaxStepsExceededError):
-        return None
-    for _ in range(max_newton):
-        gn = float(np.max(np.abs(g)))
-        if gn < mismatch_tol:
-            return tuple(float(v) for v in unknowns)
-        J = np.empty((3, 3))
-        h = 1e-7
-        try:
-            for k in range(3):
-                probe = unknowns.copy()
-                probe[k] += h * max(1.0, abs(probe[k]))
-                J[:, k] = (mismatch(probe) - g) / (probe[k] - unknowns[k])
-            delta = np.linalg.solve(J, g)
-        except (SingularReductionError, StepSizeUnderflowError,
-                MaxStepsExceededError, np.linalg.LinAlgError):
-            return None
-        # backtracking damping on the mismatch norm
-        lam = 1.0
-        for _ in range(20):
-            trial = unknowns - lam * delta
-            try:
-                g_trial = mismatch(trial)
-            except (SingularReductionError, StepSizeUnderflowError,
-                    MaxStepsExceededError):
-                lam *= 0.5
-                continue
-            if float(np.max(np.abs(g_trial))) < gn or lam < 1e-4:
-                unknowns, g = trial, g_trial
-                break
-            lam *= 0.5
-        else:
-            return None
-    return None

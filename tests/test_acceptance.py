@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clebschflow.clebsch import ClebschState, lift
+from clebschflow.clebsch import lift
 from clebschflow.dynamics import (
     NewtonConfig,
     collective_flat_field,
@@ -114,18 +114,16 @@ class TestCriterion1OperatorAndGradientOracles:
             for _ in range(7):
                 q = g.full_nodes + 0.15 * rng.standard_normal(N)
                 p = 1.0 + 0.4 * rng.standard_normal(N)
-                state = ClebschState(Field.full(q), Field.full(p), g.L)
 
                 def H_coll(z):
-                    st = ClebschState(Field.full(z[:N]), Field.full(z[N:]), g.L)
-                    return discrete_H_collective(spec, g, st)
+                    return discrete_H_collective(spec, g.dx, g.L, z[:N], z[N:])
 
                 z = np.concatenate([q, p])
                 fd = np.array([
                     (H_coll(z + step * e) - H_coll(z - step * e)) / (2 * step)
                     for e in np.eye(2 * N)])
-                gq, gp = grad_collective(spec, g, state)
-                analytic = np.concatenate([gq.values, gp.values])
+                analytic = np.concatenate(
+                    grad_collective(spec, g.dx, g.L, q, p))
                 scale = max(1.0, np.max(np.abs(analytic)))
                 assert np.max(np.abs(analytic - fd)) / scale < 1e-6
                 checked_coll += 1
@@ -133,12 +131,12 @@ class TestCriterion1OperatorAndGradientOracles:
                 u = 1.0 + 0.4 * rng.standard_normal(N)
 
                 def H_conv(v):
-                    return discrete_H_conventional(spec, g, Field.full(v))
+                    return discrete_H_conventional(spec, g.dx, v)
 
                 fd = np.array([
                     (H_conv(u + step * e) - H_conv(u - step * e)) / (2 * step)
                     for e in np.eye(N)])
-                analytic = grad_conventional(spec, g, Field.full(u)).values
+                analytic = grad_conventional(spec, g.dx, u)
                 scale = max(1.0, np.max(np.abs(analytic)))
                 assert np.max(np.abs(analytic - fd)) / scale < 1e-6
                 checked_conv += 1
@@ -151,12 +149,12 @@ class TestCriterion2QuadraticInvariantExactness:
         g = PeriodicGrid(64, L)
         spec = HamiltonianSpec(1.0, 0.5, 0.0, 0.0)
         u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
-        H0 = discrete_H_conventional(spec, g, Field.full(u0))
+        H0 = discrete_H_conventional(spec, g.dx, u0)
         rhs = conventional_flat_field(spec, g)
         worst = [0.0]
 
         def watch(step, t, z, report):
-            H = discrete_H_conventional(spec, g, Field.full(z))
+            H = discrete_H_conventional(spec, g.dx, z)
             worst[0] = max(worst[0], abs((H0 - H) / H0))
 
         result = integrate(rhs, u0, 2.0 ** -10, 10_000, observer=watch)

@@ -1,47 +1,10 @@
 import numpy as np
 import pytest
 
-from clebschflow.clebsch import (
-    ClebschState,
-    JetTable,
-    jet,
-    jet_adjoint_accumulate,
-    lift,
-    momentum_map,
-)
+from clebschflow.clebsch import ClebschState, lift, momentum_arrays, momentum_map
 from clebschflow.grid import Field, PeriodicGrid, Staggering, StaggeringError, apply_S
 
-
-def dense_T(N):
-    T = np.zeros((N, N))
-    for j in range(N):
-        T[j, j] = 1.0
-        T[j, j - 1] = -1.0
-    return T
-
-
-def dense_S(N):
-    S = np.zeros((N, N))
-    for j in range(N):
-        S[j, j] += 0.5
-        S[j, j - 1] += 0.5
-    return S
-
-
-def dense_momentum_map(g, q, p, C):
-    e1 = np.zeros(g.N)
-    e1[0] = 1.0
-    dq = (dense_T(g.N) @ q + C * e1) / g.dx
-    return dq * (dense_S(g.N) @ p)
-
-
-def dense_jet_maps(g, K):
-    """Dense matrices A_k mapping row 0 to row k."""
-    maps = [np.eye(g.N)]
-    for k in range(1, K + 1):
-        step = (-dense_T(g.N).T / g.dx) if k % 2 == 1 else (dense_T(g.N) / g.dx)
-        maps.append(step @ maps[-1])
-    return maps
+from oracles import dense_momentum_map
 
 
 class TestLift:
@@ -123,118 +86,13 @@ class TestMomentumMap:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         assert momentum_map(g, state).staggering is Staggering.HALF
 
-
-class TestJet:
-    def test_constant_state_has_vanishing_derivatives(self):
-        g = PeriodicGrid(8, 4.0)
-        state = lift(g, Field.full(np.full(8, 2.5)))
-        table = jet(g, state, 4)
-        np.testing.assert_allclose(table.rows[0].values, np.full(8, 2.5),
-                                   atol=1e-14)
-        for row in table.rows[1:]:
-            np.testing.assert_allclose(row.values, np.zeros(8), atol=1e-12)
-
-    def test_staggering_alternates(self):
-        g = PeriodicGrid(8, 4.0)
-        table = jet(g, lift(g, Field.full(np.ones(8))), 3)
-        kinds = [row.staggering for row in table.rows]
-        assert kinds == [Staggering.HALF, Staggering.FULL,
-                         Staggering.HALF, Staggering.FULL]
-        assert table.depth == 3
-
-    def test_first_two_rows_against_analytic_oracle(self):
-        L = 8.0
-        w = 2 * np.pi / L
-        errs1, errs2 = [], []
-        for N in (16, 32, 64):
-            g = PeriodicGrid(N, L)
-            state = lift(g, Field.full(np.sin(w * g.full_nodes)))
-            table = jet(g, state, 2)
-            errs1.append(np.max(np.abs(table.rows[1].values
-                                       - w * np.cos(w * g.full_nodes))))
-            errs2.append(np.max(np.abs(table.rows[2].values
-                                       + w * w * np.sin(w * g.half_nodes))))
-        for errs in (errs1, errs2):
-            orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-            assert np.all(orders > 1.7) and np.all(orders < 2.3)
-
-    def test_rows_are_linear_in_p(self):
-        rng = np.random.default_rng(21)
+    def test_raw_kernel_maps_a_batch_columnwise(self):
+        rng = np.random.default_rng(5)
         g = PeriodicGrid(8, 5.0)
-        q = Field.full(g.full_nodes + 0.1 * rng.standard_normal(8))
-        p = rng.standard_normal(8)
-        one = jet(g, ClebschState(q, Field.full(p), g.L), 3)
-        two = jet(g, ClebschState(q, Field.full(2.0 * p), g.L), 3)
-        for a, b in zip(one.rows, two.rows):
-            np.testing.assert_allclose(b.values, 2.0 * a.values,
-                                       rtol=0, atol=1e-13)
-
-    def test_rows_match_dense_composition(self):
-        rng = np.random.default_rng(6)
-        g = PeriodicGrid(8, 3.0)
-        q = g.full_nodes + 0.1 * rng.standard_normal(8)
-        p = 1.0 + 0.3 * rng.standard_normal(8)
-        state = ClebschState(Field.full(q), Field.full(p), g.L)
-        table = jet(g, state, 3)
-        u0 = dense_momentum_map(g, q, p, g.L)
-        for k, A in enumerate(dense_jet_maps(g, 3)):
-            np.testing.assert_allclose(table.rows[k].values, A @ u0,
-                                       rtol=0, atol=1e-12)
-
-    def test_negative_depth_rejected(self):
-        g = PeriodicGrid(4, 1.0)
-        with pytest.raises(ValueError):
-            jet(g, lift(g, Field.full(np.ones(4))), -1)
-
-    def test_jet_table_validates_staggering_pattern(self):
-        with pytest.raises(StaggeringError):
-            JetTable((Field.full(np.ones(4)),))
-        with pytest.raises(StaggeringError):
-            JetTable((Field.half(np.ones(4)), Field.half(np.ones(4))))
-
-
-class TestJetAdjoint:
-    def test_row0_only_is_identity(self):
-        g = PeriodicGrid(5, 2.0)
-        grad = Field.half(np.array([1.0, -2.0, 0.5, 0.0, 3.0]))
-        out = jet_adjoint_accumulate(g, JetTable((grad,)))
-        np.testing.assert_array_equal(out.values, grad.values)
-
-    def test_row1_only_matches_single_step_adjoint(self):
-        rng = np.random.default_rng(7)
-        g = PeriodicGrid(6, 3.0)
-        g1 = rng.standard_normal(6)
-        table = JetTable((Field.half(np.zeros(6)), Field.full(g1)))
-        out = jet_adjoint_accumulate(g, table)
-        want = -(dense_T(6) @ g1) / g.dx
-        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("K", [1, 2, 3])
-    def test_directional_derivative_identity(self, K):
-        rng = np.random.default_rng(K)
-        g = PeriodicGrid(8, 5.0)
-        rows = []
-        for k in range(K + 1):
-            kind = Staggering.HALF if k % 2 == 0 else Staggering.FULL
-            rows.append(Field(rng.standard_normal(8), kind))
-        out = jet_adjoint_accumulate(g, JetTable(tuple(rows)))
-        maps = dense_jet_maps(g, K)
-        for _ in range(5):
-            du0 = rng.standard_normal(8)
-            lhs = np.dot(out.values, du0)
-            rhs = sum(np.dot(rows[k].values, maps[k] @ du0)
-                      for k in range(K + 1))
-            assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
-
-    def test_adjoint_matches_dense_composition(self):
-        rng = np.random.default_rng(13)
-        g = PeriodicGrid(8, 5.0)
-        K = 3
-        rows = []
-        for k in range(K + 1):
-            kind = Staggering.HALF if k % 2 == 0 else Staggering.FULL
-            rows.append(Field(rng.standard_normal(8), kind))
-        out = jet_adjoint_accumulate(g, JetTable(tuple(rows)))
-        want = sum(dense_jet_maps(g, K)[k].T @ rows[k].values
-                   for k in range(K + 1))
-        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-13)
+        q = g.full_nodes[:, None] + 0.1 * rng.standard_normal((8, 3))
+        p = rng.standard_normal((8, 3))
+        u, dq, sp = momentum_arrays(g.dx, g.L, q, p)
+        assert np.array_equal(u, dq * sp)
+        for k in range(3):
+            state = ClebschState(Field.full(q[:, k]), Field.full(p[:, k]), g.L)
+            assert np.array_equal(u[:, k], momentum_map(g, state).values)

@@ -104,6 +104,22 @@ class TestRunCommand:
         assert code == 1
         assert "unknown configuration keys" in err
 
+    def test_mistyped_config_value_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"spec": {"C1": "x"}}))
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert err == ("configuration error: spec.C1 must be a number, "
+                       "got 'x'\n")
+
+    def test_non_finite_initial_profile_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--method", "conventional", "--N", "16",
+            "--ic", "custom:1/(x-x)", "--out", str(tmp_path / "d.csv"))
+        assert code == 1
+        assert "configuration error: initial condition 'custom:1/(x-x)'" in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clebschflow.dynamics import _k_product
+from clebschflow.dynamics import apply_K
 from clebschflow.grid import (
     Field,
     PeriodicGrid,
@@ -13,29 +13,12 @@ from clebschflow.grid import (
     apply_T,
     apply_Tt,
     s_avg,
-    s_matrix,
     st_avg,
     t_diff,
-    t_matrix,
     tt_diff,
 )
 
-
-def dense_T(N):
-    """Independent dense build of the difference stencil, row by row."""
-    T = np.zeros((N, N))
-    for j in range(N):
-        T[j, j] = 1.0
-        T[j, j - 1] = -1.0
-    return T
-
-
-def dense_S(N):
-    S = np.zeros((N, N))
-    for j in range(N):
-        S[j, j] += 0.5
-        S[j, j - 1] += 0.5
-    return S
+from oracles import dense_S, dense_T
 
 
 class TestGridGeometry:
@@ -165,7 +148,7 @@ class TestSliceStencilsMatchRolledForms:
         u = 1.0 + rng.standard_normal((N,) + shape)
         g = rng.standard_normal((N,) + shape)
         dx = 8.0 / N
-        assert np.array_equal(_k_product(u, g, dx), rolled_k_product(u, g, dx))
+        assert np.array_equal(apply_K(u, g, dx), rolled_k_product(u, g, dx))
 
 
 class TestOperatorProperties:
@@ -237,11 +220,6 @@ class TestOperatorProperties:
 
 
 class TestDenseMaterialisation:
-    @pytest.mark.parametrize("N", [3, 4, 8])
-    def test_dense_matrices_match_independent_build(self, N):
-        np.testing.assert_array_equal(t_matrix(N), dense_T(N))
-        np.testing.assert_array_equal(s_matrix(N), dense_S(N))
-
     def test_operators_agree_with_dense_action(self):
         rng = np.random.default_rng(8)
         g = PeriodicGrid(8, 2.0)

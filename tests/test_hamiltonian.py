@@ -33,6 +33,16 @@ def random_state(g, rng):
     return ClebschState(Field.full(q), Field.full(p), g.L)
 
 
+def H_coll(spec, g, state):
+    return discrete_H_collective(spec, g.dx, state.C, state.q.values,
+                                 state.p.values)
+
+
+def grad_coll(spec, g, state):
+    return grad_collective(spec, g.dx, state.C, state.q.values,
+                           state.p.values)
+
+
 def central_fd_gradient(fun, z, h=1e-6):
     grad = np.empty_like(z)
     for k in range(z.size):
@@ -49,14 +59,14 @@ class TestCollectiveSum:
         c = 1.7
         state = lift(g, Field.full(np.full(12, c)))
         spec = HamiltonianSpec(1, 0, 0, 0)
-        assert discrete_H_collective(spec, g, state) == pytest.approx(
+        assert H_coll(spec, g, state) == pytest.approx(
             12 * c * c, rel=1e-14)
 
     def test_constant_has_no_slope_energy(self):
         g = PeriodicGrid(12, L)
         state = lift(g, Field.full(np.full(12, 2.0)))
         spec = HamiltonianSpec(0, 1, 0, 0)
-        assert discrete_H_collective(spec, g, state) == pytest.approx(0, abs=1e-12)
+        assert H_coll(spec, g, state) == pytest.approx(0, abs=1e-12)
 
     def test_scaled_sum_converges_to_density_integral(self):
         spec = HamiltonianSpec(1.0, 0.5, -0.25, 0.5)
@@ -69,7 +79,7 @@ class TestCollectiveSum:
         for N in (32, 64, 128):
             g = PeriodicGrid(N, L)
             state = lift(g, Field.full(cosine_profile(g.full_nodes)))
-            errs.append(abs(g.dx * discrete_H_collective(spec, g, state) - exact))
+            errs.append(abs(g.dx * H_coll(spec, g, state) - exact))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.7) and np.all(orders < 2.3)
 
@@ -79,26 +89,25 @@ class TestCollectiveSum:
         state = random_state(g, rng)
         spec = HamiltonianSpec(1.0, 0.5, 0.0, 0.0)
         doubled = ClebschState(state.q, 2.0 * state.p, state.C)
-        assert discrete_H_collective(spec, g, doubled) == pytest.approx(
-            4.0 * discrete_H_collective(spec, g, state), rel=1e-13)
+        assert H_coll(spec, g, doubled) == pytest.approx(
+            4.0 * H_coll(spec, g, state), rel=1e-13)
 
 
 class TestCollectiveGradient:
     def test_zero_spec_gives_zero_gradients(self):
         rng = np.random.default_rng(2)
         g = PeriodicGrid(8, L)
-        gq, gp = grad_collective(HamiltonianSpec(0, 0, 0, 0), g,
-                                 random_state(g, rng))
-        np.testing.assert_array_equal(gq.values, np.zeros(8))
-        np.testing.assert_array_equal(gp.values, np.zeros(8))
+        gq, gp = grad_coll(HamiltonianSpec(0, 0, 0, 0), g, random_state(g, rng))
+        np.testing.assert_array_equal(gq, np.zeros(8))
+        np.testing.assert_array_equal(gp, np.zeros(8))
 
     def test_constant_state_hand_values(self):
         g = PeriodicGrid(10, L)
         c = 1.3
         state = lift(g, Field.full(np.full(10, c)))
-        gq, gp = grad_collective(HamiltonianSpec(1, 0, 0, 0), g, state)
-        np.testing.assert_allclose(gp.values, np.full(10, 2 * c), atol=1e-13)
-        np.testing.assert_allclose(gq.values, np.zeros(10), atol=1e-13)
+        gq, gp = grad_coll(HamiltonianSpec(1, 0, 0, 0), g, state)
+        np.testing.assert_allclose(gp, np.full(10, 2 * c), atol=1e-13)
+        np.testing.assert_allclose(gq, np.zeros(10), atol=1e-13)
 
     @pytest.mark.parametrize("N", [4, 8, 16])
     def test_matches_central_finite_differences(self, N):
@@ -108,13 +117,11 @@ class TestCollectiveGradient:
         state = random_state(g, rng)
 
         def H(z):
-            st = ClebschState(Field.full(z[:N]), Field.full(z[N:]), g.L)
-            return discrete_H_collective(spec, g, st)
+            return discrete_H_collective(spec, g.dx, g.L, z[:N], z[N:])
 
         z = np.concatenate([state.q.values, state.p.values])
         fd = central_fd_gradient(H, z)
-        gq, gp = grad_collective(spec, g, state)
-        analytic = np.concatenate([gq.values, gp.values])
+        analytic = np.concatenate(grad_coll(spec, g, state))
         scale = max(1.0, np.max(np.abs(analytic)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-6
 
@@ -123,10 +130,10 @@ class TestConventionalSum:
     def test_constant_values(self):
         g = PeriodicGrid(16, L)
         c = 0.8
-        u = Field.full(np.full(16, c))
-        assert discrete_H_conventional(HamiltonianSpec(1, 0, 0, 0), g, u) == (
+        u = np.full(16, c)
+        assert discrete_H_conventional(HamiltonianSpec(1, 0, 0, 0), g.dx, u) == (
             pytest.approx(L * c * c, rel=1e-14))
-        assert discrete_H_conventional(HamiltonianSpec(0, 1, 0, 0), g, u) == (
+        assert discrete_H_conventional(HamiltonianSpec(0, 1, 0, 0), g.dx, u) == (
             pytest.approx(0.0, abs=1e-13))
 
     def test_converges_to_analytic_integral(self):
@@ -136,32 +143,31 @@ class TestConventionalSum:
         spec = HamiltonianSpec(1, 0, 0, 0)
         for N in (16, 32, 64):
             g = PeriodicGrid(N, L)
-            u = Field.full(cosine_profile(g.full_nodes))
-            assert abs(discrete_H_conventional(spec, g, u) - 9.0) < 1e-12
+            u = cosine_profile(g.full_nodes)
+            assert abs(discrete_H_conventional(spec, g.dx, u) - 9.0) < 1e-12
 
     def test_degree_two_homogeneity(self):
         rng = np.random.default_rng(3)
         g = PeriodicGrid(8, L)
         u = rng.standard_normal(8)
         spec = HamiltonianSpec(1.0, 0.5, 0.0, 0.0)
-        a = discrete_H_conventional(spec, g, Field.full(3.0 * u))
-        b = discrete_H_conventional(spec, g, Field.full(u))
+        a = discrete_H_conventional(spec, g.dx, 3.0 * u)
+        b = discrete_H_conventional(spec, g.dx, u)
         assert a == pytest.approx(9.0 * b, rel=1e-13)
 
 
 class TestConventionalGradient:
     def test_zero_spec(self):
         g = PeriodicGrid(8, L)
-        out = grad_conventional(HamiltonianSpec(0, 0, 0, 0), g,
-                                Field.full(np.ones(8)))
-        np.testing.assert_array_equal(out.values, np.zeros(8))
+        out = grad_conventional(HamiltonianSpec(0, 0, 0, 0), g.dx, np.ones(8))
+        np.testing.assert_array_equal(out, np.zeros(8))
 
     def test_constant_quadratic(self):
         g = PeriodicGrid(8, L)
         c = 1.1
-        out = grad_conventional(HamiltonianSpec(1, 0, 0, 0), g,
-                                Field.full(np.full(8, c)))
-        np.testing.assert_allclose(out.values, np.full(8, 2 * c * g.dx),
+        out = grad_conventional(HamiltonianSpec(1, 0, 0, 0), g.dx,
+                                np.full(8, c))
+        np.testing.assert_allclose(out, np.full(8, 2 * c * g.dx),
                                    atol=1e-14)
 
     @pytest.mark.parametrize("N", [4, 8, 16])
@@ -172,10 +178,10 @@ class TestConventionalGradient:
         u = 1.0 + 0.4 * rng.standard_normal(N)
 
         def H(v):
-            return discrete_H_conventional(spec, g, Field.full(v))
+            return discrete_H_conventional(spec, g.dx, v)
 
         fd = central_fd_gradient(H, u)
-        analytic = grad_conventional(spec, g, Field.full(u)).values
+        analytic = grad_conventional(spec, g.dx, u)
         scale = max(1.0, np.max(np.abs(analytic)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-6
 
@@ -187,8 +193,8 @@ class TestPictureConsistency:
         for N in (16, 32, 64):
             g = PeriodicGrid(N, L)
             u0 = Field.full(cosine_profile(g.full_nodes))
-            coll = g.dx * discrete_H_collective(spec, g, lift(g, u0))
-            conv = discrete_H_conventional(spec, g, u0)
+            coll = g.dx * H_coll(spec, g, lift(g, u0))
+            conv = discrete_H_conventional(spec, g.dx, u0.values)
             errs.append(abs(coll - conv))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.7) and np.all(orders < 2.3)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clebschflow.dynamics import JacobianMode, NewtonConfig
+from clebschflow.dynamics import NewtonConfig
 from clebschflow.grid import Field, PeriodicGrid, StaggeringError
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
 from clebschflow.harness import (
@@ -121,12 +121,39 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict({"newton": {"tol": 1e-12, "damping": 0.5}})
 
-    def test_jacobian_mode_parsing(self):
-        cfg = config_from_dict(
-            {"newton": {"jacobian_mode": "finite-difference"}})
-        assert cfg.newton.jacobian_mode is JacobianMode.FINITE_DIFFERENCE
-        with pytest.raises(ConfigError):
-            config_from_dict({"newton": {"jacobian_mode": "analytic"}})
+    def test_missing_spec_coefficients_are_zero(self):
+        cfg = config_from_dict({"spec": {"C1": 2, "C3": -0.5}})
+        assert cfg.spec == HamiltonianSpec(2.0, 0.0, -0.5, 0.0)
+        assert isinstance(cfg.spec.C1, float)
+
+    def test_integral_numbers_are_accepted_for_integer_fields(self):
+        cfg = config_from_dict({"N": 64.0, "newton": {"max_iter": 7}})
+        assert cfg.N == 64 and isinstance(cfg.N, int)
+        assert cfg.newton == NewtonConfig(max_iter=7)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"N": 64.7}, "N must be an integer"),
+        ({"newton": {"max_iter": 2.9}}, "newton.max_iter must be an integer"),
+        ({"N": True}, "N must be a number"),
+        ({"N": "abc"}, "N must be a number"),
+        ({"N": [1]}, "N must be a number"),
+        ({"dt": "0.1"}, "dt must be a number"),
+        ({"t_end": float("nan")}, "t_end must be finite"),
+        ({"L": 10 ** 400}, "L must be finite"),
+        ({"spec": {"C1": "x"}}, "spec.C1 must be a number"),
+        ({"spec": {"C1": float("nan")}}, "spec.C1 must be finite"),
+        ({"spec": [1.0]}, "spec must be a JSON object"),
+        ({"method": 3}, "method must be a string"),
+        ({"output_path": 5}, "output_path must be a string"),
+        ({"newton": {"tol": -1.0}}, "tol must be positive"),
+        ({"newton": {"max_iter": 0}}, "max_iter must be at least 1"),
+        ({"newton": {"jacobian_mode": "finite-difference"}},
+         "unknown newton keys"),
+        ({"newton": {"fd_step": 1e-7}}, "unknown newton keys"),
+    ])
+    def test_mistyped_or_retired_values_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
 
 
 class TestInitialConditions:
@@ -271,6 +298,12 @@ class TestRunExperiment:
         assert set(finals) == {"u", "q", "p"}
         assert finals["u"].staggering.value == "half"
         assert len(finals["q"]) == 16
+
+    @pytest.mark.parametrize("expr", ["1/(x-x)", "sqrt(x-10)"])
+    def test_non_finite_initial_profile_rejected(self, expr):
+        cfg = quick_config(initial_condition="custom:" + expr)
+        with pytest.raises(ConfigError, match=r"custom:.* is not finite"):
+            run_experiment(cfg)
 
     def test_newton_failure_is_flagged_not_raised(self):
         cfg = quick_config(method="conventional", dt=64.0, t_end=640.0,

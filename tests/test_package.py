@@ -1,0 +1,43 @@
+"""Package hygiene: the exported names resolve, and the package imports
+numpy alone (scipy and sympy are test-only oracles)."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import clebschflow
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(clebschflow.__path__))
+SOURCES = sorted(Path(clebschflow.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"clebschflow.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
+
+
+def test_namespace_reexports_only_module_exports():
+    exported = set()
+    for name in MODULES:
+        module = importlib.import_module(f"clebschflow.{name}")
+        exported.update(getattr(module, "__all__", ()))
+    namespace = {n for n, value in vars(clebschflow).items()
+                 if not n.startswith("_") and not inspect.ismodule(value)}
+    assert namespace <= exported, sorted(namespace - exported)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_or_sympy_import(path):
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            roots.add(node.module.split(".")[0])
+    assert not roots & {"scipy", "sympy"}

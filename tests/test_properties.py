@@ -1,0 +1,124 @@
+"""Property tests of the stencils and the kernels built on them.
+
+Hypothesis runs derandomised with a bounded number of examples, so every
+run draws the same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from clebschflow.clebsch import momentum_arrays
+from clebschflow.dynamics import apply_K, conventional_flat_field
+from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
+from clebschflow.hamiltonian import (
+    HamiltonianSpec,
+    discrete_H_collective,
+    discrete_H_conventional,
+    grad_collective,
+    grad_conventional,
+)
+
+L = 8.0
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
+                    database=None)
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def samples(draw, count, max_N=48):
+    """A grid size N and ``count`` sample vectors of length N in [-1, 1]."""
+    N = draw(st.integers(3, max_N))
+    return N, [draw(arrays(np.float64, N, elements=UNIT))
+               for _ in range(count)]
+
+
+specs = st.builds(HamiltonianSpec, UNIT, UNIT, UNIT, UNIT)
+
+
+def close(a, b, scale, rel=1e-13):
+    return abs(a - b) <= rel * (1.0 + scale)
+
+
+@PROPERTY
+@given(samples(2))
+def test_stencil_adjointness(case):
+    _, (f, g) = case
+    scale = np.linalg.norm(f) * np.linalg.norm(g)
+    assert close(np.dot(t_diff(f), g), np.dot(f, tt_diff(g)), scale)
+    assert close(np.dot(s_avg(f), g), np.dot(f, st_avg(g)), scale)
+
+
+@PROPERTY
+@given(samples(3))
+def test_skew_form_is_exactly_skew(case):
+    N, (u, a, b) = case
+    dx = L / N
+    scale = np.linalg.norm(u) * np.linalg.norm(a) * np.linalg.norm(b) / dx
+    assert close(np.dot(apply_K(u, a, dx), b), -np.dot(a, apply_K(u, b, dx)),
+                 scale)
+    assert close(np.dot(apply_K(u, a, dx), a), 0.0, scale)
+
+
+@PROPERTY
+@given(samples(3), UNIT, UNIT)
+def test_momentum_map_is_linear_in_p(case, alpha, beta):
+    N, (noise, p1, p2) = case
+    g = PeriodicGrid(N, L)
+    q = g.full_nodes + 0.15 * noise
+    u1, _, _ = momentum_arrays(g.dx, g.L, q, p1)
+    u2, _, _ = momentum_arrays(g.dx, g.L, q, p2)
+    u, _, _ = momentum_arrays(g.dx, g.L, q, alpha * p1 + beta * p2)
+    np.testing.assert_allclose(u, alpha * u1 + beta * u2, rtol=0,
+                               atol=1e-13 * (1.0 + np.max(np.abs(u1))
+                                             + np.max(np.abs(u2))))
+
+
+def central_differences(H, z, h=1e-6):
+    grad = np.empty_like(z)
+    for k in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[k] += h
+        zm[k] -= h
+        grad[k] = (H(zp) - H(zm)) / (2 * h)
+    return grad
+
+
+def assert_gradient(analytic, fd):
+    scale = max(1.0, np.max(np.abs(analytic)))
+    assert np.max(np.abs(analytic - fd)) / scale < 1e-6
+
+
+@PROPERTY
+@given(specs, samples(2, max_N=12))
+def test_collective_gradient_matches_central_differences(spec, case):
+    N, (q_noise, p_noise) = case
+    g = PeriodicGrid(N, L)
+    z = np.concatenate([g.full_nodes + 0.15 * q_noise, 1.0 + 0.4 * p_noise])
+    fd = central_differences(
+        lambda v: discrete_H_collective(spec, g.dx, g.L, v[:N], v[N:]), z)
+    assert_gradient(np.concatenate(grad_collective(spec, g.dx, g.L,
+                                                   z[:N], z[N:])), fd)
+
+
+@PROPERTY
+@given(specs, samples(1, max_N=12))
+def test_conventional_gradient_matches_central_differences(spec, case):
+    N, (noise,) = case
+    dx = L / N
+    u = 1.0 + 0.4 * noise
+    fd = central_differences(lambda v: discrete_H_conventional(spec, dx, v),
+                             u)
+    assert_gradient(grad_conventional(spec, dx, u), fd)
+
+
+@PROPERTY
+@given(specs, samples(1))
+def test_conventional_field_is_orthogonal_to_its_gradient(spec, case):
+    N, (noise,) = case
+    g = PeriodicGrid(N, L)
+    u = 1.0 + 0.4 * noise
+    grad = grad_conventional(spec, g.dx, u)
+    f = conventional_flat_field(spec, g)(u)
+    assert close(np.dot(grad, f), 0.0,
+                 np.linalg.norm(grad) * np.linalg.norm(f))
