@@ -43,9 +43,7 @@ from .dynamics import (
     NonConvergenceError,
     StepReport,
     apply_K,
-    collective_colouring,
     collective_flat_field,
-    conventional_colouring,
     conventional_flat_field,
     integrate,
     midpoint_step,

@@ -23,10 +23,11 @@ fixed grid distance of i, in every block.  A column colouring of that band
 (Curtis, Powell & Reid 1974) perturbs all columns of one colour in one
 batch column: 16 columns for the lifted field and 6 for the direct one at
 N = 32, 64 or 512, instead of 2N and N.  Columns of one colour never share
-a row, so every entry is bitwise the column-by-column difference.  Without
-a colouring every column is its own colour.  A run starts each step's
-Newton iteration from the extrapolation 2 z_n - z_{n-1}, which is O(dt^2)
-from the solution instead of O(dt).
+a row, so every entry is bitwise the column-by-column difference.  Each
+flat field carries its colouring as the attribute ``rhs.colouring``; any
+other callable gets every column as its own colour.  A run starts each
+step's Newton iteration from the extrapolation 2 z_n - z_{n-1}, which is
+O(dt^2) from the solution instead of O(dt).
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
     "IntegrationResult",
     "Colouring",
     "band_colouring",
-    "collective_colouring",
-    "conventional_colouring",
     "collective_flat_field",
     "conventional_flat_field",
     "apply_K",
@@ -112,23 +111,6 @@ class NonConvergenceError(RuntimeError):
 
 # -- vector fields --------------------------------------------------------------
 
-def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid,
-                          C: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side on packed states z = (q, p).
-
-    Accepts a single state of shape (2N,) or a batch of column-stacked
-    states of shape (2N, m).
-    """
-    N = grid.N
-    dx = grid.dx
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        gq, gp = grad_collective(spec, dx, C, z[:N], z[N:])
-        return np.concatenate([gp, -gq], axis=0)
-
-    return rhs
-
-
 #: Stencil half-widths of the flat fields: output node i of every block
 #: reads only inputs within cyclic grid distance w of i, in every block.
 #: Read off the kernels: the lifted gradient composes two-point stencils
@@ -138,9 +120,22 @@ COLLECTIVE_HALF_WIDTH = 3
 CONVENTIONAL_HALF_WIDTH = 2
 
 
-def collective_colouring(grid: PeriodicGrid) -> "Colouring":
-    """Jacobian colouring of :func:`collective_flat_field` on the grid."""
-    return band_colouring(grid.N, COLLECTIVE_HALF_WIDTH, blocks=2)
+def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid,
+                          C: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Right-hand side on packed states z = (q, p).
+
+    Accepts a single state of shape (2N,) or a batch of column-stacked
+    states of shape (2N, m).  ``rhs.colouring`` is its Jacobian colouring.
+    """
+    N = grid.N
+    dx = grid.dx
+
+    def rhs(z: np.ndarray) -> np.ndarray:
+        gq, gp = grad_collective(spec, dx, C, z[:N], z[N:])
+        return np.concatenate([gp, -gq], axis=0)
+
+    rhs.colouring = band_colouring(N, COLLECTIVE_HALF_WIDTH, blocks=2)
+    return rhs
 
 
 def apply_K(u: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
@@ -167,19 +162,16 @@ def apply_K(u: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
 
 def conventional_flat_field(spec: HamiltonianSpec,
                             grid: PeriodicGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side on raw sample vectors; accepts (N,) or (N, m)."""
+    """Right-hand side on raw sample vectors, (N,) or (N, m).
+    ``rhs.colouring`` is its Jacobian colouring."""
     dx = grid.dx
 
     def rhs(u: np.ndarray) -> np.ndarray:
         grad = grad_conventional(spec, dx, u)
         return apply_K(u, grad / dx, dx)
 
+    rhs.colouring = band_colouring(grid.N, CONVENTIONAL_HALF_WIDTH, blocks=1)
     return rhs
-
-
-def conventional_colouring(grid: PeriodicGrid) -> "Colouring":
-    """Jacobian colouring of :func:`conventional_flat_field` on the grid."""
-    return band_colouring(grid.N, CONVENTIONAL_HALF_WIDTH, blocks=1)
 
 
 # -- state packing ---------------------------------------------------------------
@@ -234,8 +226,8 @@ def band_colouring(N: int, half_width: int, blocks: int = 1) -> Colouring:
     segment, one set of colours per block: ceil(N / segments) colours per
     block.  Fewer than two segments give every column its own colour.
     When 2 half_width < N the colouring is built in O(N) time and memory,
-    with no d x d array.  Colourings are cached: the default one of
-    :func:`fd_jacobian` is asked for at every assembly.
+    with no d x d array.  Colourings are cached: :func:`fd_jacobian` asks
+    for the identity at every assembly of a field that carries none.
     """
     span = 2 * half_width + 1
     segments = N // span
@@ -263,21 +255,19 @@ def band_colouring(N: int, half_width: int, blocks: int = 1) -> Colouring:
 # -- implicit midpoint ------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                step: float, f0: Optional[np.ndarray] = None,
-                colouring: Optional[Colouring] = None) -> np.ndarray:
+                step: float, f0: Optional[np.ndarray] = None) -> np.ndarray:
     """Forward-difference Jacobian of f at z from one batched evaluation.
 
     f must accept column-stacked states of shape (d, m) and return (d, m).
-    The batch holds one perturbed state per colour of ``colouring``, and
-    each entry the colouring lists is read off its column's colour; the
-    default gives every column its own colour and lists every entry.  f0
-    is f(z) when the caller already has it (the midpoint residual does),
-    saving a call.
+    The batch holds one perturbed state per colour of ``f.colouring``, and
+    each entry it lists is read off its column's colour.  A callable
+    without the attribute (a lambda, or a wrapper that does not copy
+    ``__dict__``) gets the dense difference, one colour per column.  f0 is
+    f(z) when the caller already has it (the midpoint residual does).
     """
     d = z.shape[0]
-    if colouring is None:
-        # a half-width of d makes every row read every input
-        colouring = band_colouring(d, d)
+    # a half-width of d makes every row read every input
+    colouring = getattr(f, "colouring", None) or band_colouring(d, d)
     if f0 is None:
         f0 = np.asarray(f(z), dtype=float)
     batch = np.asarray(f(z[:, None] + step * colouring.seed), dtype=float)
@@ -297,14 +287,13 @@ DEFAULT_NEWTON = NewtonConfig()
 
 def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
                   dt: float, cfg: NewtonConfig = DEFAULT_NEWTON,
-                  colouring: Optional[Colouring] = None,
                   guess: Optional[np.ndarray] = None):
     """One implicit midpoint step: solve  z+ = z + dt * F((z + z+)/2).
 
     Newton starts from ``guess`` (z when none is given) and assembles the
-    Jacobian with ``colouring`` (see :func:`fd_jacobian`).  Returns
-    (z_next, StepReport); raises NonConvergenceError when the iteration
-    budget is exhausted or the residual turns non-finite.
+    Jacobian with the field's own colouring (see :func:`fd_jacobian`).
+    Returns (z_next, StepReport); raises NonConvergenceError when the
+    iteration budget is exhausted or the residual turns non-finite.
     """
     if not dt != 0.0:
         raise ValueError("dt must be nonzero")
@@ -326,9 +315,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
         if rounds > cfg.max_iter:
             break
         if J is None:
-            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, FD_STEP,
-                                                    f0=f_mid,
-                                                    colouring=colouring)
+            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, FD_STEP, f_mid)
         z_new = z_new - np.linalg.solve(J, r)
     raise NonConvergenceError(
         f"midpoint Newton stalled at residual {r_norm:.3e} "
@@ -351,11 +338,11 @@ class IntegrationResult:
 
 def integrate(field: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
               dt: float, n_steps: int, cfg: NewtonConfig = DEFAULT_NEWTON,
-              observer=None,
-              colouring: Optional[Colouring] = None) -> IntegrationResult:
+              observer=None) -> IntegrationResult:
     """Fixed-step midpoint loop.
 
-    Every step assembles its Jacobian with ``colouring`` (see
+    Every step assembles its Jacobian with ``field.colouring`` (a wrapper
+    that drops ``__dict__`` gets the dense difference, see
     :func:`fd_jacobian`).  The first step starts Newton from z_0; every
     later one from the linear extrapolation 2 z_n - z_{n-1}, which equals
     z_n + dt F(mid_{n-1}) to within the Newton tolerance and so is O(dt^2)
@@ -372,8 +359,7 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     guess = None
     for step in range(1, n_steps + 1):
         try:
-            z_next, report = midpoint_step(field, z, dt, cfg,
-                                           colouring=colouring, guess=guess)
+            z_next, report = midpoint_step(field, z, dt, cfg, guess=guess)
         except NonConvergenceError as err:
             err.step = step
             return IntegrationResult(z, step - 1, False, failure=err)

@@ -29,9 +29,7 @@ import numpy as np
 from .clebsch import lift, momentum_arrays
 from .dynamics import (
     NewtonConfig,
-    collective_colouring,
     collective_flat_field,
-    conventional_colouring,
     conventional_flat_field,
     integrate,
     pack_state,
@@ -57,6 +55,7 @@ __all__ = [
     "ConvergenceLevel",
     "COLLECTIVE",
     "CONVENTIONAL",
+    "MAX_STEPS",
     "PRESETS",
     "TRAVELLING_WAVE_PARAMS",
     "preset_config",
@@ -76,6 +75,9 @@ COLLECTIVE = "collective"
 CONVENTIONAL = "conventional"
 _METHODS = (COLLECTIVE, CONVENTIONAL, "both")
 
+#: Largest step count a run may ask for, about 390 times the longest preset.
+MAX_STEPS = 10 ** 8
+
 
 class ConfigError(ValueError):
     """A configuration value or key is not usable."""
@@ -88,7 +90,7 @@ class ExperimentConfig:
     N: int = 64
     L: float = 8.0
     dt: float = 2.0 ** -12
-    t_end: float = 1.37
+    t_end: float = 1.3701171875  # 5612 steps of dt
     initial_condition: str = "cosine-bump"
     observe_every: int = 1
     newton: NewtonConfig = dataclass_field(default_factory=NewtonConfig)
@@ -106,6 +108,9 @@ class ExperimentConfig:
             raise ConfigError("dt must be positive")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} "
+                              f"steps; at most {MAX_STEPS} are allowed")
         if self.observe_every < 1:
             raise ConfigError("observe_every must be at least 1")
 
@@ -360,7 +365,6 @@ def _run_one_method(method: str, config: ExperimentConfig,
         winding = state0.C
         z0 = pack_state(state0)
         rhs = collective_flat_field(spec, grid, winding)
-        colouring = collective_colouring(grid)
         compare = Staggering.HALF
 
         def recover(z):
@@ -371,7 +375,6 @@ def _run_one_method(method: str, config: ExperimentConfig,
     else:
         z0 = u0.values.copy()
         rhs = conventional_flat_field(spec, grid)
-        colouring = conventional_colouring(grid)
         compare = Staggering.FULL
 
         def recover(z):
@@ -416,8 +419,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
         if step % config.observe_every == 0 or step == n_steps:
             observe(step, t, z, report.newton_iterations)
 
-    result = integrate(rhs, z0, config.dt, n_steps, config.newton, observer,
-                       colouring=colouring)
+    result = integrate(rhs, z0, config.dt, n_steps, config.newton, observer)
     finals = {"u": recover(result.z)}
     if method == COLLECTIVE:
         final_state = unpack_state(result.z, winding)
@@ -478,18 +480,18 @@ def convergence_study(base_config: ExperimentConfig, levels,
     if reference not in ("auto", "fine-grid"):
         raise ConfigError(f"unknown reference source {reference!r}")
     rows = {}
+    # the profile and its reference do not depend on N
+    ic = resolve_initial_condition(base_config)
     for N in levels:
         config = replace(base_config, N=N, output_path=None)
         result = run_experiment(config)
-        ic = resolve_initial_condition(config)
         t_final = config.n_steps * config.dt
         for run in result.runs:
             if not run.converged:
                 raise ref_mod.NonConvergenceError(
                     f"{run.method} run diverged at level N={N}",
                     step=run.failed_step)
-            compare = (Staggering.HALF if run.method == COLLECTIVE
-                       else Staggering.FULL)
+            compare = run.finals["u"].staggering
             if reference == "fine-grid":
                 exact = ref_mod.fine_grid_reference(
                     config.spec, result.grid, ic.profile, config.dt,
@@ -667,7 +669,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 PRESETS = {
     "burgers-shock": ExperimentConfig(
         method="both", spec=BURGERS, N=64, L=8.0, dt=2.0 ** -12,
-        t_end=1.37, initial_condition="cosine-bump", observe_every=4),
+        t_end=1.3701171875, initial_condition="cosine-bump", observe_every=4),
     "periodic-bump": ExperimentConfig(
         method="both", spec=EXTENDED_BURGERS, N=32, L=8.0, dt=2.0 ** -8,
         t_end=1000.0, initial_condition="periodic-bump", observe_every=64),

@@ -34,7 +34,6 @@ from .clebsch import lift, momentum_map
 from .dynamics import (
     NewtonConfig,
     NonConvergenceError,
-    collective_colouring,
     collective_flat_field,
     integrate,
     pack_state,
@@ -411,8 +410,7 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     n_steps = int(round(t_end / dt_fine))
     if newton is None:
         newton = NewtonConfig(tol=1e-10)
-    result = integrate(rhs, pack_state(state), dt_fine, n_steps, newton,
-                       colouring=collective_colouring(fine))
+    result = integrate(rhs, pack_state(state), dt_fine, n_steps, newton)
     if not result.converged:
         raise result.failure
     final = unpack_state(result.z, state.C)

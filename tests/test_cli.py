@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from clebschflow import harness
 from clebschflow.cli import main
 
 
@@ -118,6 +119,23 @@ class TestRunCommand:
             "--ic", "custom:1/(x-x)", "--out", str(tmp_path / "d.csv"))
         assert code == 1
         assert "configuration error: initial condition 'custom:1/(x-x)'" in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-300), (1e10, 1e-10)])
+    def test_step_count_above_the_cap_exits_one(self, tmp_path, capsys,
+                                                monkeypatch, t_end, dt):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was started")
+
+        monkeypatch.setattr(harness, "integrate", no_step)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_end": t_end, "dt": dt}))
+        for argv in (["--config", str(path)],
+                     ["--t-end", repr(t_end), "--dt", repr(dt)]):
+            code, _, err = run_cli(capsys, "run", *argv,
+                                   "--out", str(tmp_path / "d.csv"))
+            assert code == 1
+            assert err.startswith("configuration error: t_end / dt")
         assert not (tmp_path / "d.csv").exists()
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):

@@ -1,15 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
+from clebschflow import dynamics
 from clebschflow.clebsch import ClebschState, lift, momentum_map
 from clebschflow.dynamics import (
     NewtonConfig,
     NonConvergenceError,
     apply_K,
     band_colouring,
-    collective_colouring,
     collective_flat_field,
-    conventional_colouring,
     conventional_flat_field,
     fd_jacobian,
     integrate,
@@ -25,6 +26,8 @@ from clebschflow.hamiltonian import (
     discrete_H_conventional,
     grad_conventional,
 )
+from clebschflow.harness import ExperimentConfig, run_experiment
+from clebschflow.reference import fine_grid_reference
 
 from oracles import dense_K
 
@@ -208,14 +211,12 @@ class TestMidpointStep:
         g = PeriodicGrid(16, L)
         state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
         rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
-        colouring = collective_colouring(g)
         cfg = NewtonConfig()
         dt = 2.0 ** -6
         z_prev = pack_state(state)
-        z, _ = midpoint_step(rhs, z_prev, dt, cfg, colouring=colouring)
-        plain, plain_report = midpoint_step(rhs, z, dt, cfg,
-                                            colouring=colouring)
-        guessed, report = midpoint_step(rhs, z, dt, cfg, colouring=colouring,
+        z, _ = midpoint_step(rhs, z_prev, dt, cfg)
+        plain, plain_report = midpoint_step(rhs, z, dt, cfg)
+        guessed, report = midpoint_step(rhs, z, dt, cfg,
                                         guess=2.0 * z - z_prev)
         assert np.max(np.abs(guessed - plain)) < 4 * cfg.tol
         assert report.newton_iterations < plain_report.newton_iterations
@@ -239,13 +240,19 @@ class TestMidpointStep:
 
 
 def scheme_field(scheme, spec, g):
-    """Flat field, its colouring and a random state of the given scheme."""
-    rng = np.random.default_rng(g.N)
+    """Flat field of the given scheme."""
     if scheme == "collective":
-        return (collective_flat_field(spec, g, g.L), collective_colouring(g),
-                1.0 + 0.3 * rng.standard_normal(2 * g.N))
-    return (conventional_flat_field(spec, g), conventional_colouring(g),
-            1.0 + 0.3 * rng.standard_normal(g.N))
+        return collective_flat_field(spec, g, g.L)
+    return conventional_flat_field(spec, g)
+
+
+def random_state(g, d):
+    return 1.0 + 0.3 * np.random.default_rng(g.N).standard_normal(d)
+
+
+def dense(rhs):
+    """The field without its colouring attribute."""
+    return lambda z: rhs(z)
 
 
 class TestJacobianAssembly:
@@ -261,30 +268,34 @@ class TestJacobianAssembly:
             zk = z.copy()
             zk[k] += step
             J_loop[:, k] = (rhs(zk) - f0) / step
-        colouring = conventional_colouring(g)
-        assert colouring.n_colours < g.N
+        assert rhs.colouring.n_colours < g.N
+        np.testing.assert_array_equal(fd_jacobian(dense(rhs), z, step), J_loop)
+        np.testing.assert_array_equal(
+            fd_jacobian(dense(rhs), z, step, f0=f0), J_loop)
         np.testing.assert_array_equal(fd_jacobian(rhs, z, step), J_loop)
         np.testing.assert_array_equal(fd_jacobian(rhs, z, step, f0=f0),
                                       J_loop)
-        np.testing.assert_array_equal(
-            fd_jacobian(rhs, z, step, f0=f0, colouring=colouring), J_loop)
 
     @pytest.mark.parametrize("N", [3, 4, 7, 8, 13, 16, 33, 64])
     @pytest.mark.parametrize("spec", [BURGERS, EXTENDED_BURGERS],
                              ids=["burgers", "extended"])
     @pytest.mark.parametrize("scheme", ["collective", "conventional"])
     def test_coloured_equals_uncoloured(self, scheme, spec, N):
-        rhs, colouring, z = scheme_field(scheme, spec, PeriodicGrid(N, L))
+        g = PeriodicGrid(N, L)
+        rhs = scheme_field(scheme, spec, g)
+        z = random_state(g, rhs.colouring.seed.shape[0])
         f0 = rhs(z)
         np.testing.assert_array_equal(
-            fd_jacobian(rhs, z, 1e-7, f0=f0, colouring=colouring),
-            fd_jacobian(rhs, z, 1e-7, f0=f0))
+            fd_jacobian(rhs, z, 1e-7, f0=f0),
+            fd_jacobian(dense(rhs), z, 1e-7, f0=f0))
 
     @pytest.mark.parametrize("N", [3, 7, 14, 20, 32, 33, 64, 512])
-    @pytest.mark.parametrize("build", [collective_colouring,
-                                       conventional_colouring])
-    def test_columns_of_one_colour_share_no_row(self, build, N):
-        colouring = build(PeriodicGrid(N, L))
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"],
+                             ids=["collective_colouring",
+                                  "conventional_colouring"])
+    def test_columns_of_one_colour_share_no_row(self, scheme, N):
+        colouring = scheme_field(scheme, BURGERS,
+                                 PeriodicGrid(N, L)).colouring
         d, m = colouring.seed.shape
         rows, cols = np.divmod(colouring.entries, d)
         source_rows, colours = np.divmod(colouring.sources, m)
@@ -302,8 +313,9 @@ class TestJacobianAssembly:
     @pytest.mark.parametrize("N", [32, 64, 512])
     def test_colour_counts(self, N):
         g = PeriodicGrid(N, L)
-        assert collective_colouring(g).n_colours == 16
-        assert conventional_colouring(g).n_colours == 6
+        assert scheme_field("collective", BURGERS, g).colouring.n_colours == 16
+        assert scheme_field("conventional", BURGERS,
+                            g).colouring.n_colours == 6
 
     def test_default_colouring_is_the_identity(self):
         colouring = band_colouring(5, 5)
@@ -311,6 +323,49 @@ class TestJacobianAssembly:
         np.testing.assert_array_equal(np.sort(colouring.entries),
                                       np.arange(25))
         assert not colouring.seed.flags.writeable  # shared through a cache
+
+    def test_bare_callable_is_dense_and_wraps_keeps_the_colouring(self):
+        g = PeriodicGrid(32, L)
+        rhs = collective_flat_field(BURGERS, g, g.L)
+        z = random_state(g, 2 * g.N)
+        widths = []
+
+        def bare(v):
+            widths.append(v.shape[1:])
+            return rhs(v)
+
+        @functools.wraps(rhs)
+        def wrapped(v):
+            widths.append(v.shape[1:])
+            return rhs(v)
+
+        assert wrapped.colouring is rhs.colouring
+        J = fd_jacobian(rhs, z, 1e-7)
+        np.testing.assert_array_equal(fd_jacobian(bare, z, 1e-7), J)
+        np.testing.assert_array_equal(fd_jacobian(wrapped, z, 1e-7), J)
+        # one single call and one batch each: identity, then 16 colours
+        assert widths == [(), (2 * g.N,), (), (16,)]
+
+    def test_runs_assemble_with_the_field_colouring(self, monkeypatch):
+        assemble = dynamics.fd_jacobian
+        colours = []
+
+        def recording(f, *args, **kwargs):
+            colouring = getattr(f, "colouring", None)
+            colours.append(None if colouring is None
+                           else colouring.n_colours)
+            return assemble(f, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "fd_jacobian", recording)
+        config = ExperimentConfig(method="both", N=32, dt=2.0 ** -10,
+                                  t_end=4 * 2.0 ** -10)
+        assert run_experiment(config).converged
+        assert sorted(set(colours)) == [6, 16]
+        colours.clear()
+        fine_grid_reference(BURGERS, PeriodicGrid(4, L),
+                            lambda x: 1.0 + 0.5 * np.cos(W * x),
+                            dt=2.0 ** -8, t_end=2.0 ** -8)
+        assert colours and set(colours) == {16}
 
     def test_rhs_errors_propagate(self):
         def broken(z):
@@ -361,10 +416,9 @@ class TestIntegrate:
         g = PeriodicGrid(16, L)
         state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
         rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
-        colouring = collective_colouring(g)
         z0 = pack_state(state)
-        result = integrate(rhs, z0, 2.0 ** -6, 1, colouring=colouring)
-        z1, _ = midpoint_step(rhs, z0, 2.0 ** -6, colouring=colouring)
+        result = integrate(rhs, z0, 2.0 ** -6, 1)
+        z1, _ = midpoint_step(rhs, z0, 2.0 ** -6)
         np.testing.assert_array_equal(result.z, z1)
 
     @pytest.mark.parametrize("scheme", ["collective", "conventional"])
@@ -375,10 +429,10 @@ class TestIntegrate:
         if scheme == "collective":
             state = lift(g, u0)
             rhs = collective_flat_field(BURGERS, g, state.C)
-            colouring, z0 = collective_colouring(g), pack_state(state)
+            z0 = pack_state(state)
         else:
             rhs = conventional_flat_field(BURGERS, g)
-            colouring, z0 = conventional_colouring(g), u0.values
+            z0 = u0.values
         solve = np.linalg.solve
         solves = []
 
@@ -388,7 +442,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         per_step = []
-        result = integrate(rhs, z0, 2.0 ** -12, 64, colouring=colouring,
+        result = integrate(rhs, z0, 2.0 ** -12, 64,
                            observer=lambda k, t, z, rep: per_step.append(
                                len(solves)))
         assert result.converged

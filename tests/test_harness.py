@@ -9,9 +9,11 @@ import pytest
 from clebschflow.dynamics import NewtonConfig
 from clebschflow.grid import Field, PeriodicGrid, StaggeringError
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
+from clebschflow import harness
 from clebschflow.harness import (
     COLLECTIVE,
     CONVENTIONAL,
+    MAX_STEPS,
     ConfigError,
     ExperimentConfig,
     PRESETS,
@@ -154,6 +156,17 @@ class TestConfigValidation:
     def test_mistyped_or_retired_values_rejected(self, data, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("data", [{"t_end": 1e300, "dt": 1e-300},
+                                      {"t_end": 1e10, "dt": 1e-10}])
+    def test_step_count_above_the_cap_rejected(self, data):
+        with pytest.raises(ConfigError, match=f"at most {MAX_STEPS}"):
+            config_from_dict(data)
+
+    def test_step_cap_admits_every_preset(self):
+        longest = max(cfg.n_steps for cfg in PRESETS.values())
+        assert 100 * longest < MAX_STEPS
+        config_from_dict({"t_end": float(MAX_STEPS), "dt": 1.0})
 
 
 class TestInitialConditions:
@@ -385,6 +398,22 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError):
             convergence_study(base, [8, 16])
 
+    def test_initial_condition_is_resolved_once_per_study(self,
+                                                          monkeypatch):
+        resolve = harness.resolve_initial_condition
+        calls = []
+
+        def counted(config):
+            calls.append(config.N)
+            return resolve(config)
+
+        monkeypatch.setattr(harness, "resolve_initial_condition", counted)
+        base = quick_config(dt=2.0 ** -10, t_end=8 * 2.0 ** -10)
+        table = convergence_study(base, [8, 16])
+        assert len(table) == 4
+        # once for the study, once inside each level's run
+        assert len(calls) == 3
+
     def test_fine_grid_reference_source(self):
         base = quick_config(spec=EXTENDED_BURGERS,
                             initial_condition="periodic-bump",
@@ -452,7 +481,8 @@ class TestPresets:
     def test_burgers_preset_parameters(self):
         cfg = preset_config("burgers-shock")
         assert cfg.N == 64 and cfg.L == 8.0
-        assert cfg.dt == 2.0 ** -12 and cfg.t_end == 1.37
+        assert cfg.dt == 2.0 ** -12 and cfg.t_end == 1.3701171875
+        assert cfg.n_steps == 5612 and cfg.n_steps * cfg.dt == cfg.t_end
         assert cfg.spec == HamiltonianSpec(1, 0, 0, 0)
 
     def test_bump_preset_parameters(self):
