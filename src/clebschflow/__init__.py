@@ -20,11 +20,6 @@ from .grid import (
     PeriodicGrid,
     Staggering,
     StaggeringError,
-    apply_D,
-    apply_S,
-    apply_St,
-    apply_T,
-    apply_Tt,
 )
 from .clebsch import ClebschState, lift, momentum_arrays, momentum_map
 from .hamiltonian import (

@@ -1,4 +1,4 @@
-"""Uniform periodic grids on the circle and the staggered operators between them.
+"""Uniform periodic grids on the circle and the staggered stencils between them.
 
 Two interleaved node sets discretise the circle R/LZ of circumference L:
 
@@ -9,21 +9,18 @@ with dx = L/N.  Entry j of any half-staggered result always refers to
 x_{j-1/2}; entry j of a full-staggered result to x_j.  All index arithmetic
 wraps around, so j = 0 means j = N and j = N+1 means j = 1.
 
-Operators:
+Stencils, unscaled (the kernels divide by dx where they need to):
 
-    apply_T    full -> half    (f_j - f_{j-1}) / dx     compact difference
-    apply_D    full -> half    apply_T plus C/dx added to entry 1 (winding)
-    apply_S    full -> half    (f_{j-1} + f_j) / 2      second-order average
-    apply_Tt   half -> full    g_j - g_{j+1}            transpose of T, no 1/dx
-    apply_St   half -> full    (g_j + g_{j+1}) / 2      transpose of S
+    t_diff    full -> half    f_j - f_{j-1}            compact difference T
+    s_avg     full -> half    (f_{j-1} + f_j) / 2      second-order average S
+    tt_diff   half -> full    g_j - g_{j+1}            transpose of T
+    st_avg    half -> full    (g_j + g_{j+1}) / 2      transpose of S
 
-The transposes are plain matrix transposes of the unscaled stencils, so the
-exact adjoint identities are  <dx*apply_T(f), g> = <f, apply_Tt(g)>  and
-<apply_S(f), g> = <f, apply_St(g)>.
-
-The low-level ``*_diff`` / ``*_avg`` helpers act on raw arrays along axis 0
-and broadcast over trailing axes, which lets the time steppers evaluate
-whole batches of perturbed states in one call.
+The transposes are plain matrix transposes, so  <t_diff(f), g> =
+<f, tt_diff(g)>  and  <s_avg(f), g> = <f, st_avg(g)>  exactly.  They act on
+raw arrays along axis 0 and broadcast over trailing axes, which lets the
+time steppers evaluate whole batches of perturbed states in one call.
+Samples at the public boundary are tagged with their node set by ``Field``.
 """
 
 from __future__ import annotations
@@ -38,11 +35,6 @@ __all__ = [
     "StaggeringError",
     "PeriodicGrid",
     "Field",
-    "apply_T",
-    "apply_D",
-    "apply_S",
-    "apply_Tt",
-    "apply_St",
     "t_diff",
     "tt_diff",
     "s_avg",
@@ -202,43 +194,3 @@ def st_avg(values: np.ndarray) -> np.ndarray:
     np.add(values[-1:], values[:1], out=out[-1:])
     out *= 0.5
     return out
-
-
-# -- field-level operators ----------------------------------------------------
-
-def apply_T(grid: PeriodicGrid, f: Field) -> Field:
-    """Staggered derivative (T f)/dx: full-grid samples to half-grid slopes."""
-    v = _require(f, Staggering.FULL, "apply_T")
-    return Field(t_diff(v) / grid.dx, Staggering.HALF)
-
-
-def apply_D(grid: PeriodicGrid, q: Field, C: float) -> Field:
-    """Winding-corrected derivative (T q + C e_1)/dx of a circle-map lift.
-
-    C must be an integer multiple of L (L times the degree of the map);
-    entry 1 of the plain difference is off by exactly C because q is stored
-    unwrapped on the covering space.
-    """
-    v = _require(q, Staggering.FULL, "apply_D")
-    out = t_diff(v)
-    out[0] += C
-    out /= grid.dx
-    return Field(out, Staggering.HALF)
-
-
-def apply_S(grid: PeriodicGrid, f: Field) -> Field:
-    """Second-order average of full-grid samples onto the half grid."""
-    v = _require(f, Staggering.FULL, "apply_S")
-    return Field(s_avg(v), Staggering.HALF)
-
-
-def apply_Tt(grid: PeriodicGrid, f: Field) -> Field:
-    """Plain transpose of T (no 1/dx): half-grid samples to the full grid."""
-    v = _require(f, Staggering.HALF, "apply_Tt")
-    return Field(tt_diff(v), Staggering.FULL)
-
-
-def apply_St(grid: PeriodicGrid, f: Field) -> Field:
-    """Transpose of S: second-order average back onto the full grid."""
-    v = _require(f, Staggering.HALF, "apply_St")
-    return Field(st_avg(v), Staggering.FULL)

@@ -39,7 +39,7 @@ from .dynamics import (
     pack_state,
     unpack_state,
 )
-from .grid import Field, PeriodicGrid, Staggering, apply_St
+from .grid import Field, PeriodicGrid, Staggering, st_avg
 from .hamiltonian import HamiltonianSpec
 
 __all__ = [
@@ -74,7 +74,7 @@ class MaxStepsExceededError(RuntimeError):
 
 # -- characteristics for the quadratic flow -------------------------------------
 
-def burgers_characteristics(u0: Callable, x, t: float, advection: float = 6.0,
+def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
                             u0_prime: Optional[Callable] = None,
                             domain_length: Optional[float] = None,
                             tol: float = 1e-12, max_iter: int = 100):
@@ -85,38 +85,63 @@ def burgers_characteristics(u0: Callable, x, t: float, advection: float = 6.0,
     catastrophe; raises NonConvergenceError at or past it.  Accepts scalar
     or array x and returns matching shape.
 
+    ``t`` may also be a 1-D array of times; the result then has one row per
+    time, shape ``(len(t),) + x.shape``, from one vectorised iteration.  Each
+    row runs exactly the iteration of its scalar call: the same u0(x) seed,
+    its own max-residual test against ``tol`` and its own denominator check,
+    and it is frozen once it converges, so every row is bitwise the scalar
+    result.  A t = 0 row is u0(x).  The call raises NonConvergenceError when
+    any row would; ``u0`` and ``u0_prime`` must act elementwise on arrays of
+    any shape.
+
     Past breaking the relation keeps isolated roots the iteration can land
     on, so passing ``domain_length`` (the period of u0) arms an explicit
     validity check against the breaking time of the sampled initial slope.
     """
     x_arr = np.asarray(x, dtype=float)
-    u = np.asarray(u0(x_arr), dtype=float).copy()
-    if t == 0.0:
-        return u if x_arr.ndim else float(u)
-    if domain_length is not None:
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    seed = np.asarray(u0(x_arr), dtype=float)
+    rows = np.broadcast_to(seed, t_arr.shape + x_arr.shape).copy()
+    # the iteration runs on a (time, node) view of the rows
+    flat = rows.reshape(t_arr.size, -1)
+    x_flat = x_arr.reshape(1, -1)
+    times = t_arr.reshape(-1, 1)
+    active = np.flatnonzero(times[:, 0] != 0.0)
+    if active.size and domain_length is not None:
         t_star = burgers_shock_time(u0, domain_length, advection=advection)
-        if t >= 0.98 * t_star:
+        late = times[times >= 0.98 * t_star]
+        if late.size:
             raise NonConvergenceError(
                 f"characteristics cross near t = {t_star:.6g}; "
-                f"no classical solution at t = {t:.6g}")
+                f"no classical solution at t = {late[0]:.6g}")
     fd_step = 1e-6
     for _ in range(max_iter):
-        y = x_arr + advection * t * u
+        if not active.size:
+            break
+        u = flat[active]
+        at = advection * times[active]
+        y = x_flat + at * u
         residual = u - np.asarray(u0(y), dtype=float)
-        if float(np.max(np.abs(residual))) < tol:
-            return u if x_arr.ndim else float(u)
+        # a converged row keeps its value from here on
+        going = ~(np.max(np.abs(residual), axis=1) < tol)
+        active, at, y = active[going], at[going], y[going]
         if u0_prime is not None:
             slope = np.asarray(u0_prime(y), dtype=float)
         else:
             slope = (np.asarray(u0(y + fd_step), dtype=float)
                      - np.asarray(u0(y - fd_step), dtype=float)) / (2.0 * fd_step)
-        denom = 1.0 - advection * t * slope
+        denom = 1.0 - at * slope
         if np.any(np.abs(denom) < 1e-10) or not np.all(np.isfinite(denom)):
             raise NonConvergenceError(
                 "characteristics cross at or before this time")
-        u = u - residual / denom
-    raise NonConvergenceError(
-        f"characteristic relation not solved to {tol:g} in {max_iter} iterations")
+        flat[active] = u[going] - residual[going] / denom
+    if active.size:
+        raise NonConvergenceError(
+            f"characteristic relation not solved to {tol:g} in "
+            f"{max_iter} iterations")
+    return rows if rows.ndim else float(rows)
 
 
 def burgers_shock_time(u0: Callable, L: float, advection: float = 6.0,
@@ -414,10 +439,10 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     if not result.converged:
         raise result.failure
     final = unpack_state(result.z, state.C)
-    u_full = apply_St(fine, momentum_map(fine, final))
+    u_full = st_avg(momentum_map(fine, final).values)
     idx = np.arange(grid_coarse.N)
     if staggering is Staggering.HALF:
         take = refine * idx + refine // 2 - 1
     else:
         take = refine * (idx + 1) - 1
-    return Field(u_full.values[take], staggering)
+    return Field(u_full[take], staggering)

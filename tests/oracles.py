@@ -1,6 +1,7 @@
-"""Oracles used only by the tests: independent dense builds of the grid
-operators, the jet recursion at general depth with its adjoint, and the
-shooting search that found the frozen travelling-wave parameters.
+"""Oracles used only by the tests: the Field-typed staggered operators,
+independent dense builds of the grid operators, the jet recursion at
+general depth with its adjoint, and the shooting search that found the
+frozen travelling-wave parameters.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,11 @@ from clebschflow.grid import (
     PeriodicGrid,
     Staggering,
     StaggeringError,
-    apply_T,
-    apply_Tt,
+    _require,
     s_avg,
+    st_avg,
+    t_diff,
+    tt_diff,
 )
 from clebschflow.hamiltonian import HamiltonianSpec
 from clebschflow.reference import (
@@ -25,6 +28,55 @@ from clebschflow.reference import (
     integrate_ode_adaptive,
     travelling_wave_ode,
 )
+
+
+# -- Field-typed staggered operators ----------------------------------------------
+#
+#     apply_T    full -> half    (f_j - f_{j-1}) / dx     compact difference
+#     apply_D    full -> half    apply_T plus C/dx added to entry 1 (winding)
+#     apply_S    full -> half    (f_{j-1} + f_j) / 2      second-order average
+#     apply_Tt   half -> full    g_j - g_{j+1}            transpose of T, no 1/dx
+#     apply_St   half -> full    (g_j + g_{j+1}) / 2      transpose of S
+#
+# The exact adjoint identities are  <dx*apply_T(f), g> = <f, apply_Tt(g)>
+# and  <apply_S(f), g> = <f, apply_St(g)>.
+
+def apply_T(grid: PeriodicGrid, f: Field) -> Field:
+    """Staggered derivative (T f)/dx: full-grid samples to half-grid slopes."""
+    v = _require(f, Staggering.FULL, "apply_T")
+    return Field(t_diff(v) / grid.dx, Staggering.HALF)
+
+
+def apply_D(grid: PeriodicGrid, q: Field, C: float) -> Field:
+    """Winding-corrected derivative (T q + C e_1)/dx of a circle-map lift.
+
+    C must be an integer multiple of L (L times the degree of the map);
+    entry 1 of the plain difference is off by exactly C because q is stored
+    unwrapped on the covering space.
+    """
+    v = _require(q, Staggering.FULL, "apply_D")
+    out = t_diff(v)
+    out[0] += C
+    out /= grid.dx
+    return Field(out, Staggering.HALF)
+
+
+def apply_S(grid: PeriodicGrid, f: Field) -> Field:
+    """Second-order average of full-grid samples onto the half grid."""
+    v = _require(f, Staggering.FULL, "apply_S")
+    return Field(s_avg(v), Staggering.HALF)
+
+
+def apply_Tt(grid: PeriodicGrid, f: Field) -> Field:
+    """Plain transpose of T (no 1/dx): half-grid samples to the full grid."""
+    v = _require(f, Staggering.HALF, "apply_Tt")
+    return Field(tt_diff(v), Staggering.FULL)
+
+
+def apply_St(grid: PeriodicGrid, f: Field) -> Field:
+    """Transpose of S: second-order average back onto the full grid."""
+    v = _require(f, Staggering.HALF, "apply_St")
+    return Field(st_avg(v), Staggering.FULL)
 
 
 # -- dense operators -------------------------------------------------------------

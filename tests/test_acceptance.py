@@ -20,15 +20,7 @@ from clebschflow.dynamics import (
     midpoint_step,
     pack_state,
 )
-from clebschflow.grid import (
-    Field,
-    PeriodicGrid,
-    apply_D,
-    apply_S,
-    apply_St,
-    apply_T,
-    apply_Tt,
-)
+from clebschflow.grid import Field, PeriodicGrid
 from clebschflow.hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -52,6 +44,8 @@ from clebschflow.reference import (
     travelling_wave_ode,
 )
 from clebschflow.harness import TRAVELLING_WAVE_PARAMS
+
+from oracles import apply_D, apply_S, apply_St, apply_T, apply_Tt
 
 L = 8.0
 W = 2 * np.pi / L

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from clebschflow.clebsch import ClebschState, lift, momentum_arrays, momentum_map
-from clebschflow.grid import Field, PeriodicGrid, Staggering, StaggeringError, apply_S
+from clebschflow.grid import Field, PeriodicGrid, Staggering, StaggeringError
 
-from oracles import dense_momentum_map
+from oracles import apply_D, apply_S, dense_momentum_map
 
 
 class TestLift:
@@ -26,7 +26,6 @@ class TestLift:
         rng = np.random.default_rng(0)
         state = lift(g, Field.full(rng.standard_normal(10)))
         assert state.C == g.L
-        from clebschflow.grid import apply_D
         np.testing.assert_allclose(apply_D(g, state.q, state.C).values,
                                    np.ones(10), atol=1e-13)
 

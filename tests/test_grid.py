@@ -7,18 +7,14 @@ from clebschflow.grid import (
     PeriodicGrid,
     Staggering,
     StaggeringError,
-    apply_D,
-    apply_S,
-    apply_St,
-    apply_T,
-    apply_Tt,
     s_avg,
     st_avg,
     t_diff,
     tt_diff,
 )
 
-from oracles import dense_S, dense_T
+from oracles import (
+    apply_D, apply_S, apply_St, apply_T, apply_Tt, dense_S, dense_T)
 
 
 class TestGridGeometry:

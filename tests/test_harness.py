@@ -10,6 +10,7 @@ from clebschflow.dynamics import NewtonConfig
 from clebschflow.grid import Field, PeriodicGrid, StaggeringError
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
 from clebschflow import harness
+from clebschflow import reference as ref_mod
 from clebschflow.harness import (
     COLLECTIVE,
     CONVENTIONAL,
@@ -331,6 +332,94 @@ class TestRunExperiment:
         assert not result.converged
 
 
+def solution_errors(result):
+    return [(r.method, r.step, r.solution_rel_err)
+            for r in result.records_interleaved()]
+
+
+class TestReferenceBlocks:
+    """Observation times are solved in blocks; every record must carry
+    what one oracle call per observation time gives."""
+
+    @pytest.fixture
+    def per_time(self, monkeypatch):
+        """Make the oracle answer a block by one scalar call per time."""
+        solve = ref_mod.burgers_characteristics
+
+        def one_at_a_time(u0, x, t, **options):
+            if np.ndim(t) == 0:
+                return solve(u0, x, t, **options)
+            return np.stack([solve(u0, x, s, **options) for s in t])
+
+        def run(config):
+            with monkeypatch.context() as patch:
+                patch.setattr(ref_mod, "burgers_characteristics",
+                              one_at_a_time)
+                return run_experiment(config)
+
+        return run
+
+    @pytest.mark.parametrize("block", [harness.REFERENCE_BLOCK, 5])
+    @pytest.mark.parametrize("overrides", [
+        dict(observe_every=1, t_end=70 * 2.0 ** -8),
+        dict(observe_every=3, t_end=71 * 2.0 ** -8, N=15),
+        # 0.98 t* = 0.4159 falls between observations
+        dict(observe_every=4, t_end=0.5),
+    ], ids=["every-step", "off-stride-end", "straddles-breaking"])
+    def test_blocks_match_one_call_per_time(self, per_time, monkeypatch,
+                                            overrides, block):
+        config = quick_config(**overrides)
+        expected = solution_errors(per_time(config))
+        asked = []
+        solve = ref_mod.burgers_characteristics
+
+        def counted(u0, x, t, **options):
+            asked.append(np.atleast_1d(t).tolist())
+            return solve(u0, x, t, **options)
+
+        monkeypatch.setattr(harness, "REFERENCE_BLOCK", block)
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", counted)
+        result = run_experiment(config)
+        got = solution_errors(result)
+        assert got == expected
+        # every valid observation time is asked for once per scheme, at the
+        # t the record carries: step 0 alone, then blocks of later times
+        late = 0.98 * 8.0 / (6.0 * np.pi)
+        valid = [r.t for r in result.records_interleaved() if r.t < late]
+        assert sorted(t for call in asked for t in call) == sorted(valid)
+        assert [err is None for _, _, err in got] == [
+            r.t >= late for r in result.records_interleaved()]
+        blocks = -(-(len(valid) // 2 - 1) // block)
+        assert len(asked) == 2 * (1 + blocks)
+
+    def test_a_failing_time_empties_only_its_own_cell(self, monkeypatch):
+        config = quick_config(observe_every=2, t_end=40 * 2.0 ** -8)
+        expected = solution_errors(run_experiment(config))
+        failing = 14 * config.dt
+        solve = ref_mod.burgers_characteristics
+
+        def fails_once(u0, x, t, **options):
+            if failing in np.atleast_1d(t):
+                raise ref_mod.NonConvergenceError("chosen to fail")
+            return solve(u0, x, t, **options)
+
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", fails_once)
+        got = solution_errors(run_experiment(config))
+        assert got == [(method, step, None if step == 14 else err)
+                       for method, step, err in expected]
+        assert all(err is not None for _, _, err in expected)
+
+    def test_no_reference_asks_for_nothing(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the cubic flow has no characteristics")
+
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", unused)
+        config = quick_config(spec=EXTENDED_BURGERS,
+                              initial_condition="periodic-bump")
+        result = run_experiment(config)
+        assert all(err is None for _, _, err in solution_errors(result))
+
+
 class TestCsvOutput:
     def test_header_and_shape(self):
         result = run_experiment(quick_config())
@@ -443,7 +532,7 @@ class TestSchemeContracts:
 
     def test_shock_steepening_near_the_breaking_time(self):
         # slopes of the quadratic-density flow steepen hard by t ~ 0.45
-        from clebschflow.grid import apply_T
+        from oracles import apply_T
         from clebschflow.dynamics import conventional_flat_field, integrate
         g = PeriodicGrid(64, L)
         u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)

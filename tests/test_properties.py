@@ -5,6 +5,7 @@ run draws the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +19,7 @@ from clebschflow.hamiltonian import (
     grad_collective,
     grad_conventional,
 )
+from clebschflow.reference import NonConvergenceError, burgers_characteristics
 
 L = 8.0
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
@@ -122,3 +124,61 @@ def test_conventional_field_is_orthogonal_to_its_gradient(spec, case):
     f = conventional_flat_field(spec, g)(u)
     assert close(np.dot(grad, f), 0.0,
                  np.linalg.norm(grad) * np.linalg.norm(f))
+
+
+@st.composite
+def cosine_bumps(draw):
+    """A shifted cosine bump u0 = 1 + a cos(k (x - s)), its slope, its
+    breaking time under u_t = 6 u u_x, and a node set of odd or even N."""
+    a = draw(st.floats(0.05, 0.8))
+    shift = draw(st.floats(0.0, L))
+    N = draw(st.integers(3, 48))
+    half = draw(st.booleans())
+    k = 2.0 * np.pi / L
+
+    def u0(x):
+        return 1.0 + a * np.cos(k * (np.asarray(x) - shift))
+
+    def u0_prime(x):
+        return -a * k * np.sin(k * (np.asarray(x) - shift))
+
+    x = (L / N) * (np.arange(1, N + 1) - (0.5 if half else 0.0))
+    return u0, u0_prime, 1.0 / (6.0 * a * k), x
+
+
+@PROPERTY
+@given(cosine_bumps(), st.lists(st.floats(1e-3, 0.9), min_size=1,
+                                max_size=12),
+       st.booleans(), st.integers(0, 12))
+def test_characteristics_rows_are_the_scalar_solves(bump, fractions,
+                                                    with_prime, zero_at):
+    u0, u0_prime, t_star, x = bump
+    times = [f * t_star for f in fractions]
+    times.insert(min(zero_at, len(times)), 0.0)
+    prime = u0_prime if with_prime else None
+    try:
+        singles = [burgers_characteristics(u0, x, t, u0_prime=prime)
+                   for t in times]
+    except NonConvergenceError:
+        # one time the iteration cannot solve fails the whole block
+        with pytest.raises(NonConvergenceError):
+            burgers_characteristics(u0, x, np.array(times), u0_prime=prime)
+        return
+    rows = burgers_characteristics(u0, x, np.array(times), u0_prime=prime)
+    assert rows.shape == (len(times), x.size)
+    np.testing.assert_array_equal(rows, np.stack(singles))
+    np.testing.assert_array_equal(rows[times.index(0.0)], u0(x))
+
+
+@PROPERTY
+@given(cosine_bumps(), st.floats(1e-3, 0.9))
+def test_characteristics_keep_their_return_shapes(bump, fraction):
+    u0, _, t_star, x = bump
+    t = fraction * t_star
+    point = burgers_characteristics(u0, float(x[0]), t)
+    assert isinstance(point, float)
+    grid = x.reshape(1, -1)
+    assert burgers_characteristics(u0, grid, t).shape == grid.shape
+    times = np.array([0.0, t])
+    assert burgers_characteristics(u0, float(x[0]), times).shape == (2,)
+    assert burgers_characteristics(u0, grid, times).shape == (2,) + grid.shape
