@@ -63,13 +63,24 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output CSV path")
 
 
+def _levels(text: str) -> list:
+    """Grid sizes from a comma-separated list such as ``8,16,32``."""
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+
+
 def _load_base_config(args) -> ExperimentConfig:
     if args.config is not None:
-        with open(args.config) as handle:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as handle:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse {args.config}: {exc}")
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"cannot parse {args.config}: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}")
         return config_from_dict(data)
     return ExperimentConfig()
 
@@ -126,8 +137,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
-    levels = [int(part) for part in args.levels.split(",") if part]
-    table = convergence_study(config, levels, reference=args.reference)
+    table = convergence_study(config, args.levels, reference=args.reference)
     header = (f"{'method':>12} {'N':>6} {'dx':>10} {'solution':>12} "
               f"{'H':>12} {'casimir':>12} {'order':>7}")
     lines = [header]
@@ -178,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv_p = sub.add_parser("converge", help="grid-refinement error table")
     _add_override_flags(conv_p)
-    conv_p.add_argument("--levels", default="4,8,16,32",
+    conv_p.add_argument("--levels", default="4,8,16,32", type=_levels,
                         help="comma-separated grid sizes")
     conv_p.add_argument("--reference", default="auto",
                         choices=["auto", "fine-grid"],

@@ -11,14 +11,18 @@ otherwise.
 
 Comparison conventions: the lifted method is compared on the half grid
 (where its recovered field lives) and its Casimir is evaluated there; the
-direct method uses the full grid for both.
+direct method uses the full grid for both.  A convergence study against
+the fine-grid reference makes one refined run per level and restricts it
+to both node sets.
+
+Each CSV is rendered from one header line and one ``str.format`` row
+template: numbers carry 17 significant digits, a missing solution error is
+an empty cell and the absent Nyquist mode of an odd grid reads ``nan``.
 """
 
 from __future__ import annotations
 
 import ast
-import csv
-import io
 import math
 from dataclasses import (
     asdict, dataclass, field as dataclass_field, fields, is_dataclass, replace)
@@ -515,7 +519,8 @@ def convergence_study(base_config: ExperimentConfig, levels,
 
     ``reference`` picks the exact-solution source for the final-time
     comparison: "auto" uses the configuration's own reference (it must have
-    one), "fine-grid" substitutes a refined run of the lifted scheme.
+    one), "fine-grid" substitutes a refined run of the lifted scheme, one
+    per level, restricted to the node sets of both schemes.
     Observed order between consecutive levels is log2(err_k / err_{k+1}),
     attached to the finer level.
     """
@@ -527,6 +532,9 @@ def convergence_study(base_config: ExperimentConfig, levels,
     rows = {}
     # the profile and its reference do not depend on N
     ic = resolve_initial_condition(base_config)
+    if reference == "auto" and ic.reference is None:
+        raise ConfigError("configuration has no exact reference; use "
+                          "reference='fine-grid'")
     for N in levels:
         config = replace(base_config, N=N, output_path=None)
         result = run_experiment(config)
@@ -536,23 +544,19 @@ def convergence_study(base_config: ExperimentConfig, levels,
                 raise ref_mod.NonConvergenceError(
                     f"{run.method} run diverged at level N={N}",
                     step=run.failed_step)
-            compare = run.finals["u"].staggering
-            if reference == "fine-grid":
-                exact = ref_mod.fine_grid_reference(
-                    config.spec, result.grid, ic.profile, config.dt,
-                    t_final, staggering=compare)
-            else:
-                if ic.reference is None:
-                    raise ConfigError(
-                        "configuration has no exact reference; use "
-                        "reference='fine-grid'")
+        if reference == "fine-grid":
+            exact = ref_mod.fine_grid_reference(
+                config.spec, result.grid, ic.profile, config.dt, t_final)
+        for run in result.runs:
+            u = run.finals["u"]
+            if reference == "auto":
                 values = ic.reference([t_final],
-                                      result.grid.nodes(compare))[0]
+                                      result.grid.nodes(u.staggering))[0]
                 if values is None:
                     raise ConfigError(
                         "exact reference invalid at the final time; use "
                         "reference='fine-grid'")
-                exact = Field(values, compare)
+                exact = {u.staggering: Field(values, u.staggering)}
             final = run.records[-1]
             rows.setdefault(run.method, []).append(ConvergenceLevel(
                 method=run.method,
@@ -560,7 +564,7 @@ def convergence_study(base_config: ExperimentConfig, levels,
                 dx=result.grid.dx,
                 casimir_err=abs(final.casimir_rel_err),
                 H_err=abs(final.H_rel_err),
-                solution_err=solution_error(run.finals["u"], exact),
+                solution_err=solution_error(u, exact[u.staggering]),
                 observed_order=None,
             ))
     table = []
@@ -576,52 +580,37 @@ def convergence_study(base_config: ExperimentConfig, levels,
 
 # -- CSV / plotting output --------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return format(float(value), ".17g")
-
-
 def records_to_csv(result: ExperimentResult) -> str:
     """Render the interleaved record stream as CSV text (17 significant
-    digits, bit-stable across identical runs)."""
-    records = result.records_interleaved()
-    n_amp = max(len(rec.fourier_amp) for rec in records)
-    header = ["method", "step", "t", "H_hat", "casimir", "H_rel_err",
-              "casimir_rel_err", "solution_rel_err", "newton_iters",
-              "nyquist_amp"] + [f"amp_{k}" for k in range(n_amp)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for rec in records:
-        row = [rec.method, str(rec.step), _fmt(rec.t), _fmt(rec.H_hat),
-               _fmt(rec.casimir), _fmt(rec.H_rel_err),
-               _fmt(rec.casimir_rel_err), _fmt(rec.solution_rel_err),
-               str(rec.newton_iters), _fmt(rec.nyquist_amp)]
-        row += [_fmt(a) for a in rec.fourier_amp]
-        row += [""] * (n_amp - len(rec.fourier_amp))
-        writer.writerow(row)
-    return buf.getvalue()
+    digits, bit-stable across identical runs).  Every record carries the
+    N//2+1 amplitudes of the shared grid; a missing solution error is an
+    empty cell and an absent Nyquist mode reads ``nan``."""
+    n_amp = result.grid.N // 2 + 1
+    header = ("method,step,t,H_hat,casimir,H_rel_err,casimir_rel_err,"
+              "solution_rel_err,newton_iters,nyquist_amp"
+              + "".join(f",amp_{k}" for k in range(n_amp)) + "\n")
+    row = ("{},{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{},{},{:.17g}"
+           + ",{:.17g}" * n_amp + "\n")
+    return header + "".join(
+        row.format(rec.method, rec.step, rec.t, rec.H_hat, rec.casimir,
+                   rec.H_rel_err, rec.casimir_rel_err,
+                   "" if rec.solution_rel_err is None
+                   else format(rec.solution_rel_err, ".17g"),
+                   rec.newton_iters, rec.nyquist_amp,
+                   *rec.fourier_amp.tolist())
+        for rec in result.records_interleaved())
 
 
 def finals_to_csv(result: ExperimentResult) -> str:
     """Sidecar CSV with the final fields (u, plus q and p when lifted)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "field", "index", "x", "value"])
+    row = "{},{},{},{:.17g},{:.17g}\n"
+    lines = ["method,field,index,x,value\n"]
     for run in result.runs:
-        for name in ("u", "q", "p"):
-            if name not in run.finals:
-                continue
-            f = run.finals[name]
-            xs = result.grid.nodes(f.staggering)
-            for j, (x, v) in enumerate(zip(xs, f.values), start=1):
-                writer.writerow([run.method, name, str(j), _fmt(x), _fmt(v)])
-    return buf.getvalue()
+        for name, f in run.finals.items():
+            xs = result.grid.nodes(f.staggering).tolist()
+            lines += [row.format(run.method, name, j, x, v) for j, (x, v)
+                      in enumerate(zip(xs, f.values.tolist()), start=1)]
+    return "".join(lines)
 
 
 def emit_gnuplot_script(csv_path: str, script_path: str) -> str:

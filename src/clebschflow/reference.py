@@ -409,21 +409,21 @@ def integrate_ode_adaptive(rhs: Callable, y0, s_span, rel_tol: float = 1e-10,
 
 def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
                         u0: Callable, dt: float, t_end: float,
-                        refine: int = 8, dt_refine: int = 4,
-                        staggering: Staggering = Staggering.HALF,
-                        newton: Optional[NewtonConfig] = None) -> Field:
+                        refine: int = 8) -> dict:
     """Reference solution from the lifted scheme on a ``refine`` times finer
-    grid with time step dt/dt_refine, restricted to the coarse nodes.
+    grid with time step dt/4, restricted to the coarse nodes: one fine run
+    serves both node sets, returned as ``{Staggering.HALF: Field,
+    Staggering.FULL: Field}``.
 
     Powers-of-two refinement keeps every coarse node in the fine full-node
-    set (coarse half nodes land on fine full nodes for even factors), so the
-    restriction is an exact index slice of the fine solution averaged onto
-    its full grid.
+    set (coarse half nodes land on fine full nodes for even factors), so
+    each restriction is an exact index slice of the fine solution averaged
+    onto its full grid.
 
-    The default Newton tolerance for the fine run is 1e-10: the residual
-    floor of the implicit solve grows with the mesh ratio (the field's
-    stiffness scales with inverse powers of dx), and anything at that level
-    is negligible against the reference's own discretisation error.
+    The Newton tolerance for the fine run is 1e-10: the residual floor of
+    the implicit solve grows with the mesh ratio (the field's stiffness
+    scales with inverse powers of dx), and anything at that level is
+    negligible against the reference's own discretisation error.
     """
     if refine < 2 or refine % 2 != 0:
         raise ValueError("refinement factor must be an even integer >= 2")
@@ -431,18 +431,16 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     u0_fine = Field.full(np.asarray(u0(fine.full_nodes), dtype=float))
     state = lift(fine, u0_fine)
     rhs = collective_flat_field(spec, fine, state.C)
-    dt_fine = dt / dt_refine
+    dt_fine = dt / 4
     n_steps = int(round(t_end / dt_fine))
-    if newton is None:
-        newton = NewtonConfig(tol=1e-10)
-    result = integrate(rhs, pack_state(state), dt_fine, n_steps, newton)
+    result = integrate(rhs, pack_state(state), dt_fine, n_steps,
+                       NewtonConfig(tol=1e-10))
     if not result.converged:
         raise result.failure
     final = unpack_state(result.z, state.C)
     u_full = st_avg(momentum_map(fine, final).values)
     idx = np.arange(grid_coarse.N)
-    if staggering is Staggering.HALF:
-        take = refine * idx + refine // 2 - 1
-    else:
-        take = refine * (idx + 1) - 1
-    return Field(u_full[take], staggering)
+    return {Staggering.HALF: Field(u_full[refine * idx + refine // 2 - 1],
+                                   Staggering.HALF),
+            Staggering.FULL: Field(u_full[refine * (idx + 1) - 1],
+                                   Staggering.FULL)}

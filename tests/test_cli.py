@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from clebschflow import harness
+from clebschflow import cli, harness
 from clebschflow.cli import main
 
 
@@ -138,11 +138,30 @@ class TestRunCommand:
             assert err.startswith("configuration error: t_end / dt")
         assert not (tmp_path / "d.csv").exists()
 
-    def test_malformed_json_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{not json", "[" * 100000],
+                             ids=["syntax", "nested-too-deep"])
+    def test_malformed_json_exits_one(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
-        path.write_text("{not json")
+        path.write_text(text)
         code, _, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 1
+        assert err.startswith(f"configuration error: cannot parse {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["missing-file", "directory",
+                                      "not-utf-8"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, case):
+        path = {"missing-file": tmp_path / "missing.json",
+                "directory": tmp_path,
+                "not-utf-8": tmp_path / "latin1.json"}[case]
+        if case == "not-utf-8":
+            path.write_bytes(b'{"initial_condition": "caf\xe9"}')
+        code, out, err = run_cli(capsys, "run", "--config", str(path),
+                                 "--out", str(tmp_path / "d.csv"))
+        assert code == 1
+        assert err.startswith(f"configuration error: cannot read {path}: ")
+        assert err.count("\n") == 1
+        assert out == ""
 
     def test_bad_flag_value_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "run", "--method", "spectral")
@@ -177,6 +196,18 @@ class TestConvergeCommand:
         assert len(lines) == 2
         order = float(lines[1].split()[-1])
         assert 1.5 < order < 2.5
+
+    @pytest.mark.parametrize("levels", ["8,x", "8.5", "eight"])
+    def test_malformed_levels_exit_one(self, capsys, monkeypatch, levels):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study was started")
+
+        monkeypatch.setattr(cli, "convergence_study", no_study)
+        code, out, err = run_cli(capsys, "converge", "--levels", levels)
+        assert code == 1
+        assert err == (f"configuration error: argument --levels: expected "
+                       f"comma-separated integers, got {levels!r}\n")
+        assert out == ""
 
     def test_writes_table_csv(self, tmp_path, capsys):
         out = tmp_path / "orders.csv"

@@ -433,15 +433,58 @@ class TestCsvOutput:
         assert header[10:] == [f"amp_{k}" for k in range(9)]
         assert all(len(r) == len(header) for r in rows[1:])
 
-    def test_values_round_trip_at_full_precision(self):
-        result = run_experiment(quick_config(method="conventional"))
-        text = records_to_csv(result)
-        rows = list(csv.reader(io.StringIO(text)))
-        rec = result.runs[0].records[1]
-        row = rows[2]
-        assert float(row[2]) == rec.t
-        assert float(row[3]) == rec.H_hat
-        assert float(row[5]) == rec.H_rel_err
+    @pytest.mark.parametrize("overrides, shows", [
+        (dict(N=7), "nan"),
+        (dict(t_end=0.5), ""),
+        (dict(dt=64.0, t_end=640.0, observe_every=1,
+              newton=NewtonConfig(max_iter=3)), "diverged"),
+        (dict(method="conventional"), "one scheme"),
+    ], ids=["odd-N", "straddles-0.98-t-star", "diverged", "single-scheme"])
+    def test_values_round_trip_at_full_precision(self, overrides, shows):
+        def check(cell, value):
+            if value is None:
+                assert cell == ""
+            elif math.isnan(value):
+                assert cell == "nan"
+            else:
+                assert float(cell) == value
+
+        with np.errstate(all="ignore"):
+            result = run_experiment(quick_config(**overrides))
+        rows = list(csv.reader(io.StringIO(records_to_csv(result))))[1:]
+        records = result.records_interleaved()
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert len(row) == 10 + len(rec.fourier_amp)
+            assert row[:2] == [rec.method, str(rec.step)]
+            assert row[8] == str(rec.newton_iters)
+            values = [rec.t, rec.H_hat, rec.casimir, rec.H_rel_err,
+                      rec.casimir_rel_err, rec.solution_rel_err]
+            for cell, value in zip(row[2:8] + row[9:],
+                                   values + [rec.nyquist_amp,
+                                             *rec.fourier_amp.tolist()]):
+                check(cell, value)
+        finals = list(csv.reader(io.StringIO(finals_to_csv(result))))[1:]
+        expected = [(run.method, name, j, x, v)
+                    for run in result.runs
+                    for name, f in run.finals.items()
+                    for j, (x, v) in enumerate(
+                        zip(result.grid.nodes(f.staggering), f.values), 1)]
+        assert len(finals) == len(expected)
+        for row, (method, name, j, x, v) in zip(finals, expected):
+            assert row[:3] == [method, name, str(j)]
+            check(row[3], float(x))
+            check(row[4], float(v))
+        # each case reaches the cells it is named for
+        cells = {cell for row in rows for cell in row}
+        if shows == "nan":
+            assert "nan" in cells
+        elif shows == "":
+            assert "" in cells and any(r[7] for r in rows)
+        elif shows == "diverged":
+            assert not any(run.converged for run in result.runs)
+        else:
+            assert len(result.runs) == 1
 
     def test_bit_identical_across_reruns(self):
         cfg = quick_config()
@@ -503,11 +546,21 @@ class TestConvergenceStudy:
         # once for the study, once inside each level's run
         assert len(calls) == 3
 
-    def test_fine_grid_reference_source(self):
+    def test_fine_grid_reference_source(self, monkeypatch):
         base = quick_config(spec=EXTENDED_BURGERS,
                             initial_condition="periodic-bump",
                             dt=2.0 ** -9, t_end=32 * 2.0 ** -9, method="both")
+        fine_grid_reference = ref_mod.fine_grid_reference
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].N)
+            return fine_grid_reference(*args, **kwargs)
+
+        monkeypatch.setattr(ref_mod, "fine_grid_reference", counted)
         table = convergence_study(base, [16, 32], reference="fine-grid")
+        # one refined run per level serves both schemes
+        assert calls == [16, 32]
         by_method = {}
         for row in table:
             by_method.setdefault(row.method, []).append(row)
