@@ -8,14 +8,16 @@ Subcommands:
 
 Flags given on the command line override values from ``--config``.  The
 environment variable ``CLEBSCHFLOW_OUTDIR`` sets the default output
-directory.  Exit status: 0 on success, 1 on configuration errors, 2 when a
-scheme's Newton iterations failed to converge (partial data is still
-written).
+directory.  Output paths are checked before any step runs.  Exit status:
+0 on success, 1 on configuration errors (an output path that cannot be
+written included), 2 when a scheme's Newton iterations failed to converge
+(partial data is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -107,18 +109,46 @@ def _output_path(config: ExperimentConfig, default_name: str) -> Path:
     return outdir / default_name
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError raised inside the block into a configuration error
+    naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
+def _check_writable(path: Path) -> None:
+    """Create the directory of ``path`` and open the file for appending,
+    so an unwritable path fails before the run; a file the check creates
+    is removed again."""
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        with open(path, "a"):
+            pass
+        if not existed:
+            path.unlink()
+
+
 def _cmd_run(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
-    result = run_experiment(config)
     csv_path = _output_path(config, "run.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(records_to_csv(result))
     final_path = csv_path.with_name(csv_path.stem + "_final.csv")
-    final_path.write_text(finals_to_csv(result))
+    script_path = csv_path.with_suffix(".gp") if args.emit_plots else None
+    for path in (csv_path, final_path, script_path):
+        if path is not None:
+            _check_writable(path)
+    result = run_experiment(config)
+    with _writing(csv_path):
+        csv_path.write_text(records_to_csv(result))
+    with _writing(final_path):
+        final_path.write_text(finals_to_csv(result))
     print(f"wrote {csv_path} and {final_path}")
-    if args.emit_plots:
-        script_path = csv_path.with_suffix(".gp")
-        emit_gnuplot_script(str(csv_path), str(script_path))
+    if script_path is not None:
+        with _writing(script_path):
+            emit_gnuplot_script(str(csv_path), str(script_path))
         print(f"wrote {script_path}")
     reached = config.n_steps * config.dt
     if abs(reached - config.t_end) > 1e-12 * max(1.0, abs(config.t_end)):
@@ -137,6 +167,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
+    if args.out:
+        _check_writable(Path(args.out))
     table = convergence_study(config, args.levels, reference=args.reference)
     header = (f"{'method':>12} {'N':>6} {'dx':>10} {'solution':>12} "
               f"{'H':>12} {'casimir':>12} {'order':>7}")
@@ -150,13 +182,13 @@ def _cmd_converge(args) -> int:
     print(text)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         rows = ["method,N,dx,solution_err,H_err,casimir_err,observed_order"]
         for row in table:
             order = "" if row.observed_order is None else repr(row.observed_order)
             rows.append(f"{row.method},{row.N},{row.dx!r},{row.solution_err!r},"
                         f"{row.H_err!r},{row.casimir_err!r},{order}")
-        out.write_text("\n".join(rows) + "\n")
+        with _writing(out):
+            out.write_text("\n".join(rows) + "\n")
         print(f"wrote {out}")
     return 0
 

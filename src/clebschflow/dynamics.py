@@ -11,12 +11,15 @@ derivative of the quadrature sum (the quadrature weight dx is divided back
 out so the field is consistent with the PDE).
 
 The midpoint equations  z+ = z + dt*F((z + z+)/2)  are solved by Newton
-iteration with a forward-difference Jacobian (step FD_STEP), assembled once
-per step and reused across iterations.  The assembly takes the field value
-F(mid) that the residual has just computed and evaluates the perturbed
-states in one batched call, so a step costs one field evaluation per Newton
-round plus one batched evaluation; vector fields must accept column-stacked
-(d, m) batches, and there is no single-state fallback.
+iteration on the frozen matrix  M = I - (dt/2) J,  with J a forward-
+difference Jacobian (step FD_STEP) assembled once per step at the first
+midpoint and reused across iterations.  The first round evaluates the
+field once, on a batch holding the midpoint itself and its perturbed
+states, and takes its residual from the unperturbed column; every later
+round makes one single-state call.  So a step costs one field call per
+Newton round, the first one batched.  Vector fields must accept
+column-stacked (d, m) batches whose columns are bitwise their single-state
+values, and there is no single-state fallback.
 
 Both fields are cyclic-banded: output node i reads only inputs within a
 fixed grid distance of i, in every block.  A column colouring of that band
@@ -33,6 +36,7 @@ O(dt^2) from the solution instead of O(dt).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -196,17 +200,20 @@ class Colouring:
     seed[:, c] is the 0/1 indicator of the columns of colour c.  The k-th
     entry that may be nonzero sits at flat position entries[k] of the
     Jacobian and is read from flat position sources[k] of the (d, colours)
-    compressed difference: its own row, its column's colour.  Columns of
-    one colour share no row.  The arrays are read-only, so one colouring
-    can serve every caller.
+    compressed difference: its own row, its column's colour.  unit[k] is
+    1.0 when that entry lies on the diagonal and 0.0 elsewhere, so the
+    listed entries of I - h J are unit - h * compressed[sources]; every
+    diagonal entry is listed.  Columns of one colour share no row.  The
+    arrays are read-only, so one colouring can serve every caller.
     """
 
     seed: np.ndarray
     entries: np.ndarray
     sources: np.ndarray
+    unit: np.ndarray
 
     def __post_init__(self):
-        for array in (self.seed, self.entries, self.sources):
+        for array in (self.seed, self.entries, self.sources, self.unit):
             array.flags.writeable = False
 
     @property
@@ -249,37 +256,43 @@ def band_colouring(N: int, half_width: int, blocks: int = 1) -> Colouring:
     band = (node[:, None] + reach) % N
     rows = (np.arange(blocks)[:, None] * N + band[:, None, :]).reshape(d, -1)
     return Colouring(seed, (rows * d + col[:, None]).reshape(-1),
-                     (rows * seed.shape[1] + col_colour[:, None]).reshape(-1))
+                     (rows * seed.shape[1] + col_colour[:, None]).reshape(-1),
+                     (rows == col[:, None]).reshape(-1).astype(float))
 
 
 # -- implicit midpoint ------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                step: float, f0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Forward-difference Jacobian of f at z from one batched evaluation.
+                step: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """f(z) and the Newton matrix I - h J, with J the forward-difference
+    Jacobian of f at z, from one batched evaluation.
 
     f must accept column-stacked states of shape (d, m) and return (d, m).
-    The batch holds one perturbed state per colour of ``f.colouring``, and
-    each entry it lists is read off its column's colour.  A callable
-    without the attribute (a lambda, or a wrapper that does not copy
-    ``__dict__``) gets the dense difference, one colour per column.  f0 is
-    f(z) when the caller already has it (the midpoint residual does).
+    The batch holds z itself and then one perturbed state per colour of
+    ``f.colouring``; its first column is f(z), and each entry the
+    colouring lists is read off its column's colour.  A callable without
+    the attribute (a lambda, or a wrapper that does not copy ``__dict__``)
+    gets the dense difference, one colour per column.  The listed entries
+    are scattered as unit - h * (difference) into a zero matrix, the same
+    floating-point operations as np.eye(d) - h * J without any d x d
+    arithmetic.  Returns (f(z), M).
     """
     d = z.shape[0]
     # a half-width of d makes every row read every input
     colouring = getattr(f, "colouring", None) or band_colouring(d, d)
-    if f0 is None:
-        f0 = np.asarray(f(z), dtype=float)
-    batch = np.asarray(f(z[:, None] + step * colouring.seed), dtype=float)
-    if batch.shape != colouring.seed.shape:
+    states = np.empty((d, 1 + colouring.n_colours))
+    states[:, 0] = z
+    np.add(z[:, None], step * colouring.seed, out=states[:, 1:])
+    batch = np.asarray(f(states), dtype=float)
+    if batch.shape != states.shape:
         raise ValueError(f"batched field returned shape {batch.shape}, "
-                         f"expected {colouring.seed.shape}")
-    compressed = (batch - f0[:, None]) / step
-    # J owns its data (a reshaped 1-D array would not), so numpy can reuse
-    # it as a temporary in the caller's arithmetic on the d x d matrix
-    J = np.zeros((d, d))
-    J.reshape(-1)[colouring.entries] = compressed.ravel()[colouring.sources]
-    return J
+                         f"expected {states.shape}")
+    f0 = batch[:, 0]
+    compressed = (batch[:, 1:] - batch[:, :1]) / step
+    M = np.zeros((d, d))
+    M.reshape(-1)[colouring.entries] = (
+        colouring.unit - h * compressed.ravel()[colouring.sources])
+    return f0, M
 
 
 DEFAULT_NEWTON = NewtonConfig()
@@ -290,33 +303,34 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
                   guess: Optional[np.ndarray] = None):
     """One implicit midpoint step: solve  z+ = z + dt * F((z + z+)/2).
 
-    Newton starts from ``guess`` (z when none is given) and assembles the
-    Jacobian with the field's own colouring (see :func:`fd_jacobian`).
+    Newton starts from ``guess`` (z when none is given).  The first round
+    makes one batched field call that yields both its residual and the
+    frozen matrix I - (dt/2) J, assembled with the field's own colouring
+    (see :func:`fd_jacobian`); every later round makes one single call.
+    A state that is already a fixed point still pays for that batch.
     Returns (z_next, StepReport); raises NonConvergenceError when the
     iteration budget is exhausted or the residual turns non-finite.
     """
     if not dt != 0.0:
         raise ValueError("dt must be nonzero")
     z = np.asarray(z, dtype=float)
-    d = z.shape[0]
     z_new = z.copy() if guess is None else np.array(guess, dtype=float)
-    J = None
-    r_norm = np.inf
-    for rounds in range(1, cfg.max_iter + 2):
-        mid = 0.5 * (z + z_new)
-        f_mid = np.asarray(field(mid), dtype=float)
-        r = z_new - z - dt * f_mid
-        r_norm = float(np.max(np.abs(r))) if d else 0.0
-        if not np.isfinite(r_norm):
+    f_mid, M = fd_jacobian(field, 0.5 * (z + z_new), FD_STEP, 0.5 * dt)
+    rounds = 1
+    while True:
+        r = z_new - z
+        r -= dt * f_mid
+        r_norm = float(np.abs(r).max())
+        if not math.isfinite(r_norm):
             raise NonConvergenceError(
                 "non-finite midpoint residual", residual=r_norm)
         if r_norm <= cfg.tol:
             return z_new, StepReport(rounds, r_norm, True)
         if rounds > cfg.max_iter:
             break
-        if J is None:
-            J = np.eye(d) - 0.5 * dt * fd_jacobian(field, mid, FD_STEP, f_mid)
-        z_new = z_new - np.linalg.solve(J, r)
+        z_new -= np.linalg.solve(M, r)
+        rounds += 1
+        f_mid = np.asarray(field(0.5 * (z + z_new)), dtype=float)
     raise NonConvergenceError(
         f"midpoint Newton stalled at residual {r_norm:.3e} "
         f"after {cfg.max_iter} updates",

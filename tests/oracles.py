@@ -1,7 +1,8 @@
 """Oracles used only by the tests: the Field-typed staggered operators,
 independent dense builds of the grid operators, the jet recursion at
-general depth with its adjoint, and the shooting search that found the
-frozen travelling-wave parameters.
+general depth with its adjoint, the shooting search that found the
+frozen travelling-wave parameters, and the implicit midpoint step built
+from single field calls and a column-by-column Jacobian.
 """
 
 from dataclasses import dataclass
@@ -9,6 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from clebschflow.clebsch import ClebschState, momentum_map
+from clebschflow.dynamics import (
+    FD_STEP,
+    NewtonConfig,
+    NonConvergenceError,
+    StepReport,
+)
 from clebschflow.grid import (
     Field,
     PeriodicGrid,
@@ -264,3 +271,44 @@ def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
         else:
             return None
     return None
+
+
+# -- implicit midpoint from single calls -------------------------------------------
+
+def column_jacobian(field, z, step):
+    """f(z) from a single call and the forward-difference Jacobian of
+    ``field`` at z, built one column at a time."""
+    f0 = np.asarray(field(z), dtype=float)
+    J = np.empty((z.size, z.size))
+    for k in range(z.size):
+        zk = z.copy()
+        zk[k] += step
+        J[:, k] = (field(zk) - f0) / step
+    return f0, J
+
+
+def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None):
+    """The implicit midpoint step built the plain way: one single-state
+    field call per Newton round, a forward-difference Jacobian assembled
+    column by column at the first midpoint that needs one, and the Newton
+    matrix np.eye(d) - dt/2 J.  Returns (z_next, StepReport) like
+    ``dynamics.midpoint_step``."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[0]
+    z_new = z.copy() if guess is None else np.array(guess, dtype=float)
+    M = None
+    for rounds in range(1, cfg.max_iter + 2):
+        mid = 0.5 * (z + z_new)
+        f_mid = np.asarray(field(mid), dtype=float)
+        r = z_new - z - dt * f_mid
+        r_norm = float(np.max(np.abs(r)))
+        if not np.isfinite(r_norm):
+            raise NonConvergenceError("non-finite midpoint residual")
+        if r_norm <= cfg.tol:
+            return z_new, StepReport(rounds, r_norm, True)
+        if rounds > cfg.max_iter:
+            break
+        if M is None:
+            M = np.eye(d) - 0.5 * dt * column_jacobian(field, mid, FD_STEP)[1]
+        z_new = z_new - np.linalg.solve(M, r)
+    raise NonConvergenceError("midpoint Newton stalled")

@@ -12,6 +12,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_step(*args, **kwargs):
+    raise AssertionError("a step was started")
+
+
 class TestPresetsCommand:
     def test_lists_all(self, capsys):
         code, out, _ = run_cli(capsys, "presets")
@@ -124,9 +128,6 @@ class TestRunCommand:
     @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-300), (1e10, 1e-10)])
     def test_step_count_above_the_cap_exits_one(self, tmp_path, capsys,
                                                 monkeypatch, t_end, dt):
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step was started")
-
         monkeypatch.setattr(harness, "integrate", no_step)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"t_end": t_end, "dt": dt}))
@@ -162,6 +163,59 @@ class TestRunCommand:
         assert err.startswith(f"configuration error: cannot read {path}: ")
         assert err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("blocked", ["d.csv", "d_final.csv", "d.gp",
+                                         "parent-is-a-file"])
+    def test_unwritable_output_exits_one_before_any_step(
+            self, tmp_path, capsys, monkeypatch, blocked):
+        monkeypatch.setattr(harness, "integrate", no_step)
+        if blocked == "parent-is-a-file":
+            (tmp_path / "sub").write_text("")
+            out = tmp_path / "sub" / "d.csv"
+            blocked_path = out
+        else:
+            out = tmp_path / "d.csv"
+            blocked_path = tmp_path / blocked
+            blocked_path.mkdir()
+        code, stdout, err = run_cli(
+            capsys, "run", "--N", "8", "--dt", "0.0009765625",
+            "--t-end", "0.001", "--out", str(out), "--emit-plots")
+        assert code == 1
+        assert err.startswith(f"configuration error: cannot write "
+                              f"{blocked_path}: ")
+        assert err.count("\n") == 1
+        assert stdout == ""
+        # the check leaves no file behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sub" if blocked == "parent-is-a-file" else blocked]
+
+    def test_write_error_after_the_run_exits_one(self, tmp_path, capsys,
+                                                 monkeypatch):
+        out = tmp_path / "d.csv"
+        render = cli.records_to_csv
+
+        def render_then_block(result):
+            out.mkdir()  # the path turns unwritable during the run
+            return render(result)
+
+        monkeypatch.setattr(cli, "records_to_csv", render_then_block)
+        code, stdout, err = run_cli(
+            capsys, "run", "--method", "conventional", "--N", "8",
+            "--dt", "0.0009765625", "--t-end", "0.001", "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"configuration error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_run_leaves_an_existing_output_alone(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "d.csv"
+        out.write_text("earlier results\n")
+        code, _, _ = run_cli(
+            capsys, "run", "--method", "conventional", "--N", "16",
+            "--ic", "custom:1/(x-x)", "--out", str(out))
+        assert code == 1
+        assert out.read_text() == "earlier results\n"
+        assert not (tmp_path / "d_final.csv").exists()
 
     def test_bad_flag_value_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "run", "--method", "spectral")
@@ -207,6 +261,20 @@ class TestConvergeCommand:
         assert code == 1
         assert err == (f"configuration error: argument --levels: expected "
                        f"comma-separated integers, got {levels!r}\n")
+        assert out == ""
+
+    def test_unwritable_output_exits_one_before_the_study(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(harness, "integrate", no_step)
+        code, out, err = run_cli(
+            capsys, "converge", "--method", "conventional", "--dt",
+            "0.0009765625", "--t-end", "0.03125", "--levels", "8,16",
+            "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"configuration error: cannot write "
+                              f"{tmp_path}: ")
+        assert err.count("\n") == 1
         assert out == ""
 
     def test_writes_table_csv(self, tmp_path, capsys):

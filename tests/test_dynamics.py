@@ -29,7 +29,7 @@ from clebschflow.hamiltonian import (
 from clebschflow.harness import ExperimentConfig, run_experiment
 from clebschflow.reference import fine_grid_reference
 
-from oracles import dense_K
+from oracles import column_jacobian, dense_K, midpoint_step_by_columns
 
 L = 8.0
 W = 2 * np.pi / L
@@ -152,10 +152,18 @@ class TestConventionalField:
 class TestMidpointStep:
     def test_zero_field_fixed_point_in_one_round(self):
         z = np.array([1.0, -2.0, 0.5])
-        z_next, report = midpoint_step(lambda v: np.zeros_like(v), z, 0.1)
+        calls = []
+
+        def zero(v):
+            calls.append(v.shape[1:])
+            return np.zeros_like(v)
+
+        z_next, report = midpoint_step(zero, z, 0.1)
         np.testing.assert_array_equal(z_next, z)
         assert report.newton_iterations == 1
         assert report.converged
+        # a fixed point still pays for the Jacobian batch: z and 3 columns
+        assert calls == [(4,)]
 
     def test_harmonic_oscillator_energy_stays_bounded(self):
         rhs = lambda z: np.array([z[1], -z[0]])
@@ -191,21 +199,24 @@ class TestMidpointStep:
         z2, _ = midpoint_step(rhs, z1, -0.01, cfg)
         assert np.max(np.abs(z2 - z0)) < 1e-11
 
-    def test_frozen_step_evaluates_the_field_once_per_round_plus_one_batch(self):
+    def test_frozen_step_evaluates_the_field_once_per_round_the_first_batched(self):
         g = PeriodicGrid(16, L)
         u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
         state = lift(g, u0)
         rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
         calls = []
 
+        @functools.wraps(rhs)
         def counted(z):
-            calls.append(z.ndim)
+            calls.append(z.shape[1:])
             return rhs(z)
 
         _, report = midpoint_step(counted, pack_state(state), 2.0 ** -6)
         assert report.newton_iterations >= 2
-        assert len(calls) == report.newton_iterations + 1
-        assert calls.count(2) == 1
+        assert len(calls) == report.newton_iterations
+        # the midpoint itself, then one state per colour
+        assert calls[0] == (1 + rhs.colouring.n_colours,)
+        assert set(calls[1:]) == {()}
 
     def test_extrapolated_guess_reaches_the_same_solution(self):
         g = PeriodicGrid(16, L)
@@ -239,6 +250,52 @@ class TestMidpointStep:
             midpoint_step(lambda z: z, np.ones(2), 0.0)
 
 
+@pytest.mark.parametrize("coloured", [True, False], ids=["coloured", "dense"])
+@pytest.mark.parametrize("spec", [BURGERS, EXTENDED_BURGERS],
+                         ids=["burgers", "extended"])
+@pytest.mark.parametrize("scheme", ["collective", "conventional"])
+class TestStepMatchesColumnReference:
+    """The batched step is bitwise the step built from single field calls
+    and a column-by-column Jacobian (``oracles.midpoint_step_by_columns``):
+    same z, same Newton rounds, same residuals."""
+
+    DT = 2.0 ** -8
+
+    def field_and_state(self, scheme, spec, coloured):
+        g = PeriodicGrid(32, L)
+        u0 = Field.full(1.0 + 0.5 * np.cos(W * (g.full_nodes - 1.3)))
+        if scheme == "collective":
+            state = lift(g, u0)
+            rhs, z0 = collective_flat_field(spec, g, state.C), pack_state(state)
+        else:
+            rhs, z0 = conventional_flat_field(spec, g), u0.values
+        return (rhs if coloured else dense(rhs)), z0
+
+    def test_one_step(self, scheme, spec, coloured):
+        rhs, z0 = self.field_and_state(scheme, spec, coloured)
+        z1, report = midpoint_step(rhs, z0, self.DT)
+        z1_ref, report_ref = midpoint_step_by_columns(rhs, z0, self.DT)
+        assert report.newton_iterations >= 2
+        assert report == report_ref
+        np.testing.assert_array_equal(z1, z1_ref)
+
+    def test_sixteen_steps(self, scheme, spec, coloured):
+        rhs, z0 = self.field_and_state(scheme, spec, coloured)
+        seen = []
+        result = integrate(rhs, z0, self.DT, 16,
+                           observer=lambda k, t, z, rep: seen.append(
+                               (z.copy(), rep)))
+        assert result.converged
+        z, guess = z0, None
+        for z_seen, report in seen:
+            z_next, report_ref = midpoint_step_by_columns(rhs, z, self.DT,
+                                                          guess=guess)
+            guess = 2.0 * z_next - z
+            z = z_next
+            assert report == report_ref
+            np.testing.assert_array_equal(z_seen, z)
+
+
 def scheme_field(scheme, spec, g):
     """Flat field of the given scheme."""
     if scheme == "collective":
@@ -255,26 +312,27 @@ def dense(rhs):
     return lambda z: rhs(z)
 
 
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == expected.tobytes()
+
+
 class TestJacobianAssembly:
-    def test_batched_equals_columnwise(self):
+    @pytest.mark.parametrize("h", [2.0 ** -9, -2.0 ** -9, 0.37])
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_batched_equals_columnwise(self, scheme, h):
         # N = 16 puts the direct field's colouring at 6 colours, not 16
         g = PeriodicGrid(16, L)
-        rhs = conventional_flat_field(EXTENDED_BURGERS, g)
-        z = 1.0 + 0.3 * np.cos(W * g.full_nodes)
+        rhs = scheme_field(scheme, EXTENDED_BURGERS, g)
+        z = random_state(g, rhs.colouring.seed.shape[0])
         step = 1e-7
-        f0 = rhs(z)
-        J_loop = np.empty((g.N, g.N))
-        for k in range(g.N):
-            zk = z.copy()
-            zk[k] += step
-            J_loop[:, k] = (rhs(zk) - f0) / step
-        assert rhs.colouring.n_colours < g.N
-        np.testing.assert_array_equal(fd_jacobian(dense(rhs), z, step), J_loop)
-        np.testing.assert_array_equal(
-            fd_jacobian(dense(rhs), z, step, f0=f0), J_loop)
-        np.testing.assert_array_equal(fd_jacobian(rhs, z, step), J_loop)
-        np.testing.assert_array_equal(fd_jacobian(rhs, z, step, f0=f0),
-                                      J_loop)
+        f0, J_loop = column_jacobian(rhs, z, step)
+        M_loop = np.eye(z.size) - h * J_loop
+        assert rhs.colouring.n_colours < z.size
+        for field in (rhs, dense(rhs)):
+            f_z, M = fd_jacobian(field, z, step, h)
+            assert_bitwise(f_z, f0)
+            assert_bitwise(M, M_loop)
 
     @pytest.mark.parametrize("N", [3, 4, 7, 8, 13, 16, 33, 64])
     @pytest.mark.parametrize("spec", [BURGERS, EXTENDED_BURGERS],
@@ -284,10 +342,10 @@ class TestJacobianAssembly:
         g = PeriodicGrid(N, L)
         rhs = scheme_field(scheme, spec, g)
         z = random_state(g, rhs.colouring.seed.shape[0])
-        f0 = rhs(z)
-        np.testing.assert_array_equal(
-            fd_jacobian(rhs, z, 1e-7, f0=f0),
-            fd_jacobian(dense(rhs), z, 1e-7, f0=f0))
+        f_z, M = fd_jacobian(rhs, z, 1e-7, 2.0 ** -9)
+        f_dense, M_dense = fd_jacobian(dense(rhs), z, 1e-7, 2.0 ** -9)
+        assert_bitwise(f_z, f_dense)
+        assert_bitwise(M, M_dense)
 
     @pytest.mark.parametrize("N", [3, 7, 14, 20, 32, 33, 64, 512])
     @pytest.mark.parametrize("scheme", ["collective", "conventional"],
@@ -305,6 +363,11 @@ class TestJacobianAssembly:
         np.testing.assert_array_equal(source_rows, rows)
         np.testing.assert_array_equal(colouring.seed[cols, colours],
                                       np.ones(cols.size))
+        # unit marks exactly the diagonal entries, and all d of them are
+        # listed, so the scattered I - h J has its whole diagonal
+        np.testing.assert_array_equal(colouring.unit, rows == cols)
+        np.testing.assert_array_equal(np.sort(rows[colouring.unit == 1.0]),
+                                      np.arange(d))
         # a (row, colour) slot is read by one listed entry only, and no
         # entry is listed twice
         assert np.unique(colouring.sources).size == colouring.sources.size
@@ -322,7 +385,10 @@ class TestJacobianAssembly:
         np.testing.assert_array_equal(colouring.seed, np.eye(5))
         np.testing.assert_array_equal(np.sort(colouring.entries),
                                       np.arange(25))
-        assert not colouring.seed.flags.writeable  # shared through a cache
+        assert colouring.unit.sum() == 5
+        for array in (colouring.seed, colouring.entries, colouring.sources,
+                      colouring.unit):
+            assert not array.flags.writeable  # shared through a cache
 
     def test_bare_callable_is_dense_and_wraps_keeps_the_colouring(self):
         g = PeriodicGrid(32, L)
@@ -340,11 +406,14 @@ class TestJacobianAssembly:
             return rhs(v)
 
         assert wrapped.colouring is rhs.colouring
-        J = fd_jacobian(rhs, z, 1e-7)
-        np.testing.assert_array_equal(fd_jacobian(bare, z, 1e-7), J)
-        np.testing.assert_array_equal(fd_jacobian(wrapped, z, 1e-7), J)
-        # one single call and one batch each: identity, then 16 colours
-        assert widths == [(), (2 * g.N,), (), (16,)]
+        f_z, M = fd_jacobian(rhs, z, 1e-7, 2.0 ** -9)
+        for field in (bare, wrapped):
+            f_field, M_field = fd_jacobian(field, z, 1e-7, 2.0 ** -9)
+            assert_bitwise(f_field, f_z)
+            assert_bitwise(M_field, M)
+        # one batch each, z and then one state per colour: the identity,
+        # then 16 colours
+        assert widths == [(1 + 2 * g.N,), (1 + 16,)]
 
     def test_runs_assemble_with_the_field_colouring(self, monkeypatch):
         assemble = dynamics.fd_jacobian
@@ -372,19 +441,21 @@ class TestJacobianAssembly:
             raise ZeroDivisionError("bug in the field")
 
         with pytest.raises(ZeroDivisionError):
-            fd_jacobian(broken, np.ones(3), 1e-7, f0=np.zeros(3))
+            fd_jacobian(broken, np.ones(3), 1e-7, 0.5)
 
     def test_wrong_batch_shape_raises(self):
         def single_only(z):
             return -np.asarray(z)[..., 0]
 
         with pytest.raises(ValueError):
-            fd_jacobian(single_only, np.ones(3), 1e-7, f0=np.zeros(3))
+            fd_jacobian(single_only, np.ones(3), 1e-7, 0.5)
 
     def test_linear_field_recovered_exactly(self):
         A = np.array([[0.0, 1.0], [-2.0, 0.5]])
-        J = fd_jacobian(lambda z: A @ z, np.array([0.3, -1.2]), 1e-7)
-        np.testing.assert_allclose(J, A, atol=1e-6)
+        z = np.array([0.3, -1.2])
+        f_z, M = fd_jacobian(lambda v: A @ v, z, 1e-7, 0.25)
+        np.testing.assert_allclose(f_z, A @ z, rtol=1e-15)
+        np.testing.assert_allclose(M, np.eye(2) - 0.25 * A, atol=1e-6)
 
 
 class TestIntegrate:

@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clebschflow.clebsch import momentum_arrays
-from clebschflow.dynamics import apply_K, conventional_flat_field
+from clebschflow.dynamics import (
+    apply_K,
+    collective_flat_field,
+    conventional_flat_field,
+)
 from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
 from clebschflow.hamiltonian import (
     HamiltonianSpec,
@@ -124,6 +128,28 @@ def test_conventional_field_is_orthogonal_to_its_gradient(spec, case):
     f = conventional_flat_field(spec, g)(u)
     assert close(np.dot(grad, f), 0.0,
                  np.linalg.norm(grad) * np.linalg.norm(f))
+
+
+@PROPERTY
+@given(specs, st.integers(3, 64), st.integers(1, 9), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_batch_columns_are_bitwise_single_calls(spec, N, m, lifted, seed):
+    # the Newton step takes its first residual from column 0 of the
+    # Jacobian batch, so a column must be the single call to the bit
+    g = PeriodicGrid(N, L)
+    if lifted:
+        field = collective_flat_field(spec, g, g.L)
+        d = 2 * N
+    else:
+        field = conventional_flat_field(spec, g)
+        d = N
+    X = 1.0 + 0.4 * np.random.default_rng(seed).uniform(-1.0, 1.0, (d, m))
+    batch = field(X)
+    assert batch.shape == (d, m)
+    for k in range(m):
+        single = field(X[:, k])
+        assert single.shape == (d,)
+        assert np.ascontiguousarray(batch[:, k]).tobytes() == single.tobytes()
 
 
 @st.composite
