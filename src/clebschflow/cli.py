@@ -162,6 +162,10 @@ def _cmd_run(args) -> int:
         else:
             print(f"{run.method}: Newton diverged at step {run.failed_step}; "
                   f"partial records written")
+        print(f"{run.method}: Newton accepted "
+              f"{run.accepted['increments']} steps on increments, "
+              f"{run.accepted['residual']} on the residual, "
+              f"{run.accepted['floor']} at the roundoff floor")
     return 0 if result.converged else 2
 
 

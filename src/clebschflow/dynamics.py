@@ -21,6 +21,20 @@ Newton round, the first one batched.  Vector fields must accept
 column-stacked (d, m) batches whose columns are bitwise their single-state
 values, and there is no single-state fallback.
 
+Newton stops on its increments (Hairer & Wanner, Solving ODEs II, IV.8):
+with the contraction rate theta = |dz_k| / |dz_{k-1}|, the distance of the
+k-th iterate to the solution is about theta/(1 - theta) |dz_k|, and the
+step is accepted, with no further field call, once that is at most
+KAPPA * tol * (1 + |z|).  A step's first update uses the rate its
+predecessor measured; a step with none (a run's first, which starts O(dt)
+from its solution) waits for its second measured rate, because the first
+is dominated by the quadratic term and understates the linear one.  An
+iterate whose residual is already within tol is
+accepted as well, and an iteration that stops contracting with its
+residual at the roundoff floor of M (eps |M| (1 + |z|), all norms max
+norms) is accepted with the status "floor" instead of being run out to
+its budget.  The decisions read only the field's values.
+
 Both fields are cyclic-banded: output node i reads only inputs within a
 fixed grid distance of i, in every block.  A column colouring of that band
 (Curtis, Powell & Reid 1974) perturbs all columns of one colour in one
@@ -50,6 +64,8 @@ __all__ = [
     "FD_STEP",
     "NewtonConfig",
     "StepReport",
+    "KAPPA",
+    "FLOOR_THETA",
     "NonConvergenceError",
     "IntegrationResult",
     "Colouring",
@@ -69,10 +85,13 @@ __all__ = [
 class NewtonConfig:
     """Solver settings for the implicit midpoint equations.
 
-    tol is an absolute bound on the max-norm residual.  The attainable
-    residual is limited by the roundoff of one field evaluation scaled by
-    dt, which grows with grid stiffness (inverse powers of dx); tolerances
-    below that floor make the step raise NonConvergenceError.
+    tol bounds the Newton error relative to the state's size: a step is
+    accepted once the increments put its iterate within KAPPA * tol *
+    (1 + max|z|) of the solution, or once its max-norm residual is at most
+    tol.  The attainable residual is limited by the roundoff of one field
+    evaluation scaled by dt, which grows with grid stiffness (inverse
+    powers of dx); an iteration stalled on that floor is accepted as
+    "floor" rather than raising.  max_iter bounds the Newton updates.
     """
 
     tol: float = 1e-12
@@ -88,29 +107,62 @@ class NewtonConfig:
 #: Forward-difference step of the Newton Jacobian.
 FD_STEP = 1e-7
 
+#: Safety factor of the increment test: accept once the estimated Newton
+#: error is at most KAPPA * tol * (1 + max|z|).
+KAPPA = 0.1
+
+#: An update that shrinks the increment by less than this factor means the
+#: iteration no longer contracts; at the roundoff floor, eps |M| (1 + max|z|),
+#: it is accepted.
+FLOOR_THETA = 0.5
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class StepReport:
     """Outcome of one implicit solve.
 
-    newton_iterations counts residual-evaluation rounds, so a state that is
-    already a fixed point reports one iteration and zero linear solves.
+    newton_iterations counts field-call rounds, so a state that is already
+    a fixed point reports one round and zero linear solves.  status is
+    "converged", "floor" (stalled at the roundoff floor, accepted) or
+    "diverged" (carried by NonConvergenceError only).  final_residual is
+    the last residual evaluated; a step accepted on its increments made
+    one more update after it.  increments holds the max norm of every
+    Newton update, and theta the latest contraction rate: the ratio of the
+    last two increments when the step made two, otherwise the one carried
+    in from the previous step (None when there was none).
     """
 
     newton_iterations: int
     final_residual: float
-    converged: bool
+    status: str
+    theta: Optional[float]
+    increments: tuple
+
+    @property
+    def accepted_on(self) -> str:
+        """The test that ended the iteration: "increments", "residual",
+        "floor" or "diverged".  Only the increment test accepts right after
+        an update, so it is the one with as many updates as rounds."""
+        if self.status != "converged":
+            return self.status
+        if len(self.increments) == self.newton_iterations:
+            return "increments"
+        return "residual"
 
 
 class NonConvergenceError(RuntimeError):
     """Newton exhausted its iteration budget or produced a non-finite
-    residual; carries the failing time step index when raised from a run."""
+    residual; carries the failing time step index when raised from a run,
+    and the step's "diverged" StepReport."""
 
     def __init__(self, message: str, step: Optional[int] = None,
-                 residual: Optional[float] = None):
+                 residual: Optional[float] = None,
+                 report: Optional[StepReport] = None):
         super().__init__(message)
         self.step = step
         self.residual = residual
+        self.report = report
 
 
 # -- vector fields --------------------------------------------------------------
@@ -300,42 +352,76 @@ DEFAULT_NEWTON = NewtonConfig()
 
 def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
                   dt: float, cfg: NewtonConfig = DEFAULT_NEWTON,
-                  guess: Optional[np.ndarray] = None):
+                  guess: Optional[np.ndarray] = None,
+                  theta: Optional[float] = None):
     """One implicit midpoint step: solve  z+ = z + dt * F((z + z+)/2).
 
     Newton starts from ``guess`` (z when none is given).  The first round
     makes one batched field call that yields both its residual and the
     frozen matrix I - (dt/2) J, assembled with the field's own colouring
     (see :func:`fd_jacobian`); every later round makes one single call.
-    A state that is already a fixed point still pays for that batch.
+    After every update the step is accepted when theta/(1 - theta) |dz|
+    is at most KAPPA * cfg.tol * (1 + max|z|), with theta the ratio of the
+    last two increments, or for the first update the ``theta`` passed in
+    (the previous step's report.theta).  Without one, the first measured
+    ratio is not used (see the module notes).  A residual within cfg.tol
+    accepts the iterate it was evaluated at, so a state already at a fixed
+    point stops in round one (and still pays for the batch).  An update that
+    shrinks the increment by less than FLOOR_THETA while the residual is
+    at most eps |M| (1 + max|z|) ends the step with status "floor".
     Returns (z_next, StepReport); raises NonConvergenceError when the
-    iteration budget is exhausted or the residual turns non-finite.
+    update budget is exhausted or the residual turns non-finite.
     """
     if not dt != 0.0:
         raise ValueError("dt must be nonzero")
     z = np.asarray(z, dtype=float)
     z_new = z.copy() if guess is None else np.array(guess, dtype=float)
     f_mid, M = fd_jacobian(field, 0.5 * (z + z_new), FD_STEP, 0.5 * dt)
+    z_size = 1.0 + float(np.abs(z).max())
+    target = KAPPA * cfg.tol * z_size
+    floor = None
+    # without a carried rate the first measured one is not trusted
+    first_rate_usable = theta is not None
+    increments = []
     rounds = 1
     while True:
         r = z_new - z
         r -= dt * f_mid
         r_norm = float(np.abs(r).max())
         if not math.isfinite(r_norm):
-            raise NonConvergenceError(
-                "non-finite midpoint residual", residual=r_norm)
-        if r_norm <= cfg.tol:
-            return z_new, StepReport(rounds, r_norm, True)
-        if rounds > cfg.max_iter:
             break
-        z_new -= np.linalg.solve(M, r)
+        if r_norm <= cfg.tol:
+            return z_new, StepReport(rounds, r_norm, "converged", theta,
+                                     tuple(increments))
+        if len(increments) == cfg.max_iter:
+            break
+        dz = np.linalg.solve(M, r)
+        z_new -= dz
+        dz_norm = float(np.abs(dz).max())
+        if increments:
+            theta = dz_norm / increments[-1]
+        increments.append(dz_norm)
+        usable = first_rate_usable or len(increments) > 2
+        if usable and theta < 1.0 and (
+                theta / (1.0 - theta) * dz_norm <= target):
+            return z_new, StepReport(rounds, r_norm, "converged", theta,
+                                     tuple(increments))
+        if len(increments) > 1 and theta >= FLOOR_THETA:
+            if floor is None:
+                floor = EPS * float(np.abs(M).sum(axis=1).max()) * z_size
+            if r_norm <= floor:
+                return z_new, StepReport(rounds, r_norm, "floor", theta,
+                                         tuple(increments))
         rounds += 1
         f_mid = np.asarray(field(0.5 * (z + z_new)), dtype=float)
+    report = StepReport(rounds, r_norm, "diverged", theta, tuple(increments))
+    if not math.isfinite(r_norm):
+        raise NonConvergenceError("non-finite midpoint residual",
+                                  residual=r_norm, report=report)
     raise NonConvergenceError(
         f"midpoint Newton stalled at residual {r_norm:.3e} "
         f"after {cfg.max_iter} updates",
-        residual=r_norm,
-    )
+        residual=r_norm, report=report)
 
 
 @dataclass
@@ -360,7 +446,10 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     :func:`fd_jacobian`).  The first step starts Newton from z_0; every
     later one from the linear extrapolation 2 z_n - z_{n-1}, which equals
     z_n + dt F(mid_{n-1}) to within the Newton tolerance and so is O(dt^2)
-    from the solution.  The equations and their tolerance are unchanged.
+    from the solution.  Each step after the first is handed the contraction
+    rate its predecessor reported, so it can stop on its first increment
+    (see :func:`midpoint_step`).  The equations and their tolerance are
+    unchanged.
 
     The observer, when given, is called as observer(step, t, z, report)
     after every completed step with t = step * dt.  On Newton failure the
@@ -370,14 +459,16 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     z = np.asarray(z0, dtype=float).copy()
-    guess = None
+    guess = theta = None
     for step in range(1, n_steps + 1):
         try:
-            z_next, report = midpoint_step(field, z, dt, cfg, guess=guess)
+            z_next, report = midpoint_step(field, z, dt, cfg, guess=guess,
+                                           theta=theta)
         except NonConvergenceError as err:
             err.step = step
             return IntegrationResult(z, step - 1, False, failure=err)
         guess = 2.0 * z_next - z
+        theta = report.theta
         z = z_next
         if observer is not None:
             observer(step, step * dt, z, report)

@@ -140,11 +140,16 @@ class DiagnosticsRecord:
 
 @dataclass
 class MethodRun:
+    """One scheme's run.  accepted counts the completed steps by the test
+    that ended their Newton iteration (``StepReport.accepted_on``):
+    "increments", "residual" or "floor"."""
+
     method: str
     records: list
     finals: dict
     converged: bool
     failed_step: Optional[int] = None
+    accepted: dict = dataclass_field(default_factory=dict)
 
 
 @dataclass
@@ -463,8 +468,10 @@ def _run_one_method(method: str, config: ExperimentConfig,
         ))
 
     observe(0, 0.0, z0, 0)
+    accepted = dict.fromkeys(("increments", "residual", "floor"), 0)
 
     def observer(step, t, z, report):
+        accepted[report.accepted_on] += 1
         if step % config.observe_every == 0 or step == n_steps:
             observe(step, t, z, report.newton_iterations)
 
@@ -475,7 +482,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
         finals["q"] = final_state.q
         finals["p"] = final_state.p
     failed_step = result.failure.step if result.failure is not None else None
-    return MethodRun(method, records, finals, result.converged, failed_step)
+    return MethodRun(method, records, finals, result.converged, failed_step,
+                     accepted)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

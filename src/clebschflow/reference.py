@@ -32,7 +32,6 @@ import numpy as np
 
 from .clebsch import lift, momentum_map
 from .dynamics import (
-    NewtonConfig,
     NonConvergenceError,
     collective_flat_field,
     integrate,
@@ -50,10 +49,8 @@ __all__ = [
     "TravellingWaveState",
     "burgers_characteristics",
     "burgers_shock_time",
-    "pde_rhs_jet",
     "travelling_wave_rhs",
     "travelling_wave_ode",
-    "check_travelling_wave_reduction",
     "integrate_ode_adaptive",
     "AdaptiveSolution",
     "fine_grid_reference",
@@ -167,19 +164,6 @@ class TravellingWaveState:
     c: float
 
 
-def pde_rhs_jet(spec: HamiltonianSpec, u, ux, uxx, uxxx):
-    """Pointwise u_t of the flow generated by the density, in jet variables.
-
-    Accepts scalars or arrays; this is the reference form both spatial
-    schemes converge to at second order.
-    """
-    m = (2.0 * spec.C1 * u + 3.0 * spec.C3 * u * u
-         - 2.0 * spec.C2 * uxx - 6.0 * spec.C4 * ux * uxx)
-    mx = (2.0 * spec.C1 * ux + 6.0 * spec.C3 * u * ux
-          - 2.0 * spec.C2 * uxxx - 6.0 * spec.C4 * (uxx * uxx + ux * uxxx))
-    return ux * m + 2.0 * u * mx
-
-
 def travelling_wave_rhs(spec: HamiltonianSpec, y: TravellingWaveState,
                         floor: float = 1e-10):
     """Wave-frame derivative (f', f'', f''') of the first-order system.
@@ -218,25 +202,6 @@ def travelling_wave_ode(spec: HamiltonianSpec, c: float,
         return np.asarray(travelling_wave_rhs(spec, state, floor=floor))
 
     return rhs
-
-
-def check_travelling_wave_reduction(spec: HamiltonianSpec, c: float,
-                                    samples: np.ndarray) -> float:
-    """Built-in self-test of the f''' formula.
-
-    For each wave-frame jet sample (f, f', f''), the derived f''' must make
-    the full flow residual  -c f' - u_t(f, f', f'', f''')  vanish; returns
-    the worst relative residual over the samples (machine-level when the
-    algebra is right).
-    """
-    worst = 0.0
-    for f, f1, f2 in np.atleast_2d(samples):
-        state = TravellingWaveState(float(f), float(f1), float(f2), c)
-        _, _, f3 = travelling_wave_rhs(spec, state)
-        ut = pde_rhs_jet(spec, f, f1, f2, f3)
-        scale = max(abs(ut), abs(c * f1), 1.0)
-        worst = max(worst, abs(-c * f1 - ut) / scale)
-    return worst
 
 
 # -- embedded Runge-Kutta 5(4) with PI control and dense output -------------------
@@ -284,7 +249,6 @@ class AdaptiveSolution:
     y: np.ndarray
     segments: list
     n_accepted: int
-    n_rejected: int
     step_log: list
 
     def __call__(self, s_eval):
@@ -344,7 +308,7 @@ def integrate_ode_adaptive(rhs: Callable, y0, s_span, rel_tol: float = 1e-10,
     s0, s_end = float(s_span[0]), float(s_span[1])
     y = np.asarray(y0, dtype=float).copy()
     if s_end == s0:
-        return AdaptiveSolution(np.array([s0]), y[None, :].copy(), [], 0, 0, [])
+        return AdaptiveSolution(np.array([s0]), y[None, :].copy(), [], 0, [])
     direction = 1.0 if s_end > s0 else -1.0
     f = np.asarray(rhs(s0, y), dtype=float)
     h = _initial_step(rhs, s0, y, f, rel_tol, abs_tol, direction)
@@ -355,7 +319,7 @@ def integrate_ode_adaptive(rhs: Callable, y0, s_span, rel_tol: float = 1e-10,
     states = [y.copy()]
     segments = []
     step_log = []
-    n_accepted = n_rejected = 0
+    n_accepted = 0
     err_prev = None
     k_stages = np.empty((7, y.shape[0]))
     h_floor = 16.0 * np.finfo(float).eps * max(abs(s0), abs(s_end))
@@ -394,7 +358,6 @@ def integrate_ode_adaptive(rhs: Callable, y0, s_span, rel_tol: float = 1e-10,
             err_prev = err
             h *= min(5.0, max(0.2, factor))
         else:
-            n_rejected += 1
             err_prev = None
             h *= min(1.0, max(0.2, 0.9 * err ** (-_ORDER_EXPONENT)))
     else:
@@ -402,7 +365,7 @@ def integrate_ode_adaptive(rhs: Callable, y0, s_span, rel_tol: float = 1e-10,
             f"no convergence within {max_steps} steps (reached s = {s:.6g})")
 
     return AdaptiveSolution(np.array(nodes), np.array(states), segments,
-                            n_accepted, n_rejected, step_log)
+                            n_accepted, step_log)
 
 
 # -- refined-run reference ---------------------------------------------------------
@@ -419,11 +382,6 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     set (coarse half nodes land on fine full nodes for even factors), so
     each restriction is an exact index slice of the fine solution averaged
     onto its full grid.
-
-    The Newton tolerance for the fine run is 1e-10: the residual floor of
-    the implicit solve grows with the mesh ratio (the field's stiffness
-    scales with inverse powers of dx), and anything at that level is
-    negligible against the reference's own discretisation error.
     """
     if refine < 2 or refine % 2 != 0:
         raise ValueError("refinement factor must be an even integer >= 2")
@@ -433,8 +391,7 @@ def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
     rhs = collective_flat_field(spec, fine, state.C)
     dt_fine = dt / 4
     n_steps = int(round(t_end / dt_fine))
-    result = integrate(rhs, pack_state(state), dt_fine, n_steps,
-                       NewtonConfig(tol=1e-10))
+    result = integrate(rhs, pack_state(state), dt_fine, n_steps)
     if not result.converged:
         raise result.failure
     final = unpack_state(result.z, state.C)

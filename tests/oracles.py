@@ -1,8 +1,10 @@
 """Oracles used only by the tests: the Field-typed staggered operators,
 independent dense builds of the grid operators, the jet recursion at
-general depth with its adjoint, the shooting search that found the
-frozen travelling-wave parameters, and the implicit midpoint step built
-from single field calls and a column-by-column Jacobian.
+general depth with its adjoint, the pointwise flow in jet variables with
+the self-test of the wave-frame reduction built on it, the shooting
+search that found the frozen travelling-wave parameters, and the
+implicit midpoint step built from single field calls and a
+column-by-column Jacobian.
 """
 
 from dataclasses import dataclass
@@ -12,6 +14,8 @@ import numpy as np
 from clebschflow.clebsch import ClebschState, momentum_map
 from clebschflow.dynamics import (
     FD_STEP,
+    FLOOR_THETA,
+    KAPPA,
     NewtonConfig,
     NonConvergenceError,
     StepReport,
@@ -32,8 +36,10 @@ from clebschflow.reference import (
     MaxStepsExceededError,
     SingularReductionError,
     StepSizeUnderflowError,
+    TravellingWaveState,
     integrate_ode_adaptive,
     travelling_wave_ode,
+    travelling_wave_rhs,
 )
 
 
@@ -211,6 +217,40 @@ def jet_H_collective(spec: HamiltonianSpec, grid: PeriodicGrid,
                  + np.sum(spec.odd_density(ux_half)))
 
 
+# -- pointwise flow and the wave-frame self-test -----------------------------------
+
+def pde_rhs_jet(spec: HamiltonianSpec, u, ux, uxx, uxxx):
+    """Pointwise u_t of the flow generated by the density, in jet variables.
+
+    Accepts scalars or arrays; this is the reference form both spatial
+    schemes converge to at second order.
+    """
+    m = (2.0 * spec.C1 * u + 3.0 * spec.C3 * u * u
+         - 2.0 * spec.C2 * uxx - 6.0 * spec.C4 * ux * uxx)
+    mx = (2.0 * spec.C1 * ux + 6.0 * spec.C3 * u * ux
+          - 2.0 * spec.C2 * uxxx - 6.0 * spec.C4 * (uxx * uxx + ux * uxxx))
+    return ux * m + 2.0 * u * mx
+
+
+def check_travelling_wave_reduction(spec: HamiltonianSpec, c: float,
+                                    samples: np.ndarray) -> float:
+    """Self-test of the f''' formula in travelling_wave_rhs.
+
+    For each wave-frame jet sample (f, f', f''), the derived f''' must make
+    the full flow residual  -c f' - u_t(f, f', f'', f''')  vanish; returns
+    the worst relative residual over the samples (machine-level when the
+    algebra is right).
+    """
+    worst = 0.0
+    for f, f1, f2 in np.atleast_2d(samples):
+        state = TravellingWaveState(float(f), float(f1), float(f2), c)
+        _, _, f3 = travelling_wave_rhs(spec, state)
+        ut = pde_rhs_jet(spec, f, f1, f2, f3)
+        scale = max(abs(ut), abs(c * f1), 1.0)
+        worst = max(worst, abs(-c * f1 - ut) / scale)
+    return worst
+
+
 # -- periodic travelling-wave search ----------------------------------------------
 
 def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
@@ -287,16 +327,21 @@ def column_jacobian(field, z, step):
     return f0, J
 
 
-def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None):
+def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None,
+                             theta=None):
     """The implicit midpoint step built the plain way: one single-state
     field call per Newton round, a forward-difference Jacobian assembled
-    column by column at the first midpoint that needs one, and the Newton
-    matrix np.eye(d) - dt/2 J.  Returns (z_next, StepReport) like
-    ``dynamics.midpoint_step``."""
+    column by column at the first midpoint, and the Newton matrix
+    np.eye(d) - dt/2 J.  It stops by the rule of ``dynamics.midpoint_step``
+    (increments, residual, roundoff floor) and returns (z_next,
+    StepReport) like it."""
     z = np.asarray(z, dtype=float)
     d = z.shape[0]
     z_new = z.copy() if guess is None else np.array(guess, dtype=float)
     M = None
+    size = 1.0 + np.max(np.abs(z))
+    carried = theta is not None
+    increments = []
     for rounds in range(1, cfg.max_iter + 2):
         mid = 0.5 * (z + z_new)
         f_mid = np.asarray(field(mid), dtype=float)
@@ -305,10 +350,24 @@ def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None):
         if not np.isfinite(r_norm):
             raise NonConvergenceError("non-finite midpoint residual")
         if r_norm <= cfg.tol:
-            return z_new, StepReport(rounds, r_norm, True)
+            return z_new, StepReport(rounds, r_norm, "converged", theta,
+                                     tuple(increments))
         if rounds > cfg.max_iter:
             break
         if M is None:
             M = np.eye(d) - 0.5 * dt * column_jacobian(field, mid, FD_STEP)[1]
-        z_new = z_new - np.linalg.solve(M, r)
+        dz = np.linalg.solve(M, r)
+        z_new = z_new - dz
+        increments.append(float(np.max(np.abs(dz))))
+        if len(increments) > 1:
+            theta = increments[-1] / increments[-2]
+        usable = carried or len(increments) > 2
+        if usable and theta < 1.0 and (theta / (1.0 - theta) * increments[-1]
+                                       <= KAPPA * cfg.tol * size):
+            return z_new, StepReport(rounds, r_norm, "converged", theta,
+                                     tuple(increments))
+        floor = np.finfo(float).eps * np.max(np.sum(np.abs(M), axis=1)) * size
+        if len(increments) > 1 and theta >= FLOOR_THETA and r_norm <= floor:
+            return z_new, StepReport(rounds, r_norm, "floor", theta,
+                                     tuple(increments))
     raise NonConvergenceError("midpoint Newton stalled")

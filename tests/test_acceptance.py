@@ -38,14 +38,17 @@ from clebschflow.harness import (
     records_to_csv,
     run_experiment,
 )
-from clebschflow.reference import (
-    check_travelling_wave_reduction,
-    integrate_ode_adaptive,
-    travelling_wave_ode,
-)
+from clebschflow.reference import integrate_ode_adaptive, travelling_wave_ode
 from clebschflow.harness import TRAVELLING_WAVE_PARAMS
 
-from oracles import apply_D, apply_S, apply_St, apply_T, apply_Tt
+from oracles import (
+    apply_D,
+    apply_S,
+    apply_St,
+    apply_T,
+    apply_Tt,
+    check_travelling_wave_reduction,
+)
 
 L = 8.0
 W = 2 * np.pi / L

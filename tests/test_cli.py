@@ -56,6 +56,8 @@ class TestRunCommand:
             "--dt", "0.1", "--t-end", "0.25", "--out", str(out))
         assert code == 0
         assert "conventional: completed 2 steps to t = 0.2\n" in stdout
+        assert ("conventional: Newton accepted 2 steps on increments, 0 on "
+                "the residual, 0 at the roundoff floor\n") in stdout
         assert ("t_end = 0.25 is not a multiple of dt = 0.1; rounded to "
                 "the step grid, t = 0.2") in stdout
         assert len(out.read_text().splitlines()) == 1 + 3
@@ -69,6 +71,33 @@ class TestRunCommand:
         assert code == 0
         assert "completed 3 steps to t = 0.3" in stdout
         assert "rounded" not in stdout
+
+    def test_summary_counts_the_test_that_accepted_each_step(self, tmp_path,
+                                                             capsys):
+        # both schemes; then an increment target below roundoff, so every
+        # lifted step stops at the floor
+        code, stdout, _ = run_cli(
+            capsys, "run", "--N", "16", "--dt", "0.00390625", "--t-end",
+            "0.0625", "--out", str(tmp_path / "both.csv"))
+        assert code == 0
+        for method in ("collective", "conventional"):
+            line = next(line for line in stdout.splitlines()
+                        if line.startswith(f"{method}: Newton accepted"))
+            counts = [int(word) for word in line.replace(",", "").split()
+                      if word.isdigit()]
+            assert len(counts) == 3 and sum(counts) == 16
+        cfg = {"method": "collective", "spec": {"C1": 0.5, "C2": 0.5,
+                                                "C3": -0.25, "C4": 0.5},
+               "N": 64, "dt": 0.00390625, "t_end": 0.015625,
+               "initial_condition": "periodic-bump",
+               "newton": {"tol": 1e-16}}
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(cfg))
+        code, stdout, _ = run_cli(capsys, "run", "--config", str(path),
+                                  "--out", str(tmp_path / "floor.csv"))
+        assert code == 0
+        assert ("collective: Newton accepted 0 steps on increments, 0 on the "
+                "residual, 4 at the roundoff floor\n") in stdout
 
     def test_emit_plots_writes_script(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -237,6 +266,8 @@ class TestRunCommand:
         assert code == 2
         assert out.exists()
         assert "diverged" in stdout
+        assert ("conventional: Newton accepted 0 steps on increments, 0 on "
+                "the residual, 0 at the roundoff floor\n") in stdout
         assert len(out.read_text().splitlines()) >= 2  # header + t=0 record
 
 

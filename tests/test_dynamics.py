@@ -161,7 +161,7 @@ class TestMidpointStep:
         z_next, report = midpoint_step(zero, z, 0.1)
         np.testing.assert_array_equal(z_next, z)
         assert report.newton_iterations == 1
-        assert report.converged
+        assert report.accepted_on == "residual"
         # a fixed point still pays for the Jacobian batch: z and 3 columns
         assert calls == [(4,)]
 
@@ -233,10 +233,13 @@ class TestMidpointStep:
         assert report.newton_iterations < plain_report.newton_iterations
 
     def test_iteration_budget_exhaustion_raises(self):
-        # wildly oscillatory stiff field with a huge step cannot converge
-        rhs = lambda z: 1e6 * np.sin(1e6 * z)
-        with pytest.raises(NonConvergenceError):
-            midpoint_step(rhs, np.array([1.0]), 1.0, NewtonConfig(max_iter=5))
+        # z' = z^2 from z = 1 with dt = 10: the midpoint equation
+        # 2.5 w^2 + 4 w + 3.5 = 0 has no real root
+        rhs = lambda z: z * z
+        with pytest.raises(NonConvergenceError) as caught:
+            midpoint_step(rhs, np.array([1.0]), 10.0, NewtonConfig(max_iter=5))
+        assert caught.value.report.status == "diverged"
+        assert len(caught.value.report.increments) == 5
 
     def test_non_finite_residual_raises(self):
         rhs = lambda z: z * 1e308
@@ -286,14 +289,100 @@ class TestStepMatchesColumnReference:
                            observer=lambda k, t, z, rep: seen.append(
                                (z.copy(), rep)))
         assert result.converged
-        z, guess = z0, None
+        z, guess, theta = z0, None, None
         for z_seen, report in seen:
-            z_next, report_ref = midpoint_step_by_columns(rhs, z, self.DT,
-                                                          guess=guess)
+            z_next, report_ref = midpoint_step_by_columns(
+                rhs, z, self.DT, guess=guess, theta=theta)
             guess = 2.0 * z_next - z
+            theta = report_ref.theta
             z = z_next
             assert report == report_ref
             np.testing.assert_array_equal(z_seen, z)
+
+
+class TestStoppingRule:
+    """Newton stops on its increments, counts a stall at the roundoff floor
+    as "floor" and still raises on real divergence."""
+
+    @staticmethod
+    def bump_run(N, dt, steps):
+        """The lifted periodic-bump preset at N and dt, cut to ``steps``."""
+        config = ExperimentConfig(
+            method="collective", spec=EXTENDED_BURGERS, N=N, L=L, dt=dt,
+            t_end=steps * dt, initial_condition="periodic-bump")
+        return run_experiment(config).runs[0]
+
+    # each of these stalled on step 1 under a plain residual test against
+    # tol = 1e-12, at residuals between 2.8e-12 and 9.4e-11
+    @pytest.mark.parametrize("N, log2_dt", [(256, -8), (256, -10),
+                                            (512, -12), (512, -9)])
+    def test_fine_grid_steps_complete(self, N, log2_dt):
+        run = self.bump_run(N, 2.0 ** log2_dt, 8)
+        assert run.converged
+        assert [rec.step for rec in run.records] == list(range(9))
+        assert all(rec.newton_iters <= 6 for rec in run.records)
+        assert run.accepted["increments"] + run.accepted["residual"] == 8
+
+    def test_stall_at_the_roundoff_floor_is_accepted_as_floor(self):
+        g = PeriodicGrid(64, L)
+        state = lift(g, Field.full(
+            1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)))
+        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        z0, dt = pack_state(state), 2.0 ** -8
+        # an increment target of 0.1 * 1e-16 * (1 + 8) is below roundoff
+        z1, report = midpoint_step(rhs, z0, dt, NewtonConfig(tol=1e-16))
+        assert report.status == report.accepted_on == "floor"
+        assert report.theta >= dynamics.FLOOR_THETA
+        assert len(report.increments) == report.newton_iterations
+        _, M = fd_jacobian(rhs, z0, dynamics.FD_STEP, 0.5 * dt)
+        floor = (np.finfo(float).eps * np.abs(M).sum(axis=1).max()
+                 * (1.0 + np.abs(z0).max()))
+        assert report.final_residual <= floor
+        # the default tolerance accepts the same step on its increments,
+        # within roundoff of the floor's answer
+        z_default, default = midpoint_step(rhs, z0, dt)
+        assert default.accepted_on == "increments"
+        assert np.max(np.abs(z1 - z_default)) < 1e-13
+
+    @pytest.mark.parametrize("max_iter", [3, 50])
+    def test_divergence_still_raises(self, max_iter):
+        # the conventional scheme at dt = 64 has no nearby solution
+        g = PeriodicGrid(16, L)
+        u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
+        rhs = conventional_flat_field(BURGERS, g)
+        with np.errstate(all="ignore"):
+            result = integrate(rhs, u0, 64.0, 10,
+                               NewtonConfig(max_iter=max_iter))
+        assert not result.converged
+        assert result.failure.step == 1
+        assert result.failure.report.status == "diverged"
+        assert len(result.failure.report.increments) == max_iter
+
+    def test_one_batched_call_per_step_once_the_rate_is_known(self):
+        # the lifted shock-every-step configuration, cut to 64 steps
+        g = PeriodicGrid(64, L)
+        state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
+        rhs = collective_flat_field(BURGERS, g, state.C)
+        calls = []
+
+        @functools.wraps(rhs)
+        def counted(z):
+            calls.append(z.shape[1:])
+            return rhs(z)
+
+        per_step = []
+        result = integrate(counted, pack_state(state), 2.0 ** -12, 64,
+                           observer=lambda k, t, z, rep: per_step.append(
+                               (list(calls), rep)))
+        assert result.converged
+        batch = (1 + rhs.colouring.n_colours,)
+        # the first step has no rate to carry in, so it needs a confirming call
+        first_calls, first = per_step[0]
+        assert first_calls[0] == batch and first.newton_iterations > 1
+        for (before, _), (after, report) in zip(per_step, per_step[1:]):
+            assert after[len(before):] == [batch]
+            assert report.accepted_on == "increments"
+            assert report.newton_iterations == len(report.increments) == 1
 
 
 def scheme_field(scheme, spec, g):

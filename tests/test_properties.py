@@ -9,14 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clebschflow.clebsch import momentum_arrays
+from clebschflow.clebsch import lift, momentum_arrays
 from clebschflow.dynamics import (
+    FD_STEP,
+    NewtonConfig,
     apply_K,
     collective_flat_field,
     conventional_flat_field,
+    fd_jacobian,
+    integrate,
+    pack_state,
 )
-from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
+from clebschflow.grid import Field, PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
 from clebschflow.hamiltonian import (
+    BURGERS,
+    EXTENDED_BURGERS,
     HamiltonianSpec,
     discrete_H_collective,
     discrete_H_conventional,
@@ -150,6 +157,41 @@ def test_batch_columns_are_bitwise_single_calls(spec, N, m, lifted, seed):
         single = field(X[:, k])
         assert single.shape == (d,)
         assert np.ascontiguousarray(batch[:, k]).tobytes() == single.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([BURGERS, EXTENDED_BURGERS]), st.integers(4, 64),
+       st.integers(5, 11), st.floats(0.1, 0.6), st.floats(0.0, L),
+       st.booleans())
+def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
+        spec, N, log2_steps, amplitude, shift, lifted):
+    # Newton accepts once its error estimate is at most
+    # KAPPA tol (1 + max|z|); the estimate extrapolates the increment
+    # ratios seen so far, which can understate the later rate, so each
+    # accepted step is held to 1/KAPPA times that bound, tol (1 + max|z|)
+    g = PeriodicGrid(N, L)
+    u0 = Field.full(1.0 + amplitude * np.cos(2 * np.pi * (g.full_nodes - shift)
+                                             / L))
+    if lifted:
+        state = lift(g, u0)
+        field, z0 = collective_flat_field(spec, g, state.C), pack_state(state)
+    else:
+        field, z0 = conventional_flat_field(spec, g), u0.values
+    dt = 2.0 ** -log2_steps
+    seen = []
+    integrate(field, z0, dt, 4,
+              observer=lambda k, t, z, report: seen.append(z.copy()))
+    z = z0
+    for accepted in seen:
+        # the same step iterated on to its fixed point
+        fixed = accepted.copy()
+        _, M = fd_jacobian(field, 0.5 * (z + fixed), FD_STEP, 0.5 * dt)
+        for _ in range(20):
+            fixed -= np.linalg.solve(
+                M, fixed - z - dt * field(0.5 * (z + fixed)))
+        tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
+        assert np.max(np.abs(accepted - fixed)) <= tolerance
+        z = accepted
 
 
 @st.composite

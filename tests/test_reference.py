@@ -15,15 +15,17 @@ from clebschflow.reference import (
     TravellingWaveState,
     burgers_characteristics,
     burgers_shock_time,
-    check_travelling_wave_reduction,
     fine_grid_reference,
     integrate_ode_adaptive,
-    pde_rhs_jet,
     travelling_wave_ode,
     travelling_wave_rhs,
 )
 
-from oracles import find_periodic_travelling_wave
+from oracles import (
+    check_travelling_wave_reduction,
+    find_periodic_travelling_wave,
+    pde_rhs_jet,
+)
 
 L = 8.0
 W = 2 * np.pi / L

@@ -1,9 +1,11 @@
 """Print the sha256 of every CSV a fixed set of runs writes, to check that
-a change leaves the program's output byte-identical.
+a change leaves the program's output byte-identical, and where it does
+not, how far the numbers moved.
 
 Usage, from the root of a checkout:
 
     python3 tools/output_digests.py [--seeds 1 7] [--full burgers-shock]
+                                    [--keep DIR] [--against DIR]
 
 The runs go through ``clebschflow.cli.main(["run", ...])`` of the
 checkout's ``src`` and write a diagnostics CSV and its ``_final.csv``
@@ -18,8 +20,15 @@ each:
   of 3).
 
 One line per file gives its digest and name; the last line is the digest
-of all the lines before it.  Run it in two checkouts and compare the last
+of all the digest lines.  Run it in two checkouts and compare the last
 lines, or diff the whole outputs to find the file that changed.
+
+``--keep DIR`` writes the CSVs into DIR and leaves them there.
+``--against DIR`` compares every CSV with the file of the same name in DIR
+(kept by an earlier ``--keep`` run, typically of another checkout): under
+the digest line of each file that differs it prints, per column, how many
+rows differ and the largest absolute and relative difference.  Numbered
+columns such as ``amp_0``, ``amp_1``, ... are folded into ``amp_*``.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -65,8 +75,47 @@ def cases(seeds, full):
         ("conventional",)
 
 
-def digests(seeds, full, work: Path):
-    """Yield one ``digest  name`` line per CSV written."""
+def differences(path: Path, other: Path):
+    """Lines that say, per column, how many rows of ``path`` differ from
+    ``other`` and by how much; none when the files are equal."""
+    if not other.is_file():
+        yield f"    missing from {other.parent}"
+        return
+    ours, theirs = path.read_text().splitlines(), other.read_text().splitlines()
+    if ours == theirs:
+        return
+    header = ours[0].split(",")
+    if theirs[0].split(",") != header or len(theirs) != len(ours):
+        yield (f"    shape differs: {len(ours) - 1} rows against "
+               f"{len(theirs) - 1}, or another header")
+        return
+    columns = {}  # folded name -> [rows differing, max abs, max rel]
+    for mine, their in zip(ours[1:], theirs[1:]):
+        seen = set()
+        for name, x, y in zip(header, mine.split(","), their.split(",")):
+            if x == y:
+                continue
+            key = re.sub(r"_\d+$", "_*", name)
+            entry = columns.setdefault(key, [0, 0.0, 0.0])
+            if key not in seen:
+                seen.add(key)
+                entry[0] += 1
+            try:
+                a, b = float(x), float(y)
+            except ValueError:  # an empty or text cell
+                continue
+            gap = abs(a - b)
+            scale = max(abs(a), abs(b))
+            entry[1] = max(entry[1], gap)
+            entry[2] = max(entry[2], gap / scale if scale else 0.0)
+    for key, (rows, gap, rel) in columns.items():
+        yield (f"    {key}: {rows} of {len(ours) - 1} rows differ, "
+               f"max abs {gap:.3g}, max rel {rel:.3g}")
+
+
+def digests(seeds, full, work: Path, against=None):
+    """Yield one ``digest  name`` line per CSV written, each followed by
+    its differences from the same file in ``against`` when given."""
     for name, config, methods in cases(seeds, full):
         config_path = work / f"{name}.json"
         config_path.write_text(json.dumps(config))
@@ -81,6 +130,8 @@ def digests(seeds, full, work: Path):
                          csv_path.with_name(csv_path.stem + "_final.csv")):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 yield f"{digest}  {path.name}"
+                if against is not None:
+                    yield from differences(path, against / path.name)
 
 
 def main(argv=None) -> int:
@@ -93,12 +144,25 @@ def main(argv=None) -> int:
                         choices=sorted(PRESETS),
                         help="presets to run in full rather than cut to "
                              f"{PRESET_STEPS} steps")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write the CSVs into DIR and keep them")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="report per-column differences from the CSVs "
+                             "of the same names in DIR")
     args = parser.parse_args(argv)
+    if args.against is not None and not args.against.is_dir():
+        parser.error(f"--against {args.against}: not a directory")
     lines = []
-    with tempfile.TemporaryDirectory() as work:
-        for line in digests(args.seeds, set(args.full), Path(work)):
+    with contextlib.ExitStack() as stack:
+        if args.keep is None:
+            work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            work = args.keep
+            work.mkdir(parents=True, exist_ok=True)
+        for line in digests(args.seeds, set(args.full), work, args.against):
             print(line, flush=True)
-            lines.append(line)
+            if not line.startswith(" "):
+                lines.append(line)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"{total}  all {len(lines)} files")
     return 0
