@@ -157,11 +157,9 @@ class NonConvergenceError(RuntimeError):
     and the step's "diverged" StepReport."""
 
     def __init__(self, message: str, step: Optional[int] = None,
-                 residual: Optional[float] = None,
                  report: Optional[StepReport] = None):
         super().__init__(message)
         self.step = step
-        self.residual = residual
         self.report = report
 
 
@@ -417,11 +415,10 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     report = StepReport(rounds, r_norm, "diverged", theta, tuple(increments))
     if not math.isfinite(r_norm):
         raise NonConvergenceError("non-finite midpoint residual",
-                                  residual=r_norm, report=report)
+                                  report=report)
     raise NonConvergenceError(
         f"midpoint Newton stalled at residual {r_norm:.3e} "
-        f"after {cfg.max_iter} updates",
-        residual=r_norm, report=report)
+        f"after {cfg.max_iter} updates", report=report)
 
 
 @dataclass
@@ -432,8 +429,11 @@ class IntegrationResult:
 
     z: np.ndarray
     steps_completed: int
-    converged: bool
     failure: Optional[NonConvergenceError] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 def integrate(field: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
@@ -466,10 +466,10 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], z0: np.ndarray,
                                            theta=theta)
         except NonConvergenceError as err:
             err.step = step
-            return IntegrationResult(z, step - 1, False, failure=err)
+            return IntegrationResult(z, step - 1, err)
         guess = 2.0 * z_next - z
         theta = report.theta
         z = z_next
         if observer is not None:
             observer(step, step * dt, z, report)
-    return IntegrationResult(z, n_steps, True)
+    return IntegrationResult(z, n_steps)

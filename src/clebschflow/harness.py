@@ -375,22 +375,11 @@ def resolve_initial_condition(config: ExperimentConfig) -> InitialCondition:
 
 # -- experiment drivers --------------------------------------------------------------
 
-#: Observation times the exact reference is asked for in one call.  The
+#: Observations whose exact solutions are asked for in one call.  The
 #: characteristics oracle solves a block in one vectorised Newton iteration
 #: for a fraction of the cost of separate calls; 64 rows of N values stay
 #: small next to the run.
 REFERENCE_BLOCK = 64
-
-
-def _observation_steps(first: int, every: int, n_steps: int,
-                       count: int) -> list:
-    """Up to ``count`` planned observation steps from ``first`` (itself a
-    planned step) on: the multiples of ``every`` up to ``n_steps``, and
-    ``n_steps``."""
-    steps = list(range(first, n_steps + 1, every)[:count])
-    if len(steps) < count and steps[-1:] != [n_steps]:
-        steps.append(n_steps)
-    return steps
 
 
 def _run_one_method(method: str, config: ExperimentConfig,
@@ -428,31 +417,23 @@ def _run_one_method(method: str, config: ExperimentConfig,
     cas0 = casimir(grid, recover(z0))
     records = []
     n_steps = config.n_steps
-    # Exact values by step for the block of observations being worked
-    # through.  A miss solves the next REFERENCE_BLOCK planned observations
-    # at once, at the same t = step * dt that integrate passes; step 0 is
-    # observed before the loop starts and is solved alone, so no block solve
-    # falls into the set-up.
-    exact_by_step = {}
+    # (record index, recovered field) of the records whose solution error
+    # waits for the exact solution at their t
+    pending = []
 
-    def exact_at(step):
-        if step not in exact_by_step:
-            steps = _observation_steps(step, config.observe_every, n_steps,
-                                       REFERENCE_BLOCK if step else 1)
-            exact_by_step.update(zip(
-                steps, reference([s * config.dt for s in steps], nodes)))
-        return exact_by_step.pop(step)
+    def fill_solution_errors():
+        exact = reference([records[i].t for i, _ in pending], nodes)
+        for (i, u), values in zip(pending, exact):
+            if values is not None:
+                err = solution_error(u, Field(values, compare))
+                records[i] = replace(records[i], solution_rel_err=err)
+        pending.clear()
 
     def observe(step, t, z, newton_iters):
         u = recover(z)
         H = energy(z)
         cas = casimir(grid, u)
         amps = fourier_modes(u)
-        sol_err = None
-        if reference is not None:
-            exact = exact_at(step)
-            if exact is not None:
-                sol_err = solution_error(u, Field(exact, compare))
         records.append(DiagnosticsRecord(
             method=method,
             step=step,
@@ -461,11 +442,15 @@ def _run_one_method(method: str, config: ExperimentConfig,
             casimir=cas,
             H_rel_err=_rel_err(H0, H),
             casimir_rel_err=_rel_err(cas0, cas),
-            solution_rel_err=sol_err,
+            solution_rel_err=None,
             fourier_amp=amps,
             nyquist_amp=float(amps[-1]) if nyquist_ok else math.nan,
             newton_iters=newton_iters,
         ))
+        if reference is not None:
+            pending.append((len(records) - 1, u))
+            if len(pending) >= REFERENCE_BLOCK:
+                fill_solution_errors()
 
     observe(0, 0.0, z0, 0)
     accepted = dict.fromkeys(("increments", "residual", "floor"), 0)
@@ -476,6 +461,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
             observe(step, t, z, report.newton_iterations)
 
     result = integrate(rhs, z0, config.dt, n_steps, config.newton, observer)
+    if pending:
+        fill_solution_errors()
     finals = {"u": recover(result.z)}
     if method == COLLECTIVE:
         final_state = unpack_state(result.z, winding)
@@ -526,9 +513,10 @@ def convergence_study(base_config: ExperimentConfig, levels,
     """Fixed-dt grid sweep; errors taken at the final step of each run.
 
     ``reference`` picks the exact-solution source for the final-time
-    comparison: "auto" uses the configuration's own reference (it must have
-    one), "fine-grid" substitutes a refined run of the lifted scheme, one
-    per level, restricted to the node sets of both schemes.
+    comparison: "auto" takes the solution error of each run's final record,
+    measured against the configuration's own reference (it must have one);
+    "fine-grid" substitutes a refined run of the lifted scheme, one per
+    level, restricted to the node sets of both schemes.
     Observed order between consecutive levels is log2(err_k / err_{k+1}),
     attached to the finer level.
     """
@@ -546,7 +534,6 @@ def convergence_study(base_config: ExperimentConfig, levels,
     for N in levels:
         config = replace(base_config, N=N, output_path=None)
         result = run_experiment(config)
-        t_final = config.n_steps * config.dt
         for run in result.runs:
             if not run.converged:
                 raise ref_mod.NonConvergenceError(
@@ -554,25 +541,26 @@ def convergence_study(base_config: ExperimentConfig, levels,
                     step=run.failed_step)
         if reference == "fine-grid":
             exact = ref_mod.fine_grid_reference(
-                config.spec, result.grid, ic.profile, config.dt, t_final)
+                config.spec, result.grid, ic.profile, config.dt,
+                config.n_steps * config.dt)
         for run in result.runs:
-            u = run.finals["u"]
+            final = run.records[-1]
             if reference == "auto":
-                values = ic.reference([t_final],
-                                      result.grid.nodes(u.staggering))[0]
-                if values is None:
+                solution_err = final.solution_rel_err
+                if solution_err is None:
                     raise ConfigError(
                         "exact reference invalid at the final time; use "
                         "reference='fine-grid'")
-                exact = {u.staggering: Field(values, u.staggering)}
-            final = run.records[-1]
+            else:
+                u = run.finals["u"]
+                solution_err = solution_error(u, exact[u.staggering])
             rows.setdefault(run.method, []).append(ConvergenceLevel(
                 method=run.method,
                 N=N,
                 dx=result.grid.dx,
                 casimir_err=abs(final.casimir_rel_err),
                 H_err=abs(final.H_rel_err),
-                solution_err=solution_error(u, exact[u.staggering]),
+                solution_err=solution_err,
                 observed_order=None,
             ))
     table = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -71,29 +71,29 @@ class MaxStepsExceededError(RuntimeError):
 
 # -- characteristics for the quadratic flow -------------------------------------
 
-def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
-                            u0_prime: Optional[Callable] = None,
-                            domain_length: Optional[float] = None,
-                            tol: float = 1e-12, max_iter: int = 100):
+#: Max-residual tolerance and iteration budget of the characteristics solve.
+_CHARACTERISTICS_TOL = 1e-12
+_CHARACTERISTICS_MAX_ITER = 100
+
+
+def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
     """Pre-shock solution of u_t = a u u_x (a = ``advection``) at (x, t).
 
     Solves the implicit characteristic relation u = u0(x + a t u) by Newton
-    iteration, seeded with u0(x).  Valid strictly before the gradient
-    catastrophe; raises NonConvergenceError at or past it.  Accepts scalar
-    or array x and returns matching shape.
+    iteration, seeded with u0(x), with a central-difference slope of u0.
+    Valid strictly before the gradient catastrophe.  At or past it the
+    iteration either raises NonConvergenceError or lands on one of the
+    isolated roots the relation keeps there, so callers keep t below the
+    breaking time (:func:`burgers_shock_time`).  Accepts scalar or array x
+    and returns matching shape.
 
     ``t`` may also be a 1-D array of times; the result then has one row per
     time, shape ``(len(t),) + x.shape``, from one vectorised iteration.  Each
     row runs exactly the iteration of its scalar call: the same u0(x) seed,
-    its own max-residual test against ``tol`` and its own denominator check,
-    and it is frozen once it converges, so every row is bitwise the scalar
-    result.  A t = 0 row is u0(x).  The call raises NonConvergenceError when
-    any row would; ``u0`` and ``u0_prime`` must act elementwise on arrays of
-    any shape.
-
-    Past breaking the relation keeps isolated roots the iteration can land
-    on, so passing ``domain_length`` (the period of u0) arms an explicit
-    validity check against the breaking time of the sampled initial slope.
+    its own max-residual test and its own denominator check, and it is
+    frozen once it converges, so every row is bitwise the scalar result.  A
+    t = 0 row is u0(x).  The call raises NonConvergenceError when any row
+    would; ``u0`` must act elementwise on arrays of any shape.
     """
     x_arr = np.asarray(x, dtype=float)
     t_arr = np.asarray(t, dtype=float)
@@ -106,15 +106,8 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
     x_flat = x_arr.reshape(1, -1)
     times = t_arr.reshape(-1, 1)
     active = np.flatnonzero(times[:, 0] != 0.0)
-    if active.size and domain_length is not None:
-        t_star = burgers_shock_time(u0, domain_length, advection=advection)
-        late = times[times >= 0.98 * t_star]
-        if late.size:
-            raise NonConvergenceError(
-                f"characteristics cross near t = {t_star:.6g}; "
-                f"no classical solution at t = {late[0]:.6g}")
     fd_step = 1e-6
-    for _ in range(max_iter):
+    for _ in range(_CHARACTERISTICS_MAX_ITER):
         if not active.size:
             break
         u = flat[active]
@@ -122,13 +115,10 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
         y = x_flat + at * u
         residual = u - np.asarray(u0(y), dtype=float)
         # a converged row keeps its value from here on
-        going = ~(np.max(np.abs(residual), axis=1) < tol)
+        going = ~(np.max(np.abs(residual), axis=1) < _CHARACTERISTICS_TOL)
         active, at, y = active[going], at[going], y[going]
-        if u0_prime is not None:
-            slope = np.asarray(u0_prime(y), dtype=float)
-        else:
-            slope = (np.asarray(u0(y + fd_step), dtype=float)
-                     - np.asarray(u0(y - fd_step), dtype=float)) / (2.0 * fd_step)
+        slope = (np.asarray(u0(y + fd_step), dtype=float)
+                 - np.asarray(u0(y - fd_step), dtype=float)) / (2.0 * fd_step)
         denom = 1.0 - at * slope
         if np.any(np.abs(denom) < 1e-10) or not np.all(np.isfinite(denom)):
             raise NonConvergenceError(
@@ -136,8 +126,8 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
         flat[active] = u[going] - residual[going] / denom
     if active.size:
         raise NonConvergenceError(
-            f"characteristic relation not solved to {tol:g} in "
-            f"{max_iter} iterations")
+            f"characteristic relation not solved to {_CHARACTERISTICS_TOL:g} "
+            f"in {_CHARACTERISTICS_MAX_ITER} iterations")
     return rows if rows.ndim else float(rows)
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clebschflow import dynamics
 from clebschflow.dynamics import NewtonConfig
 from clebschflow.grid import Field, PeriodicGrid, StaggeringError
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
@@ -383,14 +384,46 @@ class TestReferenceBlocks:
         got = solution_errors(result)
         assert got == expected
         # every valid observation time is asked for once per scheme, at the
-        # t the record carries: step 0 alone, then blocks of later times
+        # t the record carries, in one call per block of observations
         late = 0.98 * 8.0 / (6.0 * np.pi)
         valid = [r.t for r in result.records_interleaved() if r.t < late]
         assert sorted(t for call in asked for t in call) == sorted(valid)
         assert [err is None for _, _, err in got] == [
             r.t >= late for r in result.records_interleaved()]
-        blocks = -(-(len(valid) // 2 - 1) // block)
-        assert len(asked) == 2 * (1 + blocks)
+        assert len(asked) == 2 * -(-(len(valid) // 2) // block)
+
+    def test_a_stopped_run_asks_only_for_its_recorded_times(self,
+                                                           monkeypatch):
+        config = quick_config(observe_every=1, t_end=80 * 2.0 ** -8)
+        full = solution_errors(run_experiment(config))
+        midpoint_step = dynamics.midpoint_step
+        calls = []
+
+        def fails_at_step_ten(*args, **kwargs):
+            # the schemes run one after the other: calls 10 and 20 are
+            # step 10 of each
+            calls.append(None)
+            if len(calls) % 10 == 0:
+                raise dynamics.NonConvergenceError("chosen to fail")
+            return midpoint_step(*args, **kwargs)
+
+        asked = []
+        solve = ref_mod.burgers_characteristics
+
+        def counted(u0, x, t, **options):
+            asked.append(np.atleast_1d(t).tolist())
+            return solve(u0, x, t, **options)
+
+        monkeypatch.setattr(dynamics, "midpoint_step", fails_at_step_ten)
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", counted)
+        result = run_experiment(config)
+        assert [run.failed_step for run in result.runs] == [10, 10]
+        recorded = [r.t for run in result.runs for r in run.records]
+        assert len(recorded) == 20
+        assert [t for call in asked for t in call] == recorded
+        got = solution_errors(result)
+        assert got == [entry for entry in full if entry[1] < 10]
+        assert all(err is not None for _, _, err in got)
 
     def test_a_failing_time_empties_only_its_own_cell(self, monkeypatch):
         config = quick_config(observe_every=2, t_end=40 * 2.0 ** -8)
@@ -529,6 +562,41 @@ class TestConvergenceStudy:
                             dt=2.0 ** -8, t_end=0.25)
         with pytest.raises(ConfigError):
             convergence_study(base, [8, 16])
+
+    def test_auto_reference_makes_no_call_of_its_own(self, monkeypatch):
+        base = quick_config(dt=2.0 ** -10, t_end=40 * 2.0 ** -10)
+        run = harness.run_experiment
+        solve = ref_mod.burgers_characteristics
+        inside_runs = []
+        outside_runs = []
+
+        def counted_run(config):
+            inside_runs.append(True)
+            try:
+                return run(config)
+            finally:
+                inside_runs.pop()
+
+        def counted_solve(u0, x, t, **options):
+            if not inside_runs:
+                outside_runs.append(t)
+            return solve(u0, x, t, **options)
+
+        monkeypatch.setattr(harness, "run_experiment", counted_run)
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", counted_solve)
+        table = convergence_study(base, [8, 16])
+        assert outside_runs == []
+        # the final record's error is the one a separate final-time call
+        # to the reference gives
+        monkeypatch.undo()
+        ic = resolve_initial_condition(base)
+        for row in table:
+            result = run_experiment(replace(base, N=row.N))
+            u = result.run_for(row.method).finals["u"]
+            nodes = result.grid.nodes(u.staggering)
+            exact = ic.reference([base.n_steps * base.dt], nodes)[0]
+            assert row.solution_err == solution_error(
+                u, Field(exact, u.staggering))
 
     def test_initial_condition_is_resolved_once_per_study(self,
                                                           monkeypatch):

@@ -1,5 +1,7 @@
-"""The per-column comparison of ``tools/output_digests.py --against``."""
+"""The per-column comparison of ``tools/output_digests.py --against`` and
+its convergence tables."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -47,3 +49,23 @@ def test_missing_and_reshaped_files_are_named(tmp_path):
         == [f"    missing from {tmp_path / 'nowhere'}"]
     lines = compare(tmp_path, HEADER + "collective,0,1,,1,1\n", HEADER)
     assert lines == ["    shape differs: 1 rows against 0, or another header"]
+
+
+def test_converge_tables_are_digested(tmp_path):
+    lines = list(output_digests.converge_digests(tmp_path))
+    names = ["converge-auto.csv", "converge-fine-grid.csv"]
+    assert lines == [
+        f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  {n}"
+        for n in names]
+    auto, fine = [(tmp_path / n).read_text().splitlines() for n in names]
+    assert auto[0] == fine[0] == \
+        "method,N,dx,solution_err,H_err,casimir_err,observed_order"
+    assert [row.split(",")[:2] for row in auto[1:]] == [
+        ["collective", "8"], ["collective", "16"],
+        ["conventional", "8"], ["conventional", "16"]]
+    # the same runs against two references: only the solution errors and
+    # the orders read off them differ
+    for ours, theirs in zip(auto[1:], fine[1:]):
+        ours, theirs = ours.split(","), theirs.split(",")
+        assert ours[:3] + ours[4:6] == theirs[:3] + theirs[4:6]
+        assert ours[3] != theirs[3]

@@ -19,6 +19,10 @@ each:
   diverged run (the conventional scheme at dt = 64 with a Newton budget
   of 3).
 
+Then ``clebschflow converge --method both --levels 8,16`` writes the error
+table of the ``burgers-shock`` preset cut to 64 steps, once with each
+``--reference`` (``auto`` and ``fine-grid``).
+
 One line per file gives its digest and name; the last line is the digest
 of all the digest lines.  Run it in two checkouts and compare the last
 lines, or diff the whole outputs to find the file that changed.
@@ -52,6 +56,7 @@ import workloads  # noqa: E402
 
 METHODS = ("collective", "conventional", "both")
 PRESET_STEPS = 64
+CONVERGE_LEVELS = "8,16"
 
 
 def cases(seeds, full):
@@ -113,6 +118,37 @@ def differences(path: Path, other: Path):
                f"max abs {gap:.3g}, max rel {rel:.3g}")
 
 
+def _clebschflow(argv, label: str) -> None:
+    """Run the command line quietly; a configuration error ends the tool."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code == 1:
+        raise SystemExit(f"{label}: configuration error")
+
+
+def _digest(path: Path, against):
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    yield f"{digest}  {path.name}"
+    if against is not None:
+        yield from differences(path, against / path.name)
+
+
+def converge_digests(work: Path, against=None):
+    """Digest lines of the two convergence tables (see the module
+    docstring)."""
+    config = config_to_dict(PRESETS["burgers-shock"])
+    config["t_end"] = PRESET_STEPS * config["dt"]
+    config_path = work / "converge.json"
+    config_path.write_text(json.dumps(config))
+    for reference in ("auto", "fine-grid"):
+        csv_path = work / f"converge-{reference}.csv"
+        _clebschflow(["converge", "--config", str(config_path),
+                      "--method", "both", "--levels", CONVERGE_LEVELS,
+                      "--reference", reference, "--out", str(csv_path)],
+                     f"converge ({reference})")
+        yield from _digest(csv_path, against)
+
+
 def digests(seeds, full, work: Path, against=None):
     """Yield one ``digest  name`` line per CSV written, each followed by
     its differences from the same file in ``against`` when given."""
@@ -121,17 +157,13 @@ def digests(seeds, full, work: Path, against=None):
         config_path.write_text(json.dumps(config))
         for method in methods:
             csv_path = work / f"{name}-{method}.csv"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", "--config", str(config_path),
-                                 "--method", method, "--out", str(csv_path)])
-            if code == 1:
-                raise SystemExit(f"{name} ({method}): configuration error")
+            _clebschflow(["run", "--config", str(config_path),
+                          "--method", method, "--out", str(csv_path)],
+                         f"{name} ({method})")
             for path in (csv_path,
                          csv_path.with_name(csv_path.stem + "_final.csv")):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                yield f"{digest}  {path.name}"
-                if against is not None:
-                    yield from differences(path, against / path.name)
+                yield from _digest(path, against)
+    yield from converge_digests(work, against)
 
 
 def main(argv=None) -> int:
