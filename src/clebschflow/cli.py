@@ -11,7 +11,7 @@ environment variable ``CLEBSCHFLOW_OUTDIR`` sets the default output
 directory.  Output paths are checked before any step runs.  Exit status:
 0 on success, 1 on configuration errors (an output path that cannot be
 written included), 2 when a scheme's Newton iterations failed to converge
-(partial data is still written).
+(``run`` still writes the partial data, ``converge`` writes no table).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .dynamics import NonConvergenceError
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -173,7 +174,12 @@ def _cmd_converge(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
     if args.out:
         _check_writable(Path(args.out))
-    table = convergence_study(config, args.levels, reference=args.reference)
+    try:
+        table = convergence_study(config, args.levels,
+                                  reference=args.reference)
+    except NonConvergenceError as exc:
+        print(f"converge: {exc}; no table written", file=sys.stderr)
+        return 2
     header = (f"{'method':>12} {'N':>6} {'dx':>10} {'solution':>12} "
               f"{'H':>12} {'casimir':>12} {'order':>7}")
     lines = [header]

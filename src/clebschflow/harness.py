@@ -11,9 +11,10 @@ otherwise.
 
 Comparison conventions: the lifted method is compared on the half grid
 (where its recovered field lives) and its Casimir is evaluated there; the
-direct method uses the full grid for both.  A convergence study against
-the fine-grid reference makes one refined run per level and restricts it
-to both node sets.
+direct method uses the full grid for both.  A convergence study is made
+of ordinary runs that record only their endpoints; its fine-grid reference
+is one more lifted run per level, on a FINE_GRID_REFINE times finer grid
+at dt/4, restricted to the node set of each scheme.
 
 Each CSV is rendered from one header line and one ``str.format`` row
 template: numbers carry 17 significant digits, a missing solution error is
@@ -39,7 +40,7 @@ from .dynamics import (
     pack_state,
     unpack_state,
 )
-from .grid import Field, PeriodicGrid, Staggering, StaggeringError
+from .grid import Field, PeriodicGrid, Staggering, StaggeringError, st_avg
 from .hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -497,6 +498,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, grid, runs)
 
 
+#: Grid refinement of a convergence study's fine-grid reference (at dt/4);
+#: an even factor puts every coarse half and full node on a fine full node.
+FINE_GRID_REFINE = 8
+
+
 @dataclass(frozen=True)
 class ConvergenceLevel:
     method: str
@@ -508,15 +514,31 @@ class ConvergenceLevel:
     observed_order: Optional[float]
 
 
+def _converged_run(config: ExperimentConfig, level: int,
+                   label: str = "") -> ExperimentResult:
+    """run_experiment, raising NonConvergenceError that names the scheme,
+    the level and the step when a scheme diverged."""
+    result = run_experiment(config)
+    for run in result.runs:
+        if not run.converged:
+            raise ref_mod.NonConvergenceError(
+                f"{label}{run.method} run diverged at step "
+                f"{run.failed_step} of level N={level}",
+                step=run.failed_step)
+    return result
+
+
 def convergence_study(base_config: ExperimentConfig, levels,
                       reference: str = "auto") -> list:
     """Fixed-dt grid sweep; errors taken at the final step of each run.
 
-    ``reference`` picks the exact-solution source for the final-time
+    Each level is an ordinary run recording only step 0 and its final
+    step.  ``reference`` picks the exact-solution source for the final-time
     comparison: "auto" takes the solution error of each run's final record,
     measured against the configuration's own reference (it must have one);
-    "fine-grid" substitutes a refined run of the lifted scheme, one per
-    level, restricted to the node sets of both schemes.
+    "fine-grid" substitutes a lifted run per level at FINE_GRID_REFINE
+    times the nodes and dt/4, restricted to the node set of each scheme.
+    A diverged run, refined or not, raises NonConvergenceError.
     Observed order between consecutive levels is log2(err_k / err_{k+1}),
     attached to the finer level.
     """
@@ -525,24 +547,23 @@ def convergence_study(base_config: ExperimentConfig, levels,
         raise ConfigError("need at least one grid level")
     if reference not in ("auto", "fine-grid"):
         raise ConfigError(f"unknown reference source {reference!r}")
-    rows = {}
-    # the profile and its reference do not depend on N
-    ic = resolve_initial_condition(base_config)
-    if reference == "auto" and ic.reference is None:
+    if (reference == "auto"
+            and resolve_initial_condition(base_config).reference is None):
         raise ConfigError("configuration has no exact reference; use "
                           "reference='fine-grid'")
+    rows = {}
     for N in levels:
-        config = replace(base_config, N=N, output_path=None)
-        result = run_experiment(config)
-        for run in result.runs:
-            if not run.converged:
-                raise ref_mod.NonConvergenceError(
-                    f"{run.method} run diverged at level N={N}",
-                    step=run.failed_step)
+        config = replace(base_config, N=N, output_path=None,
+                         observe_every=max(base_config.n_steps, 1))
+        result = _converged_run(config, N)
         if reference == "fine-grid":
-            exact = ref_mod.fine_grid_reference(
-                config.spec, result.grid, ic.profile, config.dt,
-                config.n_steps * config.dt)
+            # 4 n_steps steps, also when t_end is not a multiple of dt
+            fine = replace(config, method=COLLECTIVE, N=FINE_GRID_REFINE * N,
+                           dt=config.dt / 4, t_end=config.n_steps * config.dt,
+                           observe_every=max(4 * config.n_steps, 1))
+            refined = _converged_run(
+                fine, N, f"refined (N={fine.N}, dt/4) ").runs[0]
+            u_fine = st_avg(refined.finals["u"].values)
         for run in result.runs:
             final = run.records[-1]
             if reference == "auto":
@@ -552,8 +573,15 @@ def convergence_study(base_config: ExperimentConfig, levels,
                         "exact reference invalid at the final time; use "
                         "reference='fine-grid'")
             else:
+                # coarse node k is fine full node 8k + 3 on the half grid
+                # and 8k + 7 on the full grid (for the factor 8)
                 u = run.finals["u"]
-                solution_err = solution_error(u, exact[u.staggering])
+                shift = FINE_GRID_REFINE - 1
+                if u.staggering is Staggering.HALF:
+                    shift -= FINE_GRID_REFINE // 2
+                exact = Field(u_fine[FINE_GRID_REFINE * np.arange(N) + shift],
+                              u.staggering)
+                solution_err = solution_error(u, exact)
             rows.setdefault(run.method, []).append(ConvergenceLevel(
                 method=run.method,
                 N=N,

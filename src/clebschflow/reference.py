@@ -5,8 +5,6 @@
 * Travelling waves u(x, t) = f(x - c t) of the cubic-density flow reduce to
   a third-order ODE in the wave frame, integrated here with an embedded
   Runge-Kutta 5(4) pair with PI step-size control and quartic dense output.
-* A heavily refined run of the lifted scheme restricted to coarse nodes
-  serves as the reference where no closed form exists.
 
 The pointwise flow generated by the density C1 u^2 + C2 u_x^2 + C3 u^3
 + C4 u_x^3 is
@@ -30,15 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clebsch import lift, momentum_map
-from .dynamics import (
-    NonConvergenceError,
-    collective_flat_field,
-    integrate,
-    pack_state,
-    unpack_state,
-)
-from .grid import Field, PeriodicGrid, Staggering, st_avg
+from .dynamics import NonConvergenceError
 from .hamiltonian import HamiltonianSpec
 
 __all__ = [
@@ -46,14 +36,11 @@ __all__ = [
     "SingularReductionError",
     "StepSizeUnderflowError",
     "MaxStepsExceededError",
-    "TravellingWaveState",
     "burgers_characteristics",
     "burgers_shock_time",
-    "travelling_wave_rhs",
     "travelling_wave_ode",
     "integrate_ode_adaptive",
     "AdaptiveSolution",
-    "fine_grid_reference",
 ]
 
 
@@ -144,19 +131,13 @@ def burgers_shock_time(u0: Callable, L: float, advection: float = 6.0,
 
 # -- travelling-wave reduction of the cubic flow ---------------------------------
 
-@dataclass(frozen=True)
-class TravellingWaveState:
-    """Wave-frame jet (f, f', f'') and the wave speed c."""
-
-    f: float
-    f1: float
-    f2: float
-    c: float
+#: Leading wave-frame coefficient below which the reduction is singular.
+_WAVE_FRAME_FLOOR = 1e-10
 
 
-def travelling_wave_rhs(spec: HamiltonianSpec, y: TravellingWaveState,
-                        floor: float = 1e-10):
-    """Wave-frame derivative (f', f'', f''') of the first-order system.
+def travelling_wave_ode(spec: HamiltonianSpec, c: float) -> Callable:
+    """Wave-frame right-hand side as an (s, y)-callable for the adaptive
+    integrator, mapping the jet y = (f, f', f'') to (f', f'', f''').
 
     Substituting u = f(x - c t) into the flow and solving for f''' gives
 
@@ -164,32 +145,25 @@ def travelling_wave_rhs(spec: HamiltonianSpec, y: TravellingWaveState,
                 - 6 C4 f'^2 f'' - 12 C4 f f''^2] / (4 f (C2 + 3 C4 f'))
 
     The reduction is singular where the leading coefficient 4 f (C2+3 C4 f')
-    vanishes; SingularReductionError is raised below the configured floor.
+    vanishes; SingularReductionError is raised below a floor of 1e-10.
     Constant states are regular fixed points (the numerator vanishes
     identically with f' = f'' = 0) as long as f itself stays off zero.
     """
-    f, f1, f2 = y.f, y.f1, y.f2
-    denom = 4.0 * f * (spec.C2 + 3.0 * spec.C4 * f1)
-    if abs(denom) < floor:
-        raise SingularReductionError(
-            f"leading wave-frame coefficient {denom:.3e} below floor {floor:g}")
-    numer = (y.c * f1
-             + 6.0 * spec.C1 * f * f1
-             + 15.0 * spec.C3 * f * f * f1
-             - 2.0 * spec.C2 * f1 * f2
-             - 6.0 * spec.C4 * f1 * f1 * f2
-             - 12.0 * spec.C4 * f * f2 * f2)
-    return f1, f2, numer / denom
-
-
-def travelling_wave_ode(spec: HamiltonianSpec, c: float,
-                        floor: float = 1e-10) -> Callable:
-    """Wave-frame right-hand side as an (s, y)-callable for the adaptive
-    integrator, y = (f, f', f'')."""
 
     def rhs(s, y):
-        state = TravellingWaveState(float(y[0]), float(y[1]), float(y[2]), c)
-        return np.asarray(travelling_wave_rhs(spec, state, floor=floor))
+        f, f1, f2 = float(y[0]), float(y[1]), float(y[2])
+        denom = 4.0 * f * (spec.C2 + 3.0 * spec.C4 * f1)
+        if abs(denom) < _WAVE_FRAME_FLOOR:
+            raise SingularReductionError(
+                f"leading wave-frame coefficient {denom:.3e} below floor "
+                f"{_WAVE_FRAME_FLOOR:g}")
+        numer = (c * f1
+                 + 6.0 * spec.C1 * f * f1
+                 + 15.0 * spec.C3 * f * f * f1
+                 - 2.0 * spec.C2 * f1 * f2
+                 - 6.0 * spec.C4 * f1 * f1 * f2
+                 - 12.0 * spec.C4 * f * f2 * f2)
+        return np.asarray((f1, f2, numer / denom))
 
     return rhs
 
@@ -356,38 +330,3 @@ def integrate_ode_adaptive(rhs: Callable, y0, s_span, rel_tol: float = 1e-10,
 
     return AdaptiveSolution(np.array(nodes), np.array(states), segments,
                             n_accepted, step_log)
-
-
-# -- refined-run reference ---------------------------------------------------------
-
-def fine_grid_reference(spec: HamiltonianSpec, grid_coarse: PeriodicGrid,
-                        u0: Callable, dt: float, t_end: float,
-                        refine: int = 8) -> dict:
-    """Reference solution from the lifted scheme on a ``refine`` times finer
-    grid with time step dt/4, restricted to the coarse nodes: one fine run
-    serves both node sets, returned as ``{Staggering.HALF: Field,
-    Staggering.FULL: Field}``.
-
-    Powers-of-two refinement keeps every coarse node in the fine full-node
-    set (coarse half nodes land on fine full nodes for even factors), so
-    each restriction is an exact index slice of the fine solution averaged
-    onto its full grid.
-    """
-    if refine < 2 or refine % 2 != 0:
-        raise ValueError("refinement factor must be an even integer >= 2")
-    fine = PeriodicGrid(refine * grid_coarse.N, grid_coarse.L)
-    u0_fine = Field.full(np.asarray(u0(fine.full_nodes), dtype=float))
-    state = lift(fine, u0_fine)
-    rhs = collective_flat_field(spec, fine, state.C)
-    dt_fine = dt / 4
-    n_steps = int(round(t_end / dt_fine))
-    result = integrate(rhs, pack_state(state), dt_fine, n_steps)
-    if not result.converged:
-        raise result.failure
-    final = unpack_state(result.z, state.C)
-    u_full = st_avg(momentum_map(fine, final).values)
-    idx = np.arange(grid_coarse.N)
-    return {Staggering.HALF: Field(u_full[refine * idx + refine // 2 - 1],
-                                   Staggering.HALF),
-            Staggering.FULL: Field(u_full[refine * (idx + 1) - 1],
-                                   Staggering.FULL)}

@@ -36,10 +36,8 @@ from clebschflow.reference import (
     MaxStepsExceededError,
     SingularReductionError,
     StepSizeUnderflowError,
-    TravellingWaveState,
     integrate_ode_adaptive,
     travelling_wave_ode,
-    travelling_wave_rhs,
 )
 
 
@@ -234,7 +232,7 @@ def pde_rhs_jet(spec: HamiltonianSpec, u, ux, uxx, uxxx):
 
 def check_travelling_wave_reduction(spec: HamiltonianSpec, c: float,
                                     samples: np.ndarray) -> float:
-    """Self-test of the f''' formula in travelling_wave_rhs.
+    """Self-test of the f''' formula in travelling_wave_ode.
 
     For each wave-frame jet sample (f, f', f''), the derived f''' must make
     the full flow residual  -c f' - u_t(f, f', f'', f''')  vanish; returns
@@ -242,9 +240,9 @@ def check_travelling_wave_reduction(spec: HamiltonianSpec, c: float,
     algebra is right).
     """
     worst = 0.0
+    rhs = travelling_wave_ode(spec, c)
     for f, f1, f2 in np.atleast_2d(samples):
-        state = TravellingWaveState(float(f), float(f1), float(f2), c)
-        _, _, f3 = travelling_wave_rhs(spec, state)
+        _, _, f3 = rhs(0.0, (f, f1, f2))
         ut = pde_rhs_jet(spec, f, f1, f2, f3)
         scale = max(abs(ut), abs(c * f1), 1.0)
         worst = max(worst, abs(-c * f1 - ut) / scale)

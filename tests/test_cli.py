@@ -308,6 +308,40 @@ class TestConvergeCommand:
         assert err.count("\n") == 1
         assert out == ""
 
+    def test_diverging_level_exits_two_without_a_table(self, tmp_path,
+                                                       capsys):
+        import numpy as np
+        out = tmp_path / "orders.csv"
+        with np.errstate(all="ignore"):
+            code, stdout, err = run_cli(
+                capsys, "converge", "--method", "conventional", "--dt", "64",
+                "--t-end", "640", "--levels", "8,16", "--out", str(out))
+        assert code == 2
+        assert err == ("converge: conventional run diverged at step 2 of "
+                       "level N=8; no table written\n")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_diverging_refined_run_exits_two(self, capsys, monkeypatch):
+        from clebschflow.dynamics import IntegrationResult, NonConvergenceError
+        integrate = harness.integrate
+
+        def fine_grid_diverges(rhs, z0, dt, n_steps, *args):
+            if z0.size == 2 * 64:
+                return IntegrationResult(z0, 4, NonConvergenceError(
+                    "Newton diverged", step=5))
+            return integrate(rhs, z0, dt, n_steps, *args)
+
+        monkeypatch.setattr(harness, "integrate", fine_grid_diverges)
+        code, stdout, err = run_cli(
+            capsys, "converge", "--method", "conventional", "--dt",
+            "0.0009765625", "--t-end", "0.03125", "--levels", "8",
+            "--reference", "fine-grid")
+        assert code == 2
+        assert err == ("converge: refined (N=64, dt/4) collective run "
+                       "diverged at step 5 of level N=8; no table written\n")
+        assert stdout == ""
+
     def test_writes_table_csv(self, tmp_path, capsys):
         out = tmp_path / "orders.csv"
         code, _, _ = run_cli(

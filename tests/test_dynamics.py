@@ -26,8 +26,8 @@ from clebschflow.hamiltonian import (
     discrete_H_conventional,
     grad_conventional,
 )
-from clebschflow.harness import ExperimentConfig, run_experiment
-from clebschflow.reference import fine_grid_reference
+from clebschflow.harness import (
+    ExperimentConfig, convergence_study, run_experiment)
 
 from oracles import column_jacobian, dense_K, midpoint_step_by_columns
 
@@ -520,10 +520,11 @@ class TestJacobianAssembly:
         assert run_experiment(config).converged
         assert sorted(set(colours)) == [6, 16]
         colours.clear()
-        fine_grid_reference(BURGERS, PeriodicGrid(4, L),
-                            lambda x: 1.0 + 0.5 * np.cos(W * x),
-                            dt=2.0 ** -8, t_end=2.0 ** -8)
-        assert colours and set(colours) == {16}
+        # the level run at N = 4 and its refined run at N = 32
+        level = ExperimentConfig(method="collective", N=4, dt=2.0 ** -8,
+                                 t_end=2.0 ** -8)
+        convergence_study(level, [4], reference="fine-grid")
+        assert sorted(set(colours)) == [8, 16]
 
     def test_rhs_errors_propagate(self):
         def broken(z):

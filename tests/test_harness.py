@@ -8,13 +8,14 @@ import pytest
 
 from clebschflow import dynamics
 from clebschflow.dynamics import NewtonConfig
-from clebschflow.grid import Field, PeriodicGrid, StaggeringError
+from clebschflow.grid import Field, PeriodicGrid, Staggering, StaggeringError
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
 from clebschflow import harness
 from clebschflow import reference as ref_mod
 from clebschflow.harness import (
     COLLECTIVE,
     CONVENTIONAL,
+    FINE_GRID_REFINE,
     MAX_STEPS,
     ConfigError,
     ExperimentConfig,
@@ -598,6 +599,31 @@ class TestConvergenceStudy:
             assert row.solution_err == solution_error(
                 u, Field(exact, u.staggering))
 
+    def test_one_oracle_call_per_scheme_per_level(self, monkeypatch):
+        # several reference blocks' worth of steps, all of them observed by
+        # the base configuration: each level records only its endpoints
+        base = quick_config(dt=2.0 ** -10, t_end=200 * 2.0 ** -10,
+                            observe_every=1)
+        solve = ref_mod.burgers_characteristics
+        calls = []
+
+        def counted(u0, x, t, **options):
+            calls.append(np.size(t))
+            return solve(u0, x, t, **options)
+
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", counted)
+        table = convergence_study(base, [8, 16])
+        assert len(table) == 4 and calls == [2, 2, 2, 2]
+        # the table read off runs that observe every step
+        monkeypatch.undo()
+        for row in table:
+            run = run_experiment(replace(base, N=row.N)).run_for(row.method)
+            assert len(run.records) == base.n_steps + 1
+            final = run.records[-1]
+            assert (row.solution_err, row.H_err, row.casimir_err) == (
+                final.solution_rel_err, abs(final.H_rel_err),
+                abs(final.casimir_rel_err))
+
     def test_initial_condition_is_resolved_once_per_study(self,
                                                           monkeypatch):
         resolve = harness.resolve_initial_condition
@@ -618,17 +644,21 @@ class TestConvergenceStudy:
         base = quick_config(spec=EXTENDED_BURGERS,
                             initial_condition="periodic-bump",
                             dt=2.0 ** -9, t_end=32 * 2.0 ** -9, method="both")
-        fine_grid_reference = ref_mod.fine_grid_reference
-        calls = []
+        run = harness.run_experiment
+        refined = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].N)
-            return fine_grid_reference(*args, **kwargs)
+        def counted(config):
+            if config.N > 32:
+                refined.append((config.method, config.N, config.dt,
+                                config.n_steps, config.observe_every))
+            return run(config)
 
-        monkeypatch.setattr(ref_mod, "fine_grid_reference", counted)
+        monkeypatch.setattr(harness, "run_experiment", counted)
         table = convergence_study(base, [16, 32], reference="fine-grid")
-        # one refined run per level serves both schemes
-        assert calls == [16, 32]
+        # one refined lifted run per level serves both schemes and records
+        # only its endpoints
+        assert refined == [(COLLECTIVE, 8 * N, 2.0 ** -11, 128, 128)
+                           for N in (16, 32)]
         by_method = {}
         for row in table:
             by_method.setdefault(row.method, []).append(row)
@@ -636,6 +666,55 @@ class TestConvergenceStudy:
         for rows in by_method.values():
             order = rows[1].observed_order
             assert order is not None and 1.5 < order < 2.5
+
+
+def fine_grid_comparison(monkeypatch, base, N, refine=FINE_GRID_REFINE):
+    """{staggering: (final u, fine-grid reference)} as a one-level study
+    compares them."""
+    compared = {}
+
+    def recording(u, exact):
+        compared[u.staggering] = (u, exact)
+        return solution_error(u, exact)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "solution_error", recording)
+        patch.setattr(harness, "FINE_GRID_REFINE", refine)
+        convergence_study(replace(base, N=N), [N], reference="fine-grid")
+    return compared
+
+
+class TestFineGridReference:
+    def test_constant_profile_is_exact(self, monkeypatch):
+        base = quick_config(initial_condition="custom:1.5", dt=2.0 ** -6)
+        compared = fine_grid_comparison(monkeypatch, base, 8)
+        assert set(compared) == {Staggering.HALF, Staggering.FULL}
+        for staggering, (_, exact) in compared.items():
+            np.testing.assert_allclose(exact.values, np.full(8, 1.5),
+                                       atol=1e-10)
+            assert exact.staggering is staggering
+
+    def test_matches_characteristics_before_breaking(self, monkeypatch):
+        # the reference carries the fine scheme's own O(dx_fine^2) error
+        base = quick_config(dt=2.0 ** -8, t_end=0.0625)
+        compared = fine_grid_comparison(monkeypatch, base, 16)
+        g = PeriodicGrid(16, L)
+        profile = lambda y: 1.0 + 0.5 * np.cos(W * np.asarray(y))
+        for staggering, (_, exact) in compared.items():
+            oracle = ref_mod.burgers_characteristics(
+                profile, g.nodes(staggering), 0.0625)
+            assert np.max(np.abs(exact.values - oracle)) < 1e-3
+
+    def test_refinement_self_consistency(self, monkeypatch):
+        # switching 8x -> 16x refinement must move the reference far less
+        # than the coarse-grid error it is used to measure
+        base = quick_config(method=COLLECTIVE, dt=2.0 ** -8, t_end=0.0625)
+        _, ref8 = fine_grid_comparison(monkeypatch, base, 16)[Staggering.HALF]
+        u_coarse, ref16 = fine_grid_comparison(
+            monkeypatch, base, 16, refine=16)[Staggering.HALF]
+        coarse_err = np.max(np.abs(u_coarse.values - ref16.values))
+        assert np.any(ref8.values != ref16.values)
+        assert np.max(np.abs(ref8.values - ref16.values)) < 0.2 * coarse_err
 
 
 class TestSchemeContracts:

@@ -4,7 +4,7 @@ import sympy as sp
 from scipy.integrate import solve_ivp
 
 from clebschflow.dynamics import conventional_flat_field
-from clebschflow.grid import Field, PeriodicGrid, Staggering
+from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
 from clebschflow.harness import TRAVELLING_WAVE_PARAMS
 from clebschflow.reference import (
@@ -12,13 +12,10 @@ from clebschflow.reference import (
     MaxStepsExceededError,
     SingularReductionError,
     StepSizeUnderflowError,
-    TravellingWaveState,
     burgers_characteristics,
     burgers_shock_time,
-    fine_grid_reference,
     integrate_ode_adaptive,
     travelling_wave_ode,
-    travelling_wave_rhs,
 )
 
 from oracles import (
@@ -72,17 +69,16 @@ class TestCharacteristics:
 
 class TestWaveFrameReduction:
     def test_nonzero_constant_is_a_regular_fixed_point(self):
-        y = TravellingWaveState(1.2, 0.0, 0.0, c=-0.5)
-        assert travelling_wave_rhs(EXTENDED_BURGERS, y) == (0.0, 0.0, 0.0)
+        rhs = travelling_wave_ode(EXTENDED_BURGERS, -0.5)
+        assert tuple(rhs(0.0, (1.2, 0.0, 0.0))) == (0.0, 0.0, 0.0)
 
     def test_vanishing_leading_coefficient_is_singular(self):
+        rhs = travelling_wave_ode(EXTENDED_BURGERS, -0.5)
         with pytest.raises(SingularReductionError):
-            travelling_wave_rhs(EXTENDED_BURGERS,
-                                TravellingWaveState(0.0, 0.0, 0.3, c=-0.5))
+            rhs(0.0, (0.0, 0.0, 0.3))
         with pytest.raises(SingularReductionError):
             # f' = -C2/(3 C4) = -1/3 kills the leading coefficient
-            travelling_wave_rhs(EXTENDED_BURGERS,
-                                TravellingWaveState(1.0, -1.0 / 3.0, 0.3, c=-0.5))
+            rhs(0.0, (1.0, -1.0 / 3.0, 0.3))
 
     def test_derived_third_derivative_satisfies_the_flow(self):
         rng = np.random.default_rng(0)
@@ -110,12 +106,12 @@ class TestWaveFrameReduction:
         rng = np.random.default_rng(1)
         spec = EXTENDED_BURGERS
         for _ in range(100):
-            y = TravellingWaveState(1.0 + 0.4 * rng.standard_normal(),
-                                    0.25 * rng.standard_normal(),
-                                    0.5 * rng.standard_normal(),
-                                    c=float(rng.standard_normal()))
-            _, _, got = travelling_wave_rhs(spec, y)
-            want = float(f3_fn(y.f, y.f1, y.f2, y.c))
+            y = (1.0 + 0.4 * rng.standard_normal(),
+                 0.25 * rng.standard_normal(),
+                 0.5 * rng.standard_normal())
+            c = float(rng.standard_normal())
+            _, _, got = travelling_wave_ode(spec, c)(0.0, y)
+            want = float(f3_fn(*y, c))
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_jet_rhs_reduces_to_quadratic_flow(self):
@@ -237,52 +233,3 @@ class TestFrozenTravellingWave:
         assert found[0] == pytest.approx(f0, abs=1e-6)
         assert found[1] == pytest.approx(f2, abs=1e-6)
         assert found[2] == pytest.approx(c, abs=1e-6)
-
-
-class TestFineGridReference:
-    def test_constant_profile_is_exact(self):
-        g = PeriodicGrid(8, L)
-        out = fine_grid_reference(BURGERS, g, lambda x: np.full_like(x, 1.5),
-                                  dt=2.0 ** -6, t_end=0.125)
-        assert set(out) == {Staggering.HALF, Staggering.FULL}
-        for staggering, field in out.items():
-            np.testing.assert_allclose(field.values, np.full(8, 1.5),
-                                       atol=1e-10)
-            assert field.staggering is staggering
-
-    def test_matches_characteristics_before_breaking(self):
-        # the reference carries the fine scheme's own O(dx_fine^2) error
-        g = PeriodicGrid(16, L)
-        t_end = 0.0625
-        dt = 2.0 ** -8
-        refs = fine_grid_reference(BURGERS, g, cosine_profile, dt, t_end)
-        for staggering in (Staggering.HALF, Staggering.FULL):
-            exact = burgers_characteristics(cosine_profile,
-                                            g.nodes(staggering), t_end)
-            assert np.max(np.abs(refs[staggering].values - exact)) < 1e-3
-
-    def test_refinement_self_consistency(self):
-        # switching 8x -> 16x refinement must move the reference far less
-        # than the coarse-grid error it is used to measure
-        from clebschflow.clebsch import lift, momentum_map
-        from clebschflow.dynamics import (collective_flat_field, integrate,
-                                          pack_state, unpack_state)
-        g = PeriodicGrid(16, L)
-        t_end = 0.0625
-        dt = 2.0 ** -8
-        ref8 = fine_grid_reference(BURGERS, g, cosine_profile, dt, t_end,
-                                   refine=8)[Staggering.HALF]
-        ref16 = fine_grid_reference(BURGERS, g, cosine_profile, dt, t_end,
-                                    refine=16)[Staggering.HALF]
-        state = lift(g, Field.full(cosine_profile(g.full_nodes)))
-        run = integrate(collective_flat_field(BURGERS, g, state.C),
-                        pack_state(state), dt, round(t_end / dt))
-        u_coarse = momentum_map(g, unpack_state(run.z, state.C)).values
-        coarse_err = np.max(np.abs(u_coarse - ref16.values))
-        assert np.max(np.abs(ref8.values - ref16.values)) < 0.2 * coarse_err
-
-    def test_odd_refinement_rejected(self):
-        g = PeriodicGrid(8, L)
-        with pytest.raises(ValueError):
-            fine_grid_reference(BURGERS, g, cosine_profile, 2.0 ** -6, 0.1,
-                                refine=3)

@@ -53,16 +53,21 @@ def test_missing_and_reshaped_files_are_named(tmp_path):
 
 def test_converge_tables_are_digested(tmp_path):
     lines = list(output_digests.converge_digests(tmp_path))
-    names = ["converge-auto.csv", "converge-fine-grid.csv"]
+    names = ["converge-burgers-shock-auto.csv",
+             "converge-burgers-shock-fine-grid.csv",
+             "converge-periodic-bump-fine-grid.csv",
+             "converge-travelling-wave-auto.csv"]
     assert lines == [
         f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  {n}"
         for n in names]
-    auto, fine = [(tmp_path / n).read_text().splitlines() for n in names]
-    assert auto[0] == fine[0] == \
-        "method,N,dx,solution_err,H_err,casimir_err,observed_order"
-    assert [row.split(",")[:2] for row in auto[1:]] == [
-        ["collective", "8"], ["collective", "16"],
-        ["conventional", "8"], ["conventional", "16"]]
+    tables = [(tmp_path / n).read_text().splitlines() for n in names]
+    for table in tables:
+        assert table[0] == \
+            "method,N,dx,solution_err,H_err,casimir_err,observed_order"
+        assert [row.split(",")[:2] for row in table[1:]] == [
+            ["collective", "8"], ["collective", "16"],
+            ["conventional", "8"], ["conventional", "16"]]
+    auto, fine = tables[:2]
     # the same runs against two references: only the solution errors and
     # the orders read off them differ
     for ours, theirs in zip(auto[1:], fine[1:]):

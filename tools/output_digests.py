@@ -19,9 +19,11 @@ each:
   diverged run (the conventional scheme at dt = 64 with a Newton budget
   of 3).
 
-Then ``clebschflow converge --method both --levels 8,16`` writes the error
-table of the ``burgers-shock`` preset cut to 64 steps, once with each
-``--reference`` (``auto`` and ``fine-grid``).
+Then ``clebschflow converge --method both --levels 8,16`` writes four
+error tables, each of a preset cut to 64 steps: ``burgers-shock`` once
+with each ``--reference`` (``auto`` and ``fine-grid``), ``periodic-bump``
+with ``fine-grid`` (the cubic density, which has no closed-form solution)
+and ``travelling-wave`` with ``auto`` (the translated wave profile).
 
 One line per file gives its digest and name; the last line is the digest
 of all the digest lines.  Run it in two checkouts and compare the last
@@ -57,6 +59,9 @@ import workloads  # noqa: E402
 METHODS = ("collective", "conventional", "both")
 PRESET_STEPS = 64
 CONVERGE_LEVELS = "8,16"
+#: (preset, --reference) of every convergence table, in order.
+CONVERGE_TABLES = (("burgers-shock", "auto"), ("burgers-shock", "fine-grid"),
+                   ("periodic-bump", "fine-grid"), ("travelling-wave", "auto"))
 
 
 def cases(seeds, full):
@@ -134,18 +139,17 @@ def _digest(path: Path, against):
 
 
 def converge_digests(work: Path, against=None):
-    """Digest lines of the two convergence tables (see the module
-    docstring)."""
-    config = config_to_dict(PRESETS["burgers-shock"])
-    config["t_end"] = PRESET_STEPS * config["dt"]
-    config_path = work / "converge.json"
-    config_path.write_text(json.dumps(config))
-    for reference in ("auto", "fine-grid"):
-        csv_path = work / f"converge-{reference}.csv"
+    """Digest lines of the convergence tables (see the module docstring)."""
+    for preset, reference in CONVERGE_TABLES:
+        config = config_to_dict(PRESETS[preset])
+        config["t_end"] = PRESET_STEPS * config["dt"]
+        config_path = work / f"converge-{preset}.json"
+        config_path.write_text(json.dumps(config))
+        name = f"converge-{preset}-{reference}"
+        csv_path = work / f"{name}.csv"
         _clebschflow(["converge", "--config", str(config_path),
                       "--method", "both", "--levels", CONVERGE_LEVELS,
-                      "--reference", reference, "--out", str(csv_path)],
-                     f"converge ({reference})")
+                      "--reference", reference, "--out", str(csv_path)], name)
         yield from _digest(csv_path, against)
 
 
