@@ -123,14 +123,15 @@ class StepReport:
     """Outcome of one implicit solve.
 
     newton_iterations counts field-call rounds, so a state that is already
-    a fixed point reports one round and zero linear solves.  status is
-    "converged", "floor" (stalled at the roundoff floor, accepted) or
-    "diverged" (carried by NonConvergenceError only).  final_residual is
-    the last residual evaluated; a step accepted on its increments made
-    one more update after it.  increments holds the max norm of every
-    Newton update, and theta the latest contraction rate: the ratio of the
-    last two increments when the step made two, otherwise the one carried
-    in from the previous step (None when there was none).
+    a fixed point reports one round and zero linear solves.  status names
+    the test that ended the iteration: "increments", "residual", "floor"
+    (stalled at the roundoff floor, accepted) or "diverged" (carried by
+    NonConvergenceError only).  final_residual is the last residual
+    evaluated; a step accepted on its increments made one more update
+    after it.  increments holds the max norm of every Newton update, and
+    theta the latest contraction rate: the ratio of the last two
+    increments when the step made two, otherwise the one carried in from
+    the previous step (None when there was none).
     """
 
     newton_iterations: int
@@ -138,17 +139,6 @@ class StepReport:
     status: str
     theta: Optional[float]
     increments: tuple
-
-    @property
-    def accepted_on(self) -> str:
-        """The test that ended the iteration: "increments", "residual",
-        "floor" or "diverged".  Only the increment test accepts right after
-        an update, so it is the one with as many updates as rounds."""
-        if self.status != "converged":
-            return self.status
-        if len(self.increments) == self.newton_iterations:
-            return "increments"
-        return "residual"
 
 
 class NonConvergenceError(RuntimeError):
@@ -250,20 +240,17 @@ class Colouring:
     seed[:, c] is the 0/1 indicator of the columns of colour c.  The k-th
     entry that may be nonzero sits at flat position entries[k] of the
     Jacobian and is read from flat position sources[k] of the (d, colours)
-    compressed difference: its own row, its column's colour.  unit[k] is
-    1.0 when that entry lies on the diagonal and 0.0 elsewhere, so the
-    listed entries of I - h J are unit - h * compressed[sources]; every
-    diagonal entry is listed.  Columns of one colour share no row.  The
-    arrays are read-only, so one colouring can serve every caller.
+    compressed difference: its own row, its column's colour.  Columns of
+    one colour share no row.  The arrays are read-only, so one colouring
+    can serve every caller.
     """
 
     seed: np.ndarray
     entries: np.ndarray
     sources: np.ndarray
-    unit: np.ndarray
 
     def __post_init__(self):
-        for array in (self.seed, self.entries, self.sources, self.unit):
+        for array in (self.seed, self.entries, self.sources):
             array.flags.writeable = False
 
     @property
@@ -306,16 +293,15 @@ def band_colouring(N: int, half_width: int, blocks: int = 1) -> Colouring:
     band = (node[:, None] + reach) % N
     rows = (np.arange(blocks)[:, None] * N + band[:, None, :]).reshape(d, -1)
     return Colouring(seed, (rows * d + col[:, None]).reshape(-1),
-                     (rows * seed.shape[1] + col_colour[:, None]).reshape(-1),
-                     (rows == col[:, None]).reshape(-1).astype(float))
+                     (rows * seed.shape[1] + col_colour[:, None]).reshape(-1))
 
 
 # -- implicit midpoint ------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
-                step: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+                h: float) -> tuple[np.ndarray, np.ndarray]:
     """f(z) and the Newton matrix I - h J, with J the forward-difference
-    Jacobian of f at z, from one batched evaluation.
+    Jacobian of f at z (step FD_STEP), from one batched evaluation.
 
     f must accept column-stacked states of shape (d, m) and return (d, m).
     The batch holds z itself and then one perturbed state per colour of
@@ -323,25 +309,26 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     colouring lists is read off its column's colour.  A callable without
     the attribute (a lambda, or a wrapper that does not copy ``__dict__``)
     gets the dense difference, one colour per column.  The listed entries
-    are scattered as unit - h * (difference) into a zero matrix, the same
-    floating-point operations as np.eye(d) - h * J without any d x d
-    arithmetic.  Returns (f(z), M).
+    are scattered as 0.0 - h * (difference) into a zero matrix and 1.0 is
+    added on the diagonal; (0 - y) + 1 rounds as 1 - y, so M is bitwise
+    np.eye(d) - h * J without any d x d arithmetic.  Returns (f(z), M).
     """
     d = z.shape[0]
     # a half-width of d makes every row read every input
     colouring = getattr(f, "colouring", None) or band_colouring(d, d)
     states = np.empty((d, 1 + colouring.n_colours))
     states[:, 0] = z
-    np.add(z[:, None], step * colouring.seed, out=states[:, 1:])
+    np.add(z[:, None], FD_STEP * colouring.seed, out=states[:, 1:])
     batch = np.asarray(f(states), dtype=float)
     if batch.shape != states.shape:
         raise ValueError(f"batched field returned shape {batch.shape}, "
                          f"expected {states.shape}")
     f0 = batch[:, 0]
-    compressed = (batch[:, 1:] - batch[:, :1]) / step
+    compressed = (batch[:, 1:] - batch[:, :1]) / FD_STEP
     M = np.zeros((d, d))
     M.reshape(-1)[colouring.entries] = (
-        colouring.unit - h * compressed.ravel()[colouring.sources])
+        0.0 - h * compressed.ravel()[colouring.sources])
+    M.reshape(-1)[::d + 1] += 1.0
     return f0, M
 
 
@@ -358,13 +345,14 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
     makes one batched field call that yields both its residual and the
     frozen matrix I - (dt/2) J, assembled with the field's own colouring
     (see :func:`fd_jacobian`); every later round makes one single call.
-    After every update the step is accepted when theta/(1 - theta) |dz|
-    is at most KAPPA * cfg.tol * (1 + max|z|), with theta the ratio of the
-    last two increments, or for the first update the ``theta`` passed in
-    (the previous step's report.theta).  Without one, the first measured
-    ratio is not used (see the module notes).  A residual within cfg.tol
-    accepts the iterate it was evaluated at, so a state already at a fixed
-    point stops in round one (and still pays for the batch).  An update that
+    After every update the step is accepted, with status "increments",
+    when theta/(1 - theta) |dz| is at most KAPPA * cfg.tol * (1 + max|z|),
+    with theta the ratio of the last two increments, or for the first
+    update the ``theta`` passed in (the previous step's report.theta).
+    Without one, the first measured ratio is not used (see the module
+    notes).  A residual within cfg.tol accepts the iterate it was evaluated
+    at with status "residual", so a state already at a fixed point stops
+    in round one (and still pays for the batch).  An update that
     shrinks the increment by less than FLOOR_THETA while the residual is
     at most eps |M| (1 + max|z|) ends the step with status "floor".
     Returns (z_next, StepReport); raises NonConvergenceError when the
@@ -374,7 +362,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
         raise ValueError("dt must be nonzero")
     z = np.asarray(z, dtype=float)
     z_new = z.copy() if guess is None else np.array(guess, dtype=float)
-    f_mid, M = fd_jacobian(field, 0.5 * (z + z_new), FD_STEP, 0.5 * dt)
+    f_mid, M = fd_jacobian(field, 0.5 * (z + z_new), 0.5 * dt)
     z_size = 1.0 + float(np.abs(z).max())
     target = KAPPA * cfg.tol * z_size
     floor = None
@@ -389,7 +377,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
         if not math.isfinite(r_norm):
             break
         if r_norm <= cfg.tol:
-            return z_new, StepReport(rounds, r_norm, "converged", theta,
+            return z_new, StepReport(rounds, r_norm, "residual", theta,
                                      tuple(increments))
         if len(increments) == cfg.max_iter:
             break
@@ -402,7 +390,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], z: np.ndarray,
         usable = first_rate_usable or len(increments) > 2
         if usable and theta < 1.0 and (
                 theta / (1.0 - theta) * dz_norm <= target):
-            return z_new, StepReport(rounds, r_norm, "converged", theta,
+            return z_new, StepReport(rounds, r_norm, "increments", theta,
                                      tuple(increments))
         if len(increments) > 1 and theta >= FLOOR_THETA:
             if floor is None:

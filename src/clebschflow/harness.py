@@ -142,15 +142,18 @@ class DiagnosticsRecord:
 @dataclass
 class MethodRun:
     """One scheme's run.  accepted counts the completed steps by the test
-    that ended their Newton iteration (``StepReport.accepted_on``):
+    that ended their Newton iteration (``StepReport.status``):
     "increments", "residual" or "floor"."""
 
     method: str
     records: list
     finals: dict
-    converged: bool
     failed_step: Optional[int] = None
     accepted: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.failed_step is None
 
 
 @dataclass
@@ -252,12 +255,16 @@ def _check_profile_node(node: ast.AST, expr: str) -> None:
 
 def _custom_profile(expr: str, L: float) -> Callable:
     """Compile a ``custom:`` expression in x once, after checking it
-    against the profile grammar."""
+    against the profile grammar.  Every number is made a float, so the
+    arithmetic never builds a Python big integer."""
     try:
         tree = ast.parse(expr.strip(), mode="eval")
         _check_profile_node(tree, expr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
         code = compile(tree, "<custom profile>", "eval")
-    except (SyntaxError, RecursionError, MemoryError) as exc:
+    except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
         raise ConfigError(f"cannot parse custom profile {expr!r}: "
                           f"{str(exc) or type(exc).__name__}")
     namespace = dict(_PROFILE_FUNCTIONS, pi=np.pi, L=L)
@@ -267,9 +274,9 @@ def _custom_profile(expr: str, L: float) -> Callable:
         x = np.asarray(x, dtype=float)
         try:
             value = eval(code, no_builtins, dict(namespace, x=x))  # noqa: S307
+            arr = np.asarray(value, dtype=float)
         except Exception as exc:
             raise ConfigError(f"cannot evaluate custom profile {expr!r}: {exc}")
-        arr = np.asarray(value, dtype=float)
         if arr.shape != x.shape:
             arr = np.broadcast_to(arr, x.shape).copy()
         return arr
@@ -457,11 +464,14 @@ def _run_one_method(method: str, config: ExperimentConfig,
     accepted = dict.fromkeys(("increments", "residual", "floor"), 0)
 
     def observer(step, t, z, report):
-        accepted[report.accepted_on] += 1
+        accepted[report.status] += 1
         if step % config.observe_every == 0 or step == n_steps:
             observe(step, t, z, report.newton_iterations)
 
-    result = integrate(rhs, z0, config.dt, n_steps, config.newton, observer)
+    # a diverging scheme is reported by its non-finite residual, once
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = integrate(rhs, z0, config.dt, n_steps, config.newton,
+                           observer)
     if pending:
         fill_solution_errors()
     finals = {"u": recover(result.z)}
@@ -470,8 +480,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
         finals["q"] = final_state.q
         finals["p"] = final_state.p
     failed_step = result.failure.step if result.failure is not None else None
-    return MethodRun(method, records, finals, result.converged, failed_step,
-                     accepted)
+    return MethodRun(method, records, finals, failed_step, accepted)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -348,7 +348,7 @@ def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None,
         if not np.isfinite(r_norm):
             raise NonConvergenceError("non-finite midpoint residual")
         if r_norm <= cfg.tol:
-            return z_new, StepReport(rounds, r_norm, "converged", theta,
+            return z_new, StepReport(rounds, r_norm, "residual", theta,
                                      tuple(increments))
         if rounds > cfg.max_iter:
             break
@@ -362,7 +362,7 @@ def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None,
         usable = carried or len(increments) > 2
         if usable and theta < 1.0 and (theta / (1.0 - theta) * increments[-1]
                                        <= KAPPA * cfg.tol * size):
-            return z_new, StepReport(rounds, r_norm, "converged", theta,
+            return z_new, StepReport(rounds, r_norm, "increments", theta,
                                      tuple(increments))
         floor = np.finfo(float).eps * np.max(np.sum(np.abs(M), axis=1)) * size
         if len(increments) > 1 and theta >= FLOOR_THETA and r_norm <= floor:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +345,20 @@ class TestConvergeCommand:
         assert err == ("converge: refined (N=64, dt/4) collective run "
                        "diverged at step 5 of level N=8; no table written\n")
         assert stdout == ""
+
+    def test_diverging_level_writes_one_stderr_line(self, tmp_path):
+        # a fresh interpreter, so numpy's warnings reach stderr as they
+        # would from the command line
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "clebschflow.cli", "converge", "--method",
+             "conventional", "--dt", "64", "--t-end", "640", "--levels",
+             "8,16"], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == ("converge: conventional run diverged at step "
+                               "2 of level N=8; no table written\n")
 
     def test_writes_table_csv(self, tmp_path, capsys):
         out = tmp_path / "orders.csv"

@@ -161,7 +161,7 @@ class TestMidpointStep:
         z_next, report = midpoint_step(zero, z, 0.1)
         np.testing.assert_array_equal(z_next, z)
         assert report.newton_iterations == 1
-        assert report.accepted_on == "residual"
+        assert report.status == "residual"
         # a fixed point still pays for the Jacobian batch: z and 3 columns
         assert calls == [(4,)]
 
@@ -331,17 +331,17 @@ class TestStoppingRule:
         z0, dt = pack_state(state), 2.0 ** -8
         # an increment target of 0.1 * 1e-16 * (1 + 8) is below roundoff
         z1, report = midpoint_step(rhs, z0, dt, NewtonConfig(tol=1e-16))
-        assert report.status == report.accepted_on == "floor"
+        assert report.status == "floor"
         assert report.theta >= dynamics.FLOOR_THETA
         assert len(report.increments) == report.newton_iterations
-        _, M = fd_jacobian(rhs, z0, dynamics.FD_STEP, 0.5 * dt)
+        _, M = fd_jacobian(rhs, z0, 0.5 * dt)
         floor = (np.finfo(float).eps * np.abs(M).sum(axis=1).max()
                  * (1.0 + np.abs(z0).max()))
         assert report.final_residual <= floor
         # the default tolerance accepts the same step on its increments,
         # within roundoff of the floor's answer
         z_default, default = midpoint_step(rhs, z0, dt)
-        assert default.accepted_on == "increments"
+        assert default.status == "increments"
         assert np.max(np.abs(z1 - z_default)) < 1e-13
 
     @pytest.mark.parametrize("max_iter", [3, 50])
@@ -357,6 +357,40 @@ class TestStoppingRule:
         assert result.failure.step == 1
         assert result.failure.report.status == "diverged"
         assert len(result.failure.report.increments) == max_iter
+
+    def test_status_matches_the_rounds_the_step_made(self):
+        # Only the residual test accepts before the update its round would
+        # make; the increment and floor tests accept right after one.
+        # Burgers at N = 16 ends steps on both of the first two tests, and
+        # the lifted periodic bump at tol = 1e-16 stalls at the floor.
+        def runs():
+            g = PeriodicGrid(16, L)
+            u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
+            state = lift(g, Field.full(u0))
+            yield (collective_flat_field(BURGERS, g, state.C),
+                   pack_state(state), 2.0 ** -6, NewtonConfig())
+            yield (conventional_flat_field(BURGERS, g), u0, 2.0 ** -6,
+                   NewtonConfig())
+            g = PeriodicGrid(64, L)
+            state = lift(g, Field.full(
+                1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)))
+            yield (collective_flat_field(EXTENDED_BURGERS, g, state.C),
+                   pack_state(state), 2.0 ** -8, NewtonConfig(tol=1e-16))
+
+        seen = set()
+        for rhs, z0, dt, cfg in runs():
+            reports = []
+            result = integrate(rhs, z0, dt, 64, cfg,
+                               observer=lambda k, t, z, rep: reports.append(
+                                   rep))
+            assert result.converged and len(reports) == 64
+            for report in reports:
+                extra = 1 if report.status == "residual" else 0
+                assert report.status in ("increments", "residual", "floor")
+                assert (report.newton_iterations
+                        == len(report.increments) + extra)
+                seen.add(report.status)
+        assert seen == {"increments", "residual", "floor"}
 
     def test_one_batched_call_per_step_once_the_rate_is_known(self):
         # the lifted shock-every-step configuration, cut to 64 steps
@@ -381,7 +415,7 @@ class TestStoppingRule:
         assert first_calls[0] == batch and first.newton_iterations > 1
         for (before, _), (after, report) in zip(per_step, per_step[1:]):
             assert after[len(before):] == [batch]
-            assert report.accepted_on == "increments"
+            assert report.status == "increments"
             assert report.newton_iterations == len(report.increments) == 1
 
 
@@ -414,12 +448,11 @@ class TestJacobianAssembly:
         g = PeriodicGrid(16, L)
         rhs = scheme_field(scheme, EXTENDED_BURGERS, g)
         z = random_state(g, rhs.colouring.seed.shape[0])
-        step = 1e-7
-        f0, J_loop = column_jacobian(rhs, z, step)
+        f0, J_loop = column_jacobian(rhs, z, dynamics.FD_STEP)
         M_loop = np.eye(z.size) - h * J_loop
         assert rhs.colouring.n_colours < z.size
         for field in (rhs, dense(rhs)):
-            f_z, M = fd_jacobian(field, z, step, h)
+            f_z, M = fd_jacobian(field, z, h)
             assert_bitwise(f_z, f0)
             assert_bitwise(M, M_loop)
 
@@ -431,8 +464,8 @@ class TestJacobianAssembly:
         g = PeriodicGrid(N, L)
         rhs = scheme_field(scheme, spec, g)
         z = random_state(g, rhs.colouring.seed.shape[0])
-        f_z, M = fd_jacobian(rhs, z, 1e-7, 2.0 ** -9)
-        f_dense, M_dense = fd_jacobian(dense(rhs), z, 1e-7, 2.0 ** -9)
+        f_z, M = fd_jacobian(rhs, z, 2.0 ** -9)
+        f_dense, M_dense = fd_jacobian(dense(rhs), z, 2.0 ** -9)
         assert_bitwise(f_z, f_dense)
         assert_bitwise(M, M_dense)
 
@@ -452,10 +485,8 @@ class TestJacobianAssembly:
         np.testing.assert_array_equal(source_rows, rows)
         np.testing.assert_array_equal(colouring.seed[cols, colours],
                                       np.ones(cols.size))
-        # unit marks exactly the diagonal entries, and all d of them are
-        # listed, so the scattered I - h J has its whole diagonal
-        np.testing.assert_array_equal(colouring.unit, rows == cols)
-        np.testing.assert_array_equal(np.sort(rows[colouring.unit == 1.0]),
+        # all d diagonal entries of J are listed, once each
+        np.testing.assert_array_equal(np.sort(rows[rows == cols]),
                                       np.arange(d))
         # a (row, colour) slot is read by one listed entry only, and no
         # entry is listed twice
@@ -474,9 +505,9 @@ class TestJacobianAssembly:
         np.testing.assert_array_equal(colouring.seed, np.eye(5))
         np.testing.assert_array_equal(np.sort(colouring.entries),
                                       np.arange(25))
-        assert colouring.unit.sum() == 5
-        for array in (colouring.seed, colouring.entries, colouring.sources,
-                      colouring.unit):
+        rows, cols = np.divmod(colouring.entries, 5)
+        assert np.count_nonzero(rows == cols) == 5
+        for array in (colouring.seed, colouring.entries, colouring.sources):
             assert not array.flags.writeable  # shared through a cache
 
     def test_bare_callable_is_dense_and_wraps_keeps_the_colouring(self):
@@ -495,9 +526,9 @@ class TestJacobianAssembly:
             return rhs(v)
 
         assert wrapped.colouring is rhs.colouring
-        f_z, M = fd_jacobian(rhs, z, 1e-7, 2.0 ** -9)
+        f_z, M = fd_jacobian(rhs, z, 2.0 ** -9)
         for field in (bare, wrapped):
-            f_field, M_field = fd_jacobian(field, z, 1e-7, 2.0 ** -9)
+            f_field, M_field = fd_jacobian(field, z, 2.0 ** -9)
             assert_bitwise(f_field, f_z)
             assert_bitwise(M_field, M)
         # one batch each, z and then one state per colour: the identity,
@@ -531,19 +562,19 @@ class TestJacobianAssembly:
             raise ZeroDivisionError("bug in the field")
 
         with pytest.raises(ZeroDivisionError):
-            fd_jacobian(broken, np.ones(3), 1e-7, 0.5)
+            fd_jacobian(broken, np.ones(3), 0.5)
 
     def test_wrong_batch_shape_raises(self):
         def single_only(z):
             return -np.asarray(z)[..., 0]
 
         with pytest.raises(ValueError):
-            fd_jacobian(single_only, np.ones(3), 1e-7, 0.5)
+            fd_jacobian(single_only, np.ones(3), 0.5)
 
     def test_linear_field_recovered_exactly(self):
         A = np.array([[0.0, 1.0], [-2.0, 0.5]])
         z = np.array([0.3, -1.2])
-        f_z, M = fd_jacobian(lambda v: A @ v, z, 1e-7, 0.25)
+        f_z, M = fd_jacobian(lambda v: A @ v, z, 0.25)
         np.testing.assert_allclose(f_z, A @ z, rtol=1e-15)
         np.testing.assert_allclose(M, np.eye(2) - 0.25 * A, atol=1e-6)
 

@@ -321,6 +321,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=r"custom:.* is not finite"):
             run_experiment(cfg)
 
+    # numbers are floats: no Python big integer is built, and a result
+    # out of float range is a configuration error, not an OverflowError
+    @pytest.mark.parametrize("expr", ["10**400", "9**9**7"])
+    def test_out_of_range_profile_arithmetic_rejected(self, expr):
+        cfg = quick_config(initial_condition="custom:" + expr)
+        with pytest.raises(ConfigError, match=r"cannot evaluate custom"):
+            run_experiment(cfg)
+
     def test_newton_failure_is_flagged_not_raised(self):
         cfg = quick_config(method="conventional", dt=64.0, t_end=640.0,
                            observe_every=1,

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from clebschflow.clebsch import lift, momentum_arrays
 from clebschflow.dynamics import (
-    FD_STEP,
     NewtonConfig,
     apply_K,
     collective_flat_field,
@@ -185,7 +184,7 @@ def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
     for accepted in seen:
         # the same step iterated on to its fixed point
         fixed = accepted.copy()
-        _, M = fd_jacobian(field, 0.5 * (z + fixed), FD_STEP, 0.5 * dt)
+        _, M = fd_jacobian(field, 0.5 * (z + fixed), 0.5 * dt)
         for _ in range(20):
             fixed -= np.linalg.solve(
                 M, fixed - z - dt * field(0.5 * (z + fixed)))
