@@ -33,6 +33,7 @@ from .hamiltonian import (
     grad_conventional,
 )
 from .dynamics import (
+    Band,
     IntegrationResult,
     NewtonConfig,
     NonConvergenceError,

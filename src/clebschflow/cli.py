@@ -149,7 +149,8 @@ def _cmd_run(args) -> int:
     print(f"wrote {csv_path} and {final_path}")
     if script_path is not None:
         with _writing(script_path):
-            emit_gnuplot_script(str(csv_path), str(script_path))
+            emit_gnuplot_script(str(csv_path), str(script_path),
+                                [run.method for run in result.runs])
         print(f"wrote {script_path}")
     reached = config.n_steps * config.dt
     if abs(reached - config.t_end) > 1e-12 * max(1.0, abs(config.t_end)):

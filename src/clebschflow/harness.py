@@ -401,7 +401,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
         state0 = lift(grid, u0)
         winding = state0.C
         z0 = pack_state(state0)
-        rhs = collective_flat_field(spec, grid, winding)
+        rhs, band = collective_flat_field(spec, grid, winding)
         compare = Staggering.HALF
 
         def recover(z):
@@ -411,7 +411,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
             return discrete_H_collective(spec, dx, winding, z[:N], z[N:])
     else:
         z0 = u0.values.copy()
-        rhs = conventional_flat_field(spec, grid)
+        rhs, band = conventional_flat_field(spec, grid)
         compare = Staggering.FULL
 
         def recover(z):
@@ -470,8 +470,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
 
     # a diverging scheme is reported by its non-finite residual, once
     with np.errstate(over="ignore", invalid="ignore"):
-        result = integrate(rhs, z0, config.dt, n_steps, config.newton,
-                           observer)
+        result = integrate(rhs, band, z0, config.dt, n_steps,
+                           config.newton, observer)
     if pending:
         fill_solution_errors()
     finals = {"u": recover(result.z)}
@@ -491,6 +491,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     is the honest endpoint of a diverging scheme.  An initial profile that
     is not finite at every node raises ConfigError.
     """
+    return _run_experiment(config, exact=True)
+
+
+def _run_experiment(config: ExperimentConfig,
+                    exact: bool) -> ExperimentResult:
+    """run_experiment; the records' solution errors are left empty unless
+    ``exact``, and the configuration's exact reference is then not
+    called."""
     config.validate()
     grid = PeriodicGrid(config.N, config.L)
     # a profile that is not finite everywhere is reported once, below
@@ -502,7 +510,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                           f"every grid node")
     methods = ([COLLECTIVE, CONVENTIONAL] if config.method == "both"
                else [config.method])
-    runs = [_run_one_method(m, config, grid, u0, ic.reference)
+    reference = ic.reference if exact else None
+    runs = [_run_one_method(m, config, grid, u0, reference)
             for m in methods]
     return ExperimentResult(config, grid, runs)
 
@@ -523,11 +532,11 @@ class ConvergenceLevel:
     observed_order: Optional[float]
 
 
-def _converged_run(config: ExperimentConfig, level: int,
+def _converged_run(config: ExperimentConfig, level: int, exact: bool,
                    label: str = "") -> ExperimentResult:
-    """run_experiment, raising NonConvergenceError that names the scheme,
+    """_run_experiment, raising NonConvergenceError that names the scheme,
     the level and the step when a scheme diverged."""
-    result = run_experiment(config)
+    result = _run_experiment(config, exact)
     for run in result.runs:
         if not run.converged:
             raise ref_mod.NonConvergenceError(
@@ -546,7 +555,8 @@ def convergence_study(base_config: ExperimentConfig, levels,
     comparison: "auto" takes the solution error of each run's final record,
     measured against the configuration's own reference (it must have one);
     "fine-grid" substitutes a lifted run per level at FINE_GRID_REFINE
-    times the nodes and dt/4, restricted to the node set of each scheme.
+    times the nodes and dt/4, restricted to the node set of each scheme,
+    and then no run calls the configuration's own reference.
     A diverged run, refined or not, raises NonConvergenceError.
     Observed order between consecutive levels is log2(err_k / err_{k+1}),
     attached to the finer level.
@@ -564,14 +574,15 @@ def convergence_study(base_config: ExperimentConfig, levels,
     for N in levels:
         config = replace(base_config, N=N, output_path=None,
                          observe_every=max(base_config.n_steps, 1))
-        result = _converged_run(config, N)
+        result = _converged_run(config, N, exact=reference == "auto")
         if reference == "fine-grid":
             # 4 n_steps steps, also when t_end is not a multiple of dt
             fine = replace(config, method=COLLECTIVE, N=FINE_GRID_REFINE * N,
                            dt=config.dt / 4, t_end=config.n_steps * config.dt,
                            observe_every=max(4 * config.n_steps, 1))
             refined = _converged_run(
-                fine, N, f"refined (N={fine.N}, dt/4) ").runs[0]
+                fine, N, exact=False,
+                label=f"refined (N={fine.N}, dt/4) ").runs[0]
             u_fine = st_avg(refined.finals["u"].values)
         for run in result.runs:
             final = run.records[-1]
@@ -646,8 +657,18 @@ def finals_to_csv(result: ExperimentResult) -> str:
     return "".join(lines)
 
 
-def emit_gnuplot_script(csv_path: str, script_path: str) -> str:
-    """gnuplot commands plotting the headline diagnostics from a run CSV."""
+def emit_gnuplot_script(csv_path: str, script_path: str, methods) -> str:
+    """gnuplot commands plotting the headline diagnostics from a run CSV,
+    one curve per scheme in ``methods``: the rows of the schemes are
+    interleaved, so each curve keeps the rows whose first column names
+    its scheme."""
+
+    def plot(column):
+        curves = ", ".join(
+            f'"{csv_path}" using 3:(strcol(1) eq "{method}" ? ${column} '
+            f': 1/0) with lines title "{method}"' for method in methods)
+        return f"plot {curves}"
+
     text = f"""# gnuplot script generated alongside {csv_path}
 set datafile separator ","
 set key autotitle columnhead
@@ -656,16 +677,16 @@ set terminal pngcairo size 900,600
 
 set output "energy_error.png"
 set ylabel "relative energy error"
-plot "{csv_path}" using 3:6 with lines
+{plot(6)}
 
 set output "casimir_error.png"
 set ylabel "relative Casimir error"
-plot "{csv_path}" using 3:7 with lines
+{plot(7)}
 
 set output "nyquist.png"
 set ylabel "highest-mode amplitude"
 set logscale y
-plot "{csv_path}" using 3:10 with lines
+{plot(10)}
 """
     with open(script_path, "w") as handle:
         handle.write(text)

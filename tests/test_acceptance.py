@@ -147,14 +147,14 @@ class TestCriterion2QuadraticInvariantExactness:
         spec = HamiltonianSpec(1.0, 0.5, 0.0, 0.0)
         u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
         H0 = discrete_H_conventional(spec, g.dx, u0)
-        rhs = conventional_flat_field(spec, g)
+        rhs, band = conventional_flat_field(spec, g)
         worst = [0.0]
 
         def watch(step, t, z, report):
             H = discrete_H_conventional(spec, g.dx, z)
             worst[0] = max(worst[0], abs((H0 - H) / H0))
 
-        result = integrate(rhs, u0, 2.0 ** -10, 10_000, observer=watch)
+        result = integrate(rhs, band, u0, 2.0 ** -10, 10_000, observer=watch)
         assert result.converged
         assert worst[0] < 1e-10
         announce(2, f"quadratic invariant, max relative drift {worst[0]:.2e}")
@@ -247,7 +247,7 @@ class TestCriterion6Symplecticity:
         u0 = Field.full(1.0 + 0.4 * np.cos(W * g.full_nodes)
                         + 0.05 * rng.standard_normal(N))
         z0 = pack_state(lift(g, u0))
-        rhs = collective_flat_field(spec, g, g.L)
+        rhs, band = collective_flat_field(spec, g, g.L)
         cfg = NewtonConfig(tol=1e-14, max_iter=100)
         dt = 0.05
         h = 1e-6
@@ -257,8 +257,8 @@ class TestCriterion6Symplecticity:
             zp, zm = z0.copy(), z0.copy()
             zp[k] += h
             zm[k] -= h
-            M[:, k] = (midpoint_step(rhs, zp, dt, cfg)[0]
-                       - midpoint_step(rhs, zm, dt, cfg)[0]) / (2 * h)
+            M[:, k] = (midpoint_step(rhs, band, zp, dt, cfg)[0]
+                       - midpoint_step(rhs, band, zm, dt, cfg)[0]) / (2 * h)
         J_omega = g.dx * np.block([
             [np.zeros((N, N)), np.eye(N)],
             [-np.eye(N), np.zeros((N, N))]])

@@ -112,6 +112,9 @@ class TestRunCommand:
         assert code == 0
         script = (tmp_path / "d.gp").read_text()
         assert str(out) in script
+        # one curve per plot, on the scheme the run made
+        assert script.count('strcol(1) eq "conventional"') == 3
+        assert "collective" not in script
 
     def test_outdir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CLEBSCHFLOW_OUTDIR", str(tmp_path / "results"))
@@ -330,11 +333,11 @@ class TestConvergeCommand:
         from clebschflow.dynamics import IntegrationResult, NonConvergenceError
         integrate = harness.integrate
 
-        def fine_grid_diverges(rhs, z0, dt, n_steps, *args):
+        def fine_grid_diverges(rhs, band, z0, dt, n_steps, *args):
             if z0.size == 2 * 64:
                 return IntegrationResult(z0, 4, NonConvergenceError(
                     "Newton diverged", step=5))
-            return integrate(rhs, z0, dt, n_steps, *args)
+            return integrate(rhs, band, z0, dt, n_steps, *args)
 
         monkeypatch.setattr(harness, "integrate", fine_grid_diverges)
         code, stdout, err = run_cli(

@@ -1,4 +1,3 @@
-import functools
 
 import numpy as np
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from clebschflow import dynamics
 from clebschflow.clebsch import ClebschState, lift, momentum_map
 from clebschflow.dynamics import (
+    Band,
     NewtonConfig,
     NonConvergenceError,
     apply_K,
@@ -35,9 +35,16 @@ L = 8.0
 W = 2 * np.pi / L
 
 
+def full_band(d):
+    """The band of a field on d values whose every output reads every
+    input: the dense difference, one colour per column."""
+    return Band(d, d)
+
+
 def collective_rates(spec, g, state):
     """(qdot, pdot) of the lifted field at a state."""
-    f = collective_flat_field(spec, g, state.C)(pack_state(state))
+    rhs, _ = collective_flat_field(spec, g, state.C)
+    f = rhs(pack_state(state))
     return f[:g.N], f[g.N:]
 
 
@@ -122,7 +129,7 @@ class TestSkewForm:
 class TestConventionalField:
     def test_constant_state_is_equilibrium(self):
         g = PeriodicGrid(8, L)
-        out = conventional_flat_field(BURGERS, g)(np.full(8, 2.2))
+        out = conventional_flat_field(BURGERS, g)[0](np.full(8, 2.2))
         np.testing.assert_allclose(out, np.zeros(8), atol=1e-13)
 
     def test_converges_to_quadratic_flow(self):
@@ -131,7 +138,7 @@ class TestConventionalField:
             g = PeriodicGrid(N, L)
             u = 1.0 + 0.5 * np.cos(W * g.full_nodes)
             ux = -0.5 * W * np.sin(W * g.full_nodes)
-            out = conventional_flat_field(BURGERS, g)(u)
+            out = conventional_flat_field(BURGERS, g)[0](u)
             errs.append(np.max(np.abs(out - 6.0 * u * ux)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.7) and np.all(orders < 2.3)
@@ -143,7 +150,7 @@ class TestConventionalField:
         for _ in range(10):
             u = 1.0 + 0.4 * rng.standard_normal(8)
             grad = grad_conventional(spec, g.dx, u)
-            f = conventional_flat_field(spec, g)(u)
+            f = conventional_flat_field(spec, g)[0](u)
             dot = np.dot(grad, f)
             scale = max(1.0, np.linalg.norm(grad) * np.linalg.norm(f))
             assert abs(dot) / scale < 1e-13
@@ -158,7 +165,7 @@ class TestMidpointStep:
             calls.append(v.shape[1:])
             return np.zeros_like(v)
 
-        z_next, report = midpoint_step(zero, z, 0.1)
+        z_next, report = midpoint_step(zero, full_band(3), z, 0.1)
         np.testing.assert_array_equal(z_next, z)
         assert report.newton_iterations == 1
         assert report.status == "residual"
@@ -170,7 +177,7 @@ class TestMidpointStep:
         z = np.array([1.0, 0.0])
         drift = 0.0
         for _ in range(1000):
-            z, _ = midpoint_step(rhs, z, 0.1)
+            z, _ = midpoint_step(rhs, full_band(2), z, 0.1)
             drift = max(drift, abs(0.5 * np.dot(z, z) - 0.5))
         assert drift < 1e-10
 
@@ -181,53 +188,52 @@ class TestMidpointStep:
         spec = HamiltonianSpec(1.0, 1.0, 0.0, 0.0)
         u = 1.0 + 0.5 * np.cos(W * g.full_nodes)
         H0 = discrete_H_conventional(spec, g.dx, u)
-        rhs = conventional_flat_field(spec, g)
+        rhs, band = conventional_flat_field(spec, g)
         worst = 0.0
         z = u.copy()
         for _ in range(1000):
-            z, _ = midpoint_step(rhs, z, 2.0 ** -10)
+            z, _ = midpoint_step(rhs, band, z, 2.0 ** -10)
             H = discrete_H_conventional(spec, g.dx, z)
             worst = max(worst, abs((H0 - H) / H0))
         assert worst < 1e-11
 
     def test_time_reversal(self):
         g = PeriodicGrid(16, L)
-        rhs = conventional_flat_field(EXTENDED_BURGERS, g)
+        rhs, band = conventional_flat_field(EXTENDED_BURGERS, g)
         z0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
         cfg = NewtonConfig(tol=1e-13)
-        z1, _ = midpoint_step(rhs, z0, 0.01, cfg)
-        z2, _ = midpoint_step(rhs, z1, -0.01, cfg)
+        z1, _ = midpoint_step(rhs, band, z0, 0.01, cfg)
+        z2, _ = midpoint_step(rhs, band, z1, -0.01, cfg)
         assert np.max(np.abs(z2 - z0)) < 1e-11
 
     def test_frozen_step_evaluates_the_field_once_per_round_the_first_batched(self):
         g = PeriodicGrid(16, L)
         u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
         state = lift(g, u0)
-        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
         calls = []
 
-        @functools.wraps(rhs)
         def counted(z):
             calls.append(z.shape[1:])
             return rhs(z)
 
-        _, report = midpoint_step(counted, pack_state(state), 2.0 ** -6)
+        _, report = midpoint_step(counted, band, pack_state(state), 2.0 ** -6)
         assert report.newton_iterations >= 2
         assert len(calls) == report.newton_iterations
         # the midpoint itself, then one state per colour
-        assert calls[0] == (1 + rhs.colouring.n_colours,)
+        assert calls[0] == (1 + band.colouring.n_colours,)
         assert set(calls[1:]) == {()}
 
     def test_extrapolated_guess_reaches_the_same_solution(self):
         g = PeriodicGrid(16, L)
         state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
-        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
         cfg = NewtonConfig()
         dt = 2.0 ** -6
         z_prev = pack_state(state)
-        z, _ = midpoint_step(rhs, z_prev, dt, cfg)
-        plain, plain_report = midpoint_step(rhs, z, dt, cfg)
-        guessed, report = midpoint_step(rhs, z, dt, cfg,
+        z, _ = midpoint_step(rhs, band, z_prev, dt, cfg)
+        plain, plain_report = midpoint_step(rhs, band, z, dt, cfg)
+        guessed, report = midpoint_step(rhs, band, z, dt, cfg,
                                         guess=2.0 * z - z_prev)
         assert np.max(np.abs(guessed - plain)) < 4 * cfg.tol
         assert report.newton_iterations < plain_report.newton_iterations
@@ -237,7 +243,8 @@ class TestMidpointStep:
         # 2.5 w^2 + 4 w + 3.5 = 0 has no real root
         rhs = lambda z: z * z
         with pytest.raises(NonConvergenceError) as caught:
-            midpoint_step(rhs, np.array([1.0]), 10.0, NewtonConfig(max_iter=5))
+            midpoint_step(rhs, full_band(1), np.array([1.0]), 10.0,
+                          NewtonConfig(max_iter=5))
         assert caught.value.report.status == "diverged"
         assert len(caught.value.report.increments) == 5
 
@@ -245,12 +252,12 @@ class TestMidpointStep:
         rhs = lambda z: z * 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonConvergenceError):
-                midpoint_step(rhs, np.array([1.0]), 10.0,
+                midpoint_step(rhs, full_band(1), np.array([1.0]), 10.0,
                               NewtonConfig(max_iter=10))
 
     def test_rejects_zero_step(self):
         with pytest.raises(ValueError):
-            midpoint_step(lambda z: z, np.ones(2), 0.0)
+            midpoint_step(lambda z: z, full_band(2), np.ones(2), 0.0)
 
 
 @pytest.mark.parametrize("coloured", [True, False], ids=["coloured", "dense"])
@@ -269,23 +276,24 @@ class TestStepMatchesColumnReference:
         u0 = Field.full(1.0 + 0.5 * np.cos(W * (g.full_nodes - 1.3)))
         if scheme == "collective":
             state = lift(g, u0)
-            rhs, z0 = collective_flat_field(spec, g, state.C), pack_state(state)
+            (rhs, band), z0 = (collective_flat_field(spec, g, state.C),
+                               pack_state(state))
         else:
-            rhs, z0 = conventional_flat_field(spec, g), u0.values
-        return (rhs if coloured else dense(rhs)), z0
+            (rhs, band), z0 = conventional_flat_field(spec, g), u0.values
+        return rhs, (band if coloured else full_band(band.d)), z0
 
     def test_one_step(self, scheme, spec, coloured):
-        rhs, z0 = self.field_and_state(scheme, spec, coloured)
-        z1, report = midpoint_step(rhs, z0, self.DT)
+        rhs, band, z0 = self.field_and_state(scheme, spec, coloured)
+        z1, report = midpoint_step(rhs, band, z0, self.DT)
         z1_ref, report_ref = midpoint_step_by_columns(rhs, z0, self.DT)
         assert report.newton_iterations >= 2
         assert report == report_ref
         np.testing.assert_array_equal(z1, z1_ref)
 
     def test_sixteen_steps(self, scheme, spec, coloured):
-        rhs, z0 = self.field_and_state(scheme, spec, coloured)
+        rhs, band, z0 = self.field_and_state(scheme, spec, coloured)
         seen = []
-        result = integrate(rhs, z0, self.DT, 16,
+        result = integrate(rhs, band, z0, self.DT, 16,
                            observer=lambda k, t, z, rep: seen.append(
                                (z.copy(), rep)))
         assert result.converged
@@ -327,20 +335,20 @@ class TestStoppingRule:
         g = PeriodicGrid(64, L)
         state = lift(g, Field.full(
             1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)))
-        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
         z0, dt = pack_state(state), 2.0 ** -8
         # an increment target of 0.1 * 1e-16 * (1 + 8) is below roundoff
-        z1, report = midpoint_step(rhs, z0, dt, NewtonConfig(tol=1e-16))
+        z1, report = midpoint_step(rhs, band, z0, dt, NewtonConfig(tol=1e-16))
         assert report.status == "floor"
         assert report.theta >= dynamics.FLOOR_THETA
         assert len(report.increments) == report.newton_iterations
-        _, M = fd_jacobian(rhs, z0, 0.5 * dt)
+        _, M = fd_jacobian(rhs, band, z0, 0.5 * dt)
         floor = (np.finfo(float).eps * np.abs(M).sum(axis=1).max()
                  * (1.0 + np.abs(z0).max()))
         assert report.final_residual <= floor
         # the default tolerance accepts the same step on its increments,
         # within roundoff of the floor's answer
-        z_default, default = midpoint_step(rhs, z0, dt)
+        z_default, default = midpoint_step(rhs, band, z0, dt)
         assert default.status == "increments"
         assert np.max(np.abs(z1 - z_default)) < 1e-13
 
@@ -349,9 +357,9 @@ class TestStoppingRule:
         # the conventional scheme at dt = 64 has no nearby solution
         g = PeriodicGrid(16, L)
         u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
-        rhs = conventional_flat_field(BURGERS, g)
+        rhs, band = conventional_flat_field(BURGERS, g)
         with np.errstate(all="ignore"):
-            result = integrate(rhs, u0, 64.0, 10,
+            result = integrate(rhs, band, u0, 64.0, 10,
                                NewtonConfig(max_iter=max_iter))
         assert not result.converged
         assert result.failure.step == 1
@@ -367,20 +375,20 @@ class TestStoppingRule:
             g = PeriodicGrid(16, L)
             u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
             state = lift(g, Field.full(u0))
-            yield (collective_flat_field(BURGERS, g, state.C),
+            yield (*collective_flat_field(BURGERS, g, state.C),
                    pack_state(state), 2.0 ** -6, NewtonConfig())
-            yield (conventional_flat_field(BURGERS, g), u0, 2.0 ** -6,
+            yield (*conventional_flat_field(BURGERS, g), u0, 2.0 ** -6,
                    NewtonConfig())
             g = PeriodicGrid(64, L)
             state = lift(g, Field.full(
                 1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)))
-            yield (collective_flat_field(EXTENDED_BURGERS, g, state.C),
+            yield (*collective_flat_field(EXTENDED_BURGERS, g, state.C),
                    pack_state(state), 2.0 ** -8, NewtonConfig(tol=1e-16))
 
         seen = set()
-        for rhs, z0, dt, cfg in runs():
+        for rhs, band, z0, dt, cfg in runs():
             reports = []
-            result = integrate(rhs, z0, dt, 64, cfg,
+            result = integrate(rhs, band, z0, dt, 64, cfg,
                                observer=lambda k, t, z, rep: reports.append(
                                    rep))
             assert result.converged and len(reports) == 64
@@ -396,20 +404,19 @@ class TestStoppingRule:
         # the lifted shock-every-step configuration, cut to 64 steps
         g = PeriodicGrid(64, L)
         state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
-        rhs = collective_flat_field(BURGERS, g, state.C)
+        rhs, band = collective_flat_field(BURGERS, g, state.C)
         calls = []
 
-        @functools.wraps(rhs)
         def counted(z):
             calls.append(z.shape[1:])
             return rhs(z)
 
         per_step = []
-        result = integrate(counted, pack_state(state), 2.0 ** -12, 64,
+        result = integrate(counted, band, pack_state(state), 2.0 ** -12, 64,
                            observer=lambda k, t, z, rep: per_step.append(
                                (list(calls), rep)))
         assert result.converged
-        batch = (1 + rhs.colouring.n_colours,)
+        batch = (1 + band.colouring.n_colours,)
         # the first step has no rate to carry in, so it needs a confirming call
         first_calls, first = per_step[0]
         assert first_calls[0] == batch and first.newton_iterations > 1
@@ -420,7 +427,7 @@ class TestStoppingRule:
 
 
 def scheme_field(scheme, spec, g):
-    """Flat field of the given scheme."""
+    """Flat field of the given scheme and its band."""
     if scheme == "collective":
         return collective_flat_field(spec, g, g.L)
     return conventional_flat_field(spec, g)
@@ -428,11 +435,6 @@ def scheme_field(scheme, spec, g):
 
 def random_state(g, d):
     return 1.0 + 0.3 * np.random.default_rng(g.N).standard_normal(d)
-
-
-def dense(rhs):
-    """The field without its colouring attribute."""
-    return lambda z: rhs(z)
 
 
 def assert_bitwise(actual, expected):
@@ -446,13 +448,13 @@ class TestJacobianAssembly:
     def test_batched_equals_columnwise(self, scheme, h):
         # N = 16 puts the direct field's colouring at 6 colours, not 16
         g = PeriodicGrid(16, L)
-        rhs = scheme_field(scheme, EXTENDED_BURGERS, g)
-        z = random_state(g, rhs.colouring.seed.shape[0])
+        rhs, band = scheme_field(scheme, EXTENDED_BURGERS, g)
+        z = random_state(g, band.d)
         f0, J_loop = column_jacobian(rhs, z, dynamics.FD_STEP)
         M_loop = np.eye(z.size) - h * J_loop
-        assert rhs.colouring.n_colours < z.size
-        for field in (rhs, dense(rhs)):
-            f_z, M = fd_jacobian(field, z, h)
+        assert band.colouring.n_colours < z.size
+        for b in (band, full_band(band.d)):
+            f_z, M = fd_jacobian(rhs, b, z, h)
             assert_bitwise(f_z, f0)
             assert_bitwise(M, M_loop)
 
@@ -462,10 +464,10 @@ class TestJacobianAssembly:
     @pytest.mark.parametrize("scheme", ["collective", "conventional"])
     def test_coloured_equals_uncoloured(self, scheme, spec, N):
         g = PeriodicGrid(N, L)
-        rhs = scheme_field(scheme, spec, g)
-        z = random_state(g, rhs.colouring.seed.shape[0])
-        f_z, M = fd_jacobian(rhs, z, 2.0 ** -9)
-        f_dense, M_dense = fd_jacobian(dense(rhs), z, 2.0 ** -9)
+        rhs, band = scheme_field(scheme, spec, g)
+        z = random_state(g, band.d)
+        f_z, M = fd_jacobian(rhs, band, z, 2.0 ** -9)
+        f_dense, M_dense = fd_jacobian(rhs, full_band(band.d), z, 2.0 ** -9)
         assert_bitwise(f_z, f_dense)
         assert_bitwise(M, M_dense)
 
@@ -475,7 +477,7 @@ class TestJacobianAssembly:
                                   "conventional_colouring"])
     def test_columns_of_one_colour_share_no_row(self, scheme, N):
         colouring = scheme_field(scheme, BURGERS,
-                                 PeriodicGrid(N, L)).colouring
+                                 PeriodicGrid(N, L))[1].colouring
         d, m = colouring.seed.shape
         rows, cols = np.divmod(colouring.entries, d)
         source_rows, colours = np.divmod(colouring.sources, m)
@@ -496,9 +498,10 @@ class TestJacobianAssembly:
     @pytest.mark.parametrize("N", [32, 64, 512])
     def test_colour_counts(self, N):
         g = PeriodicGrid(N, L)
-        assert scheme_field("collective", BURGERS, g).colouring.n_colours == 16
+        assert scheme_field("collective", BURGERS,
+                            g)[1].colouring.n_colours == 16
         assert scheme_field("conventional", BURGERS,
-                            g).colouring.n_colours == 6
+                            g)[1].colouring.n_colours == 6
 
     def test_default_colouring_is_the_identity(self):
         colouring = band_colouring(5, 5)
@@ -510,25 +513,19 @@ class TestJacobianAssembly:
         for array in (colouring.seed, colouring.entries, colouring.sources):
             assert not array.flags.writeable  # shared through a cache
 
-    def test_bare_callable_is_dense_and_wraps_keeps_the_colouring(self):
+    def test_a_wrapped_field_assembles_on_the_band_it_is_given(self):
         g = PeriodicGrid(32, L)
-        rhs = collective_flat_field(BURGERS, g, g.L)
-        z = random_state(g, 2 * g.N)
+        rhs, band = collective_flat_field(BURGERS, g, g.L)
+        z = random_state(g, band.d)
         widths = []
 
-        def bare(v):
-            widths.append(v.shape[1:])
-            return rhs(v)
-
-        @functools.wraps(rhs)
         def wrapped(v):
             widths.append(v.shape[1:])
             return rhs(v)
 
-        assert wrapped.colouring is rhs.colouring
-        f_z, M = fd_jacobian(rhs, z, 2.0 ** -9)
-        for field in (bare, wrapped):
-            f_field, M_field = fd_jacobian(field, z, 2.0 ** -9)
+        f_z, M = fd_jacobian(rhs, band, z, 2.0 ** -9)
+        for b in (full_band(band.d), band):
+            f_field, M_field = fd_jacobian(wrapped, b, z, 2.0 ** -9)
             assert_bitwise(f_field, f_z)
             assert_bitwise(M_field, M)
         # one batch each, z and then one state per colour: the identity,
@@ -539,11 +536,9 @@ class TestJacobianAssembly:
         assemble = dynamics.fd_jacobian
         colours = []
 
-        def recording(f, *args, **kwargs):
-            colouring = getattr(f, "colouring", None)
-            colours.append(None if colouring is None
-                           else colouring.n_colours)
-            return assemble(f, *args, **kwargs)
+        def recording(f, band, *args, **kwargs):
+            colours.append(band.colouring.n_colours)
+            return assemble(f, band, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "fd_jacobian", recording)
         config = ExperimentConfig(method="both", N=32, dt=2.0 ** -10,
@@ -562,33 +557,184 @@ class TestJacobianAssembly:
             raise ZeroDivisionError("bug in the field")
 
         with pytest.raises(ZeroDivisionError):
-            fd_jacobian(broken, np.ones(3), 0.5)
+            fd_jacobian(broken, full_band(3), np.ones(3), 0.5)
 
     def test_wrong_batch_shape_raises(self):
         def single_only(z):
             return -np.asarray(z)[..., 0]
 
         with pytest.raises(ValueError):
-            fd_jacobian(single_only, np.ones(3), 0.5)
+            fd_jacobian(single_only, full_band(3), np.ones(3), 0.5)
 
     def test_linear_field_recovered_exactly(self):
         A = np.array([[0.0, 1.0], [-2.0, 0.5]])
         z = np.array([0.3, -1.2])
-        f_z, M = fd_jacobian(lambda v: A @ v, z, 0.25)
+        f_z, M = fd_jacobian(lambda v: A @ v, full_band(2), z, 0.25)
         np.testing.assert_allclose(f_z, A @ z, rtol=1e-15)
         np.testing.assert_allclose(M, np.eye(2) - 0.25 * A, atol=1e-6)
+
+
+def bump_case(scheme, spec, N):
+    """Flat field, band and state of the periodic bump at N nodes."""
+    g = PeriodicGrid(N, L)
+    u0 = Field.full(1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2))
+    if scheme == "collective":
+        state = lift(g, u0)
+        return (*collective_flat_field(spec, g, state.C), pack_state(state))
+    return (*conventional_flat_field(spec, g), u0.values)
+
+
+def expand(M):
+    """The dense matrix, in the state's own order, of the blocks of a
+    CyclicBlockMatrix."""
+    _, n, s, _ = M.blocks.shape
+    interleaved = np.zeros((n * s, n * s))
+    for k in range(n):
+        for side, j in enumerate((k - 1, k, k + 1)):
+            j %= n
+            interleaved[k * s:(k + 1) * s, j * s:(j + 1) * s] += (
+                M.blocks[side, k])
+    order = M.band.interleave(np.arange(M.band.d)).ravel()
+    dense = np.empty_like(interleaved)
+    dense[np.ix_(order, order)] = interleaved
+    return dense
+
+
+def backward_error(M, x, r):
+    return np.abs(M @ x - r).max() / (np.abs(M).sum(axis=1).max()
+                                      * np.abs(x).max())
+
+
+class TestBandedSolve:
+    """From d = BAND_CROSSOVER on, the Newton matrix is held as cyclic
+    tridiagonal node blocks and solved by block cyclic reduction."""
+
+    DT = 2.0 ** -8
+
+    # (scheme, N, nodes per block), with the block counts of the levels
+    CASES = [
+        ("collective", 128, 4),    # 32 16 8 4 2 1
+        ("collective", 192, 4),    # 48 24 12 6 3 2 1: an odd level
+        ("collective", 384, 4),    # 96 48 24 12 6 3 2 1
+        ("collective", 135, 5),    # odd N: 27 14 7 4 2 1
+        ("collective", 129, 43),   # odd N: 3 2 1
+        ("conventional", 384, 4),  # 96 48 24 12 6 3 2 1
+        ("conventional", 320, 4),  # 80 40 20 10 5 3 2 1
+        ("conventional", 259, 7),  # odd N: 37 19 10 5 3 2 1
+    ]
+
+    def newton_matrix(self, scheme, N, spec=EXTENDED_BURGERS, dt=DT):
+        rhs, band, z = bump_case(scheme, spec, N)
+        _, M = fd_jacobian(rhs, band, z, 0.5 * dt)
+        dense = np.eye(band.d) - 0.5 * dt * column_jacobian(
+            rhs, z, dynamics.FD_STEP)[1]
+        return M, dense
+
+    @pytest.mark.parametrize("scheme, N, nodes", CASES)
+    def test_blocks_hold_the_column_jacobian(self, scheme, N, nodes):
+        M, dense = self.newton_matrix(scheme, N)
+        assert isinstance(M, dynamics.CyclicBlockMatrix)
+        assert M.band.nodes_per_block == nodes
+        assert_bitwise(expand(M), dense)
+        assert M.max_row_sum() == pytest.approx(
+            np.abs(dense).sum(axis=1).max(), rel=1e-15)
+
+    @pytest.mark.parametrize("scheme, N, nodes", CASES)
+    def test_reduction_matches_a_dense_solve(self, scheme, N, nodes):
+        M, dense = self.newton_matrix(scheme, N)
+        r = np.random.default_rng(N).standard_normal(dense.shape[0])
+        x = M.factorise()(r)
+        x_dense = np.linalg.solve(dense, r)
+        assert backward_error(dense, x, r) < 1e-12
+        np.testing.assert_allclose(x, x_dense, rtol=0,
+                                   atol=1e-9 * np.abs(x_dense).max())
+
+    # a prime N has no blocks: its one block would be M itself
+    @pytest.mark.parametrize("N, path", [(255, np.ndarray),
+                                         (256, dynamics.CyclicBlockMatrix),
+                                         (257, np.ndarray)])
+    def test_the_crossover_picks_the_path(self, N, path):
+        rhs, band, z = bump_case("conventional", BURGERS, N)
+        assert band.d == N
+        assert type(fd_jacobian(rhs, band, z, 0.5 * self.DT)[1]) is path
+
+    def test_one_factorisation_serves_many_right_hand_sides(self):
+        M, dense = self.newton_matrix("collective", 192)
+        blocks = M.blocks.copy()
+        solve = M.factorise()
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            r = rng.standard_normal(dense.shape[0])
+            kept = r.copy()
+            x = solve(r)
+            assert_bitwise(r, kept)
+            assert_bitwise(solve(r), x)
+            assert_bitwise(M.factorise()(r), x)
+            assert backward_error(dense, x, r) < 1e-12
+        assert_bitwise(M.blocks, blocks)
+
+    def test_ill_conditioned_fine_grid_step(self):
+        # lifted extended Burgers at N = 512, dt = 2^-8: cond(M) ~ 3e8
+        M, dense = self.newton_matrix("collective", 512)
+        r = np.random.default_rng(3).standard_normal(dense.shape[0])
+        assert backward_error(dense, M.factorise()(r), r) < 1e-12
+        # inside Newton the solve only has to contract: the step takes the
+        # rounds the dense column-by-column step takes, to the same answer
+        rhs, band, z0 = bump_case("collective", EXTENDED_BURGERS, 512)
+        z1, report = midpoint_step(rhs, band, z0, self.DT)
+        z1_ref, report_ref = midpoint_step_by_columns(rhs, z0, self.DT)
+        assert report.status == report_ref.status == "increments"
+        assert report.newton_iterations == report_ref.newton_iterations
+        assert np.abs(z1 - z1_ref).max() < 1e-12 * np.abs(z1_ref).max()
+
+    def test_a_wrapped_field_runs_bitwise_the_same(self):
+        # a tracer wraps the field and passes the band unchanged
+        rhs, band, z0 = bump_case("collective", BURGERS, 512)
+        plain = integrate(rhs, band, z0, 2.0 ** -12, 8)
+        wrapped = integrate(lambda z: rhs(z), band, z0, 2.0 ** -12, 8)
+        assert plain.converged and wrapped.converged
+        assert_bitwise(wrapped.z, plain.z)
+
+    def test_each_update_makes_one_dense_solve(self, monkeypatch):
+        # the reduced top block, solved afresh at every update
+        rhs, band, z0 = bump_case("collective", BURGERS, 512)
+        solve = np.linalg.solve
+        solves = []
+
+        def counted(*args):
+            solves.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        reports = []
+        result = integrate(rhs, band, z0, 2.0 ** -12, 4,
+                           observer=lambda k, t, z, rep: reports.append(rep))
+        assert result.converged
+        assert solves == [(8, 8)] * sum(len(r.increments) for r in reports)
+
+    def test_a_call_without_a_band_is_a_type_error(self):
+        rhs, band, z0 = bump_case("collective", BURGERS, 16)
+        with pytest.raises(TypeError):
+            midpoint_step(rhs, z0, self.DT)
+        with pytest.raises(TypeError):
+            integrate(rhs, z0, self.DT, 4)
+        with pytest.raises(TypeError):
+            fd_jacobian(rhs, z0, 0.5 * self.DT)
+        with pytest.raises(TypeError):
+            fd_jacobian(rhs, None, z0, 0.5 * self.DT)
+        assert not hasattr(rhs, "colouring")
 
 
 class TestIntegrate:
     def test_zero_steps_returns_initial_state(self):
         z0 = np.array([1.0, 2.0])
-        result = integrate(lambda z: -z, z0, 0.1, 0)
+        result = integrate(lambda z: -z, full_band(2), z0, 0.1, 0)
         np.testing.assert_array_equal(result.z, z0)
         assert result.converged and result.steps_completed == 0
 
     def test_observer_sees_every_step_with_exact_times(self):
         seen = []
-        integrate(lambda z: -z, np.array([1.0]), 0.125, 8,
+        integrate(lambda z: -z, full_band(1), np.array([1.0]), 0.125, 8,
                   observer=lambda k, t, z, rep: seen.append((k, t)))
         assert [k for k, _ in seen] == list(range(1, 9))
         assert all(t == k * 0.125 for k, t in seen)
@@ -596,7 +742,7 @@ class TestIntegrate:
     def test_failure_keeps_partial_results(self):
         calls = []
         rhs = lambda z: 1e6 * np.sin(1e6 * z) + z
-        result = integrate(rhs, np.array([0.5]), 1.0, 10,
+        result = integrate(rhs, full_band(1), np.array([0.5]), 1.0, 10,
                            NewtonConfig(max_iter=4),
                            observer=lambda k, t, z, rep: calls.append(k))
         assert not result.converged
@@ -607,10 +753,10 @@ class TestIntegrate:
     def test_first_step_starts_from_the_initial_state(self):
         g = PeriodicGrid(16, L)
         state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
-        rhs = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
         z0 = pack_state(state)
-        result = integrate(rhs, z0, 2.0 ** -6, 1)
-        z1, _ = midpoint_step(rhs, z0, 2.0 ** -6)
+        result = integrate(rhs, band, z0, 2.0 ** -6, 1)
+        z1, _ = midpoint_step(rhs, band, z0, 2.0 ** -6)
         np.testing.assert_array_equal(result.z, z1)
 
     @pytest.mark.parametrize("scheme", ["collective", "conventional"])
@@ -620,10 +766,10 @@ class TestIntegrate:
         u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
         if scheme == "collective":
             state = lift(g, u0)
-            rhs = collective_flat_field(BURGERS, g, state.C)
+            rhs, band = collective_flat_field(BURGERS, g, state.C)
             z0 = pack_state(state)
         else:
-            rhs = conventional_flat_field(BURGERS, g)
+            rhs, band = conventional_flat_field(BURGERS, g)
             z0 = u0.values
         solve = np.linalg.solve
         solves = []
@@ -634,7 +780,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         per_step = []
-        result = integrate(rhs, z0, 2.0 ** -12, 64,
+        result = integrate(rhs, band, z0, 2.0 ** -12, 64,
                            observer=lambda k, t, z, rep: per_step.append(
                                len(solves)))
         assert result.converged
@@ -644,8 +790,8 @@ class TestIntegrate:
         g = PeriodicGrid(16, L)
         u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
         state = lift(g, u0)
-        rhs = collective_flat_field(BURGERS, g, state.C)
-        result = integrate(rhs, pack_state(state), 2.0 ** -8, 64)
+        rhs, band = collective_flat_field(BURGERS, g, state.C)
+        result = integrate(rhs, band, pack_state(state), 2.0 ** -8, 64)
         final = unpack_state(result.z, state.C)
         assert final.C == g.L  # bitwise: the flat flow never carries C
 
@@ -654,9 +800,10 @@ class TestIntegrate:
         dt = 2.0 ** -10
         n = 103  # t ~ 0.1, well before the gradient catastrophe
         u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
-        conv = integrate(conventional_flat_field(BURGERS, g), u0.values, dt, n)
+        conv = integrate(*conventional_flat_field(BURGERS, g), u0.values, dt,
+                         n)
         state = lift(g, u0)
-        coll = integrate(collective_flat_field(BURGERS, g, state.C),
+        coll = integrate(*collective_flat_field(BURGERS, g, state.C),
                          pack_state(state), dt, n)
         u_coll = momentum_map(g, unpack_state(coll.z, state.C))
         # compare on the half grid via the lift of the direct solution

@@ -544,10 +544,23 @@ class TestCsvOutput:
 
     def test_gnuplot_script_references_csv(self, tmp_path):
         script = tmp_path / "plot.gp"
-        text = emit_gnuplot_script("diag.csv", str(script))
+        text = emit_gnuplot_script("diag.csv", str(script), [COLLECTIVE])
         assert script.exists()
         assert "diag.csv" in text
-        assert "using 3:6" in text
+        assert 'using 3:(strcol(1) eq "collective" ? $6 : 1/0)' in text
+
+    def test_gnuplot_script_draws_one_curve_per_scheme(self, tmp_path):
+        text = emit_gnuplot_script("diag.csv", str(tmp_path / "plot.gp"),
+                                   [COLLECTIVE, CONVENTIONAL])
+        plots = [line for line in text.splitlines()
+                 if line.startswith("plot ")]
+        assert len(plots) == 3
+        for plot, column in zip(plots, (6, 7, 10)):
+            curves = plot[len("plot "):].split(", ")
+            assert curves == [
+                f'"diag.csv" using 3:(strcol(1) eq "{method}" ? ${column} '
+                f': 1/0) with lines title "{method}"'
+                for method in (COLLECTIVE, CONVENTIONAL)]
 
 
 class TestConvergenceStudy:
@@ -574,15 +587,15 @@ class TestConvergenceStudy:
 
     def test_auto_reference_makes_no_call_of_its_own(self, monkeypatch):
         base = quick_config(dt=2.0 ** -10, t_end=40 * 2.0 ** -10)
-        run = harness.run_experiment
+        run = harness._run_experiment
         solve = ref_mod.burgers_characteristics
         inside_runs = []
         outside_runs = []
 
-        def counted_run(config):
+        def counted_run(config, exact):
             inside_runs.append(True)
             try:
-                return run(config)
+                return run(config, exact)
             finally:
                 inside_runs.pop()
 
@@ -591,7 +604,7 @@ class TestConvergenceStudy:
                 outside_runs.append(t)
             return solve(u0, x, t, **options)
 
-        monkeypatch.setattr(harness, "run_experiment", counted_run)
+        monkeypatch.setattr(harness, "_run_experiment", counted_run)
         monkeypatch.setattr(ref_mod, "burgers_characteristics", counted_solve)
         table = convergence_study(base, [8, 16])
         assert outside_runs == []
@@ -652,16 +665,16 @@ class TestConvergenceStudy:
         base = quick_config(spec=EXTENDED_BURGERS,
                             initial_condition="periodic-bump",
                             dt=2.0 ** -9, t_end=32 * 2.0 ** -9, method="both")
-        run = harness.run_experiment
+        run = harness._run_experiment
         refined = []
 
-        def counted(config):
+        def counted(config, exact):
             if config.N > 32:
                 refined.append((config.method, config.N, config.dt,
                                 config.n_steps, config.observe_every))
-            return run(config)
+            return run(config, exact)
 
-        monkeypatch.setattr(harness, "run_experiment", counted)
+        monkeypatch.setattr(harness, "_run_experiment", counted)
         table = convergence_study(base, [16, 32], reference="fine-grid")
         # one refined lifted run per level serves both schemes and records
         # only its endpoints
@@ -674,6 +687,30 @@ class TestConvergenceStudy:
         for rows in by_method.values():
             order = rows[1].observed_order
             assert order is not None and 1.5 < order < 2.5
+
+
+    def test_fine_grid_study_makes_no_oracle_call(self, monkeypatch):
+        # Burgers has an exact reference, which a fine-grid study never reads
+        base = quick_config(dt=2.0 ** -10, t_end=64 * 2.0 ** -10,
+                            method="both")
+        solve = ref_mod.burgers_characteristics
+        calls = []
+
+        def counted(u0, x, t, **options):
+            calls.append(np.size(t))
+            return solve(u0, x, t, **options)
+
+        monkeypatch.setattr(ref_mod, "burgers_characteristics", counted)
+        table = convergence_study(base, [8, 16], reference="fine-grid")
+        assert len(table) == 4 and calls == []
+        # the same study with every run calling the reference: six calls
+        # of two times each, and the same table
+        run = harness._run_experiment
+        monkeypatch.setattr(harness, "_run_experiment",
+                            lambda config, exact: run(config, True))
+        assert convergence_study(base, [8, 16],
+                                 reference="fine-grid") == table
+        assert calls == [2] * 6
 
 
 def fine_grid_comparison(monkeypatch, base, N, refine=FINE_GRID_REFINE):
@@ -745,7 +782,7 @@ class TestSchemeContracts:
         g = PeriodicGrid(64, L)
         u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
         slope0 = np.max(np.abs(apply_T(g, Field.full(u0)).values))
-        run = integrate(conventional_flat_field(BURGERS, g), u0,
+        run = integrate(*conventional_flat_field(BURGERS, g), u0,
                         2.0 ** -10, round(0.45 * 2 ** 10))
         assert run.converged
         slope1 = np.max(np.abs(apply_T(g, Field.full(run.z)).values))

@@ -131,7 +131,7 @@ def test_conventional_field_is_orthogonal_to_its_gradient(spec, case):
     g = PeriodicGrid(N, L)
     u = 1.0 + 0.4 * noise
     grad = grad_conventional(spec, g.dx, u)
-    f = conventional_flat_field(spec, g)(u)
+    f = conventional_flat_field(spec, g)[0](u)
     assert close(np.dot(grad, f), 0.0,
                  np.linalg.norm(grad) * np.linalg.norm(f))
 
@@ -144,11 +144,10 @@ def test_batch_columns_are_bitwise_single_calls(spec, N, m, lifted, seed):
     # Jacobian batch, so a column must be the single call to the bit
     g = PeriodicGrid(N, L)
     if lifted:
-        field = collective_flat_field(spec, g, g.L)
-        d = 2 * N
+        field, band = collective_flat_field(spec, g, g.L)
     else:
-        field = conventional_flat_field(spec, g)
-        d = N
+        field, band = conventional_flat_field(spec, g)
+    d = band.d
     X = 1.0 + 0.4 * np.random.default_rng(seed).uniform(-1.0, 1.0, (d, m))
     batch = field(X)
     assert batch.shape == (d, m)
@@ -173,18 +172,19 @@ def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
                                              / L))
     if lifted:
         state = lift(g, u0)
-        field, z0 = collective_flat_field(spec, g, state.C), pack_state(state)
+        (field, band), z0 = (collective_flat_field(spec, g, state.C),
+                             pack_state(state))
     else:
-        field, z0 = conventional_flat_field(spec, g), u0.values
+        (field, band), z0 = conventional_flat_field(spec, g), u0.values
     dt = 2.0 ** -log2_steps
     seen = []
-    integrate(field, z0, dt, 4,
+    integrate(field, band, z0, dt, 4,
               observer=lambda k, t, z, report: seen.append(z.copy()))
     z = z0
     for accepted in seen:
         # the same step iterated on to its fixed point
         fixed = accepted.copy()
-        _, M = fd_jacobian(field, 0.5 * (z + fixed), 0.5 * dt)
+        _, M = fd_jacobian(field, band, 0.5 * (z + fixed), 0.5 * dt)
         for _ in range(20):
             fixed -= np.linalg.solve(
                 M, fixed - z - dt * field(0.5 * (z + fixed)))
