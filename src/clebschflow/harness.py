@@ -7,7 +7,8 @@ observation interval.  Relative errors are signed, (value(0) - value(t)) /
 value(0).  Solution errors compare against an exact reference when one is
 known for the configuration (characteristics for quadratic densities, the
 translated wave profile for the travelling-wave preset) and are omitted
-otherwise.
+otherwise.  The wave profile is a stored Fourier series, so resolving it
+solves no ODE.
 
 Comparison conventions: the lifted method is compared on the half grid
 (where its recovered field lives) and its Casimir is evaluated there; the
@@ -34,6 +35,7 @@ import numpy as np
 from .clebsch import lift, momentum_arrays
 from .dynamics import (
     NewtonConfig,
+    NonConvergenceError,
     collective_flat_field,
     conventional_flat_field,
     integrate,
@@ -63,6 +65,8 @@ __all__ = [
     "MAX_STEPS",
     "PRESETS",
     "TRAVELLING_WAVE_PARAMS",
+    "TRAVELLING_WAVE_COSINES",
+    "TRAVELLING_WAVE_SINES",
     "preset_config",
     "fourier_modes",
     "solution_error",
@@ -217,6 +221,40 @@ def _rel_err(v0: float, v: float) -> float:
 TRAVELLING_WAVE_PARAMS = (1.15, -0.1073784320582456, -0.4796968369753656)
 TRAVELLING_WAVE_L = 8.0
 
+#: That wave's profile as a Fourier series,
+#: f(x) = sum_k a_k cos(k w x) + b_k sin(k w x), w = 2 pi / L, k = 0..32:
+#: the a_k, then the b_k from k = 1.  They are the 256-point FFT of the
+#: wave-frame solution from TRAVELLING_WAVE_PARAMS, which
+#: tests/test_reference.py solves again to check them; every mode past
+#: k = 32 is below 2e-15.  The C4 u_x^3 term makes the profile uneven about
+#: its crest, so the sine terms are needed.
+TRAVELLING_WAVE_COSINES = (
+    0.98611049476591606, 0.15781722615355886, 0.0073432505935135308,
+    -0.00095461631908527256, -0.00034576550971783212, 2.8309228320155753e-06,
+    2.4943332782218484e-05, 3.9537432450135635e-06, -1.7280759149002413e-06,
+    -7.4826407743718782e-07, 5.5525035194747774e-08, 1.0314134574000009e-07,
+    1.3848304166364261e-08, -1.0989653101128881e-08, -4.2465523581238586e-09,
+    6.6357080649416589e-10, 7.669730890521417e-10, 6.8498301346561526e-11,
+    -1.0209497836533681e-10, -3.3411683112578118e-11, 8.6111965927037201e-12,
+    7.2934892233877687e-12, 2.6485467170285141e-13, -1.1337160037993309e-12,
+    -3.0459517958031991e-13, 1.1936892170777129e-13, 7.9161290812593068e-14,
+    -2.3508337722156994e-15, -1.4219162131369639e-14, -2.9951204770529777e-15,
+    1.1348953298984089e-15, 1.1458428110234936e-15, 8.4555879226364711e-16,
+)
+TRAVELLING_WAVE_SINES = (
+    -0.021145696607664292, 0.0088576527036439284, 0.0014368597272905737,
+    -0.00011032251216593579, -9.1349054073147824e-05, -6.3356844743425041e-06,
+    6.7484245177058397e-06, 1.8235871114359079e-06, -3.8520416449952074e-07,
+    -2.8602462561224956e-07, -9.5536381796657114e-09, 3.4996477528472446e-08,
+    8.5554441098276374e-09, -3.0599762009609097e-09, -1.8798312730470536e-09,
+    4.1566302544586702e-11, 2.9101514098644282e-10, 5.7992926652969746e-11,
+    -3.2315960674567126e-11, -1.6411838603016882e-11, 1.4603472717163436e-12,
+    2.9912155572713757e-12, 4.4616769963179223e-13, -3.9164666576317314e-13,
+    -1.6450409421917236e-13, 2.894954467041657e-14, 3.5524384368193194e-14,
+    3.5357557235562028e-15, -4.8034450939746399e-15, -1.8115133774329787e-15,
+    -3.4765496561702504e-16, 4.4711809351449485e-16,
+)
+
 #: The grammar of ``custom:`` profiles: numbers, these names, these
 #: functions called with positional arguments, + - * / ** and unary +/-.
 _PROFILE_NAMES = ("x", "L", "pi")
@@ -293,13 +331,13 @@ def _travelling_wave_profile(spec: HamiltonianSpec, L: float) -> Callable:
         raise ConfigError(
             f"frozen travelling wave has period {TRAVELLING_WAVE_L}, "
             f"requested L = {L}")
-    f0, f2, c = TRAVELLING_WAVE_PARAMS
-    rhs = ref_mod.travelling_wave_ode(spec, c)
-    sol = ref_mod.integrate_ode_adaptive(rhs, [f0, 0.0, f2], (0.0, L),
-                                         rel_tol=1e-12, abs_tol=1e-13)
+    wavenumbers = 2.0 * np.pi / L * np.arange(len(TRAVELLING_WAVE_COSINES))
+    cosines = np.array(TRAVELLING_WAVE_COSINES)
+    sines = np.array(TRAVELLING_WAVE_SINES)
 
     def profile(x):
-        return sol(np.mod(x, L))[..., 0]
+        phase = np.multiply.outer(np.asarray(x, dtype=float), wavenumbers)
+        return np.cos(phase) @ cosines + np.sin(phase[..., 1:]) @ sines
 
     return profile
 
@@ -326,7 +364,7 @@ def _characteristics_reference(profile: Callable, spec: HamiltonianSpec,
         try:
             return ref_mod.burgers_characteristics(wrapped, nodes, t,
                                                    advection=advection)
-        except ref_mod.NonConvergenceError:
+        except NonConvergenceError:
             return None
 
     def sample(times, nodes):
@@ -346,10 +384,9 @@ def _characteristics_reference(profile: Callable, spec: HamiltonianSpec,
     return sample
 
 
-def _travelling_wave_reference(profile: Callable, c: float,
-                               L: float) -> Callable:
+def _travelling_wave_reference(profile: Callable, c: float) -> Callable:
     def sample(times, nodes):
-        return [profile(np.mod(nodes - c * t, L)) for t in times]
+        return [profile(nodes - c * t) for t in times]
 
     return sample
 
@@ -376,8 +413,8 @@ def resolve_initial_condition(config: ExperimentConfig) -> InitialCondition:
     if quadratic and spec.C1 != 0.0:
         reference = _characteristics_reference(profile, spec, L)
     elif name == "travelling-wave":
-        reference = _travelling_wave_reference(
-            profile, TRAVELLING_WAVE_PARAMS[2], L)
+        reference = _travelling_wave_reference(profile,
+                                               TRAVELLING_WAVE_PARAMS[2])
     return InitialCondition(name, profile, reference)
 
 
@@ -539,7 +576,7 @@ def _converged_run(config: ExperimentConfig, level: int, exact: bool,
     result = _run_experiment(config, exact)
     for run in result.runs:
         if not run.converged:
-            raise ref_mod.NonConvergenceError(
+            raise NonConvergenceError(
                 f"{label}{run.method} run diverged at step "
                 f"{run.failed_step} of level N={level}",
                 step=run.failed_step)

@@ -1,15 +1,16 @@
 """Oracles used only by the tests: the Field-typed staggered operators,
 independent dense builds of the grid operators, the jet recursion at
-general depth with its adjoint, the pointwise flow in jet variables with
-the self-test of the wave-frame reduction built on it, the shooting
-search that found the frozen travelling-wave parameters, and the
-implicit midpoint step built from single field calls and a
-column-by-column Jacobian.
+general depth with its adjoint, the pointwise flow in jet variables, the
+travelling wave's wave-frame reduction with its self-test built on that
+flow and its scipy DOP853 solution, the shooting search that found the
+frozen travelling-wave parameters, and the implicit midpoint step built
+from single field calls and a column-by-column Jacobian.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from clebschflow.clebsch import ClebschState, momentum_map
 from clebschflow.dynamics import (
@@ -32,13 +33,6 @@ from clebschflow.grid import (
     tt_diff,
 )
 from clebschflow.hamiltonian import HamiltonianSpec
-from clebschflow.reference import (
-    MaxStepsExceededError,
-    SingularReductionError,
-    StepSizeUnderflowError,
-    integrate_ode_adaptive,
-    travelling_wave_ode,
-)
 
 
 # -- Field-typed staggered operators ----------------------------------------------
@@ -215,7 +209,20 @@ def jet_H_collective(spec: HamiltonianSpec, grid: PeriodicGrid,
                  + np.sum(spec.odd_density(ux_half)))
 
 
-# -- pointwise flow and the wave-frame self-test -----------------------------------
+# -- pointwise flow, the wave-frame reduction and its self-test --------------------
+#
+# The flow generated by the density C1 u^2 + C2 u_x^2 + C3 u^3 + C4 u_x^3 is
+#
+#     u_t = (u m)_x + u m_x,
+#     m = 2 C1 u + 3 C3 u^2 - 2 C2 u_xx - 6 C4 u_x u_xx,
+#
+# which expands to
+#
+#     u_t = 6 C1 u u_x + 15 C3 u^2 u_x - 2 C2 u_x u_xx - 6 C4 u_x^2 u_xx
+#           - 4 C2 u u_xxx - 12 C4 u (u_xx^2 + u_x u_xxx).
+#
+# For the cubic coefficients (1/2, 1/2, -1/4, 1/2) this is the extended
+# Burgers' equation integrated by both schemes.
 
 def pde_rhs_jet(spec: HamiltonianSpec, u, ux, uxx, uxxx):
     """Pointwise u_t of the flow generated by the density, in jet variables.
@@ -228,6 +235,57 @@ def pde_rhs_jet(spec: HamiltonianSpec, u, ux, uxx, uxxx):
     mx = (2.0 * spec.C1 * ux + 6.0 * spec.C3 * u * ux
           - 2.0 * spec.C2 * uxxx - 6.0 * spec.C4 * (uxx * uxx + ux * uxxx))
     return ux * m + 2.0 * u * mx
+
+
+class SingularReductionError(ArithmeticError):
+    """The wave-frame reduction hit a (near-)vanishing leading coefficient."""
+
+
+#: Leading wave-frame coefficient below which the reduction is singular.
+_WAVE_FRAME_FLOOR = 1e-10
+
+
+def travelling_wave_ode(spec: HamiltonianSpec, c: float):
+    """Wave-frame right-hand side as an (s, y)-callable for ``solve_ivp``,
+    mapping the jet y = (f, f', f'') to (f', f'', f''').
+
+    Substituting u = f(x - c t) into the flow and solving for f''' gives
+
+        f''' = [c f' + 6 C1 f f' + 15 C3 f^2 f' - 2 C2 f' f''
+                - 6 C4 f'^2 f'' - 12 C4 f f''^2] / (4 f (C2 + 3 C4 f'))
+
+    The reduction is singular where the leading coefficient 4 f (C2+3 C4 f')
+    vanishes; SingularReductionError is raised below a floor of 1e-10.
+    Constant states are regular fixed points (the numerator vanishes
+    identically with f' = f'' = 0) as long as f itself stays off zero.
+    """
+
+    def rhs(s, y):
+        f, f1, f2 = float(y[0]), float(y[1]), float(y[2])
+        denom = 4.0 * f * (spec.C2 + 3.0 * spec.C4 * f1)
+        if abs(denom) < _WAVE_FRAME_FLOOR:
+            raise SingularReductionError(
+                f"leading wave-frame coefficient {denom:.3e} below floor "
+                f"{_WAVE_FRAME_FLOOR:g}")
+        numer = (c * f1
+                 + 6.0 * spec.C1 * f * f1
+                 + 15.0 * spec.C3 * f * f * f1
+                 - 2.0 * spec.C2 * f1 * f2
+                 - 6.0 * spec.C4 * f1 * f1 * f2
+                 - 12.0 * spec.C4 * f * f2 * f2)
+        return np.asarray((f1, f2, numer / denom))
+
+    return rhs
+
+
+def solve_travelling_wave(spec: HamiltonianSpec, L: float, f0: float,
+                          f2: float, c: float, rtol: float = 1e-12,
+                          atol: float = 1e-13):
+    """DOP853 solution of the wave-frame reduction over s in [0, L] from the
+    crest jet (f0, 0, f2), with dense output ``sol.sol``."""
+    return solve_ivp(travelling_wave_ode(spec, c), (0.0, L), [f0, 0.0, f2],
+                     method="DOP853", rtol=rtol, atol=atol,
+                     dense_output=True)
 
 
 def check_travelling_wave_reduction(spec: HamiltonianSpec, c: float,
@@ -253,8 +311,6 @@ def check_travelling_wave_reduction(spec: HamiltonianSpec, c: float,
 
 def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
                                   f0: float, f2: float, c: float,
-                                  rel_tol: float = 1e-12,
-                                  abs_tol: float = 1e-12,
                                   max_newton: int = 60,
                                   mismatch_tol: float = 1e-9):
     """Search for an L-periodic wave profile by shooting on (f(0), f''(0), c).
@@ -267,15 +323,16 @@ def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
     unknowns = np.array([f0, f2, c], dtype=float)
 
     def mismatch(vec):
-        rhs = travelling_wave_ode(spec, float(vec[2]))
-        sol = integrate_ode_adaptive(rhs, [vec[0], 0.0, vec[1]], (0.0, L),
-                                     rel_tol=rel_tol, abs_tol=abs_tol)
-        return sol.y[-1] - sol.y[0]
+        """y(L) - y(0), or None when the shot does not reach s = L."""
+        try:
+            sol = solve_travelling_wave(spec, L, vec[0], vec[1],
+                                        float(vec[2]))
+        except SingularReductionError:
+            return None
+        return sol.y[:, -1] - sol.y[:, 0] if sol.status == 0 else None
 
-    try:
-        g = mismatch(unknowns)
-    except (SingularReductionError, StepSizeUnderflowError,
-            MaxStepsExceededError):
+    g = mismatch(unknowns)
+    if g is None:
         return None
     for _ in range(max_newton):
         gn = float(np.max(np.abs(g)))
@@ -283,23 +340,23 @@ def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
             return tuple(float(v) for v in unknowns)
         J = np.empty((3, 3))
         h = 1e-7
+        for k in range(3):
+            probe = unknowns.copy()
+            probe[k] += h * max(1.0, abs(probe[k]))
+            g_probe = mismatch(probe)
+            if g_probe is None:
+                return None
+            J[:, k] = (g_probe - g) / (probe[k] - unknowns[k])
         try:
-            for k in range(3):
-                probe = unknowns.copy()
-                probe[k] += h * max(1.0, abs(probe[k]))
-                J[:, k] = (mismatch(probe) - g) / (probe[k] - unknowns[k])
             delta = np.linalg.solve(J, g)
-        except (SingularReductionError, StepSizeUnderflowError,
-                MaxStepsExceededError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return None
         # backtracking damping on the mismatch norm
         lam = 1.0
         for _ in range(20):
             trial = unknowns - lam * delta
-            try:
-                g_trial = mismatch(trial)
-            except (SingularReductionError, StepSizeUnderflowError,
-                    MaxStepsExceededError):
+            g_trial = mismatch(trial)
+            if g_trial is None:
                 lam *= 0.5
                 continue
             if float(np.max(np.abs(g_trial))) < gn or lam < 1e-4:

@@ -33,13 +33,12 @@ from clebschflow.hamiltonian import (
 from clebschflow.harness import (
     COLLECTIVE,
     CONVENTIONAL,
+    TRAVELLING_WAVE_PARAMS,
     ExperimentConfig,
     convergence_study,
     records_to_csv,
     run_experiment,
 )
-from clebschflow.reference import integrate_ode_adaptive, travelling_wave_ode
-from clebschflow.harness import TRAVELLING_WAVE_PARAMS
 
 from oracles import (
     apply_D,
@@ -48,6 +47,7 @@ from oracles import (
     apply_T,
     apply_Tt,
     check_travelling_wave_reduction,
+    solve_travelling_wave,
 )
 
 L = 8.0
@@ -270,10 +270,8 @@ class TestCriterion6Symplecticity:
 class TestCriterion7TravellingWaveSelfTest:
     def test_reduction_residual_on_integrated_profiles(self):
         f0, f2, c = TRAVELLING_WAVE_PARAMS
-        rhs = travelling_wave_ode(EXTENDED_BURGERS, c)
-        sol = integrate_ode_adaptive(rhs, [f0, 0.0, f2], (0.0, L),
-                                     rel_tol=1e-12, abs_tol=1e-13)
-        jets = sol(np.linspace(0.0, L, 257))
+        sol = solve_travelling_wave(EXTENDED_BURGERS, L, f0, f2, c)
+        jets = sol.sol(np.linspace(0.0, L, 257)).T
         worst = check_travelling_wave_reduction(EXTENDED_BURGERS, c, jets)
         assert worst < 1e-8
         announce(7, f"wave-frame reduction residual {worst:.2e}")

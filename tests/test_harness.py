@@ -259,6 +259,24 @@ class TestInitialConditions:
         with pytest.raises(ConfigError):
             resolve_initial_condition(cfg)
 
+    def test_travelling_wave_demands_its_period(self):
+        cfg = quick_config(spec=EXTENDED_BURGERS, L=2.0 * L,
+                           initial_condition="travelling-wave")
+        with pytest.raises(ConfigError):
+            resolve_initial_condition(cfg)
+
+    def test_travelling_wave_reference_translates_the_profile(self):
+        # the reference is the profile moved by c t, whichever period the
+        # translated nodes fall in
+        ic = resolve_initial_condition(preset_config("travelling-wave"))
+        c = TRAVELLING_WAVE_PARAMS[2]
+        nodes = PeriodicGrid(64, L).full_nodes
+        times = [0.0, 3.5, 437.0]
+        for t, values in zip(times, ic.reference(times, nodes)):
+            np.testing.assert_allclose(
+                values, ic.profile(np.mod(nodes - c * t, L)),
+                rtol=0, atol=1e-12)
+
 
 class TestRunExperiment:
     def test_both_methods_run_and_interleave(self):
@@ -442,7 +460,7 @@ class TestReferenceBlocks:
 
         def fails_once(u0, x, t, **options):
             if failing in np.atleast_1d(t):
-                raise ref_mod.NonConvergenceError("chosen to fail")
+                raise dynamics.NonConvergenceError("chosen to fail")
             return solve(u0, x, t, **options)
 
         monkeypatch.setattr(ref_mod, "burgers_characteristics", fails_once)

@@ -33,6 +33,22 @@ def test_namespace_reexports_only_module_exports():
     assert namespace <= exported, sorted(namespace - exported)
 
 
+def test_each_exported_name_has_one_home():
+    homes = {}
+    for name in MODULES:
+        module = importlib.import_module(f"clebschflow.{name}")
+        for n in getattr(module, "__all__", ()):
+            homes.setdefault(n, []).append(name)
+    shared = {n: where for n, where in homes.items() if len(where) > 1}
+    assert not shared
+
+
+def test_reference_exports_only_the_characteristics_oracles():
+    from clebschflow import reference
+    assert sorted(reference.__all__) == ["burgers_characteristics",
+                                         "burgers_shock_time"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_scipy_or_sympy_import(path):
     roots = set()

@@ -6,12 +6,13 @@ run draws the same cases.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clebschflow.clebsch import lift, momentum_arrays
 from clebschflow.dynamics import (
     NewtonConfig,
+    NonConvergenceError,
     apply_K,
     collective_flat_field,
     conventional_flat_field,
@@ -29,7 +30,7 @@ from clebschflow.hamiltonian import (
     grad_collective,
     grad_conventional,
 )
-from clebschflow.reference import NonConvergenceError, burgers_characteristics
+from clebschflow.reference import burgers_characteristics
 
 L = 8.0
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
@@ -178,8 +179,17 @@ def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
         (field, band), z0 = conventional_flat_field(spec, g), u0.values
     dt = 2.0 ** -log2_steps
     seen = []
-    integrate(field, band, z0, dt, 4,
-              observer=lambda k, t, z, report: seen.append(z.copy()))
+    # a diverging draw is reported by its non-finite residual, as in a run
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = integrate(
+            field, band, z0, dt, 4,
+            observer=lambda k, t, z, report: seen.append(z.copy()))
+    event("converged" if result.converged else "diverged")
+    assert len(seen) == result.steps_completed
+    if result.converged:
+        assert result.steps_completed == 4
+    else:
+        assert result.failure.report.status == "diverged"
     z = z0
     for accepted in seen:
         # the same step iterated on to its fixed point

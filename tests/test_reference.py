@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.integrate import solve_ivp
 
 from clebschflow.dynamics import conventional_flat_field
 from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
-from clebschflow.harness import TRAVELLING_WAVE_PARAMS
-from clebschflow.reference import (
-    AdaptiveSolution,
-    MaxStepsExceededError,
-    SingularReductionError,
-    StepSizeUnderflowError,
-    burgers_characteristics,
-    burgers_shock_time,
-    integrate_ode_adaptive,
-    travelling_wave_ode,
+from clebschflow.harness import (
+    TRAVELLING_WAVE_COSINES,
+    TRAVELLING_WAVE_PARAMS,
+    TRAVELLING_WAVE_SINES,
+    preset_config,
+    resolve_initial_condition,
 )
+from clebschflow.reference import burgers_characteristics, burgers_shock_time
 
 from oracles import (
+    SingularReductionError,
     check_travelling_wave_reduction,
     find_periodic_travelling_wave,
     pde_rhs_jet,
+    solve_travelling_wave,
+    travelling_wave_ode,
 )
 
 L = 8.0
@@ -121,104 +120,22 @@ class TestWaveFrameReduction:
                                    6.0 * u * ux, atol=1e-14)
 
 
-class TestAdaptiveIntegrator:
-    def test_polynomial_exactness_and_dense_output(self):
-        rhs = lambda s, y: np.array([y[1], y[2], 0.0])
-        sol = integrate_ode_adaptive(rhs, [1.0, 2.0, -1.0], (0.0, 4.0),
-                                     rel_tol=1e-8, abs_tol=1e-10)
-        s = np.linspace(0.0, 4.0, 21)
-        exact = 1.0 + 2.0 * s - 0.5 * s**2
-        np.testing.assert_allclose(sol(s)[:, 0], exact, rtol=0, atol=1e-10)
-
-    def test_exponential_global_error(self):
-        for rtol in (1e-6, 1e-8, 1e-10):
-            sol = integrate_ode_adaptive(lambda s, y: y, [1.0], (0.0, 1.0),
-                                         rel_tol=rtol, abs_tol=1e-14)
-            err = abs(sol.y[-1, 0] - np.e)
-            assert err < 10 * rtol * np.e
-
-    def test_tolerance_proportionality(self):
-        errors = []
-        for rtol in (1e-5, 1e-7, 1e-9):
-            sol = integrate_ode_adaptive(lambda s, y: y, [1.0], (0.0, 1.0),
-                                         rel_tol=rtol, abs_tol=1e-15)
-            errors.append(abs(sol.y[-1, 0] - np.e))
-        assert errors[0] > errors[1] > errors[2]
-        total_drop = errors[0] / errors[2]
-        assert 1e2 < total_drop < 1e6  # roughly proportional over 4 decades
-
-    def test_step_log_contract(self):
-        # accepted steps keep the scaled error estimate at or below one,
-        # rejected attempts do not advance the abscissa
-        rhs = lambda s, y: np.array([np.cos(8 * s) * y[0]])
-        sol = integrate_ode_adaptive(rhs, [1.0], (0.0, 6.0),
-                                     rel_tol=1e-9, abs_tol=1e-12)
-        assert sol.n_accepted > 0
-        accepted_s = [entry[0] for entry in sol.step_log if entry[3]]
-        assert np.all(np.diff(accepted_s) > 0)
-        for s, h, err, accepted in sol.step_log:
-            if accepted:
-                assert err <= 1.0
-        rejected = [entry for entry in sol.step_log if not entry[3]]
-        for s, h, err, accepted in rejected:
-            assert any(a == s for a in accepted_s + [sol.s[-1]])
-
-    def test_dense_output_hits_nodes(self):
-        rhs = lambda s, y: np.array([-y[0]])
-        sol = integrate_ode_adaptive(rhs, [1.0], (0.0, 2.0),
-                                     rel_tol=1e-9, abs_tol=1e-12)
-        for s_node, y_node in zip(sol.s, sol.y):
-            assert sol(s_node)[0] == pytest.approx(y_node[0], abs=1e-12)
-        with pytest.raises(ValueError):
-            sol(2.5)
-
-    def test_max_steps_exceeded(self):
-        with pytest.raises(MaxStepsExceededError):
-            integrate_ode_adaptive(lambda s, y: y, [1.0], (0.0, 50.0),
-                                   rel_tol=1e-12, abs_tol=1e-14, max_steps=10)
-
-    def test_underflow_near_blowup(self):
-        rhs = lambda s, y: np.array([y[0] ** 2])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((StepSizeUnderflowError, MaxStepsExceededError)):
-                integrate_ode_adaptive(rhs, [1.0], (0.0, 2.0),
-                                       rel_tol=1e-10, abs_tol=1e-12)
-
-    def test_degenerate_span(self):
-        sol = integrate_ode_adaptive(lambda s, y: y, [2.0], (1.0, 1.0))
-        assert sol(1.0)[0] == 2.0
-
-    def test_agrees_with_scipy_on_wave_frame_ode(self):
-        f0, f2, c = TRAVELLING_WAVE_PARAMS
-        rhs = travelling_wave_ode(EXTENDED_BURGERS, c)
-        mine = integrate_ode_adaptive(rhs, [f0, 0.0, f2], (0.0, L),
-                                      rel_tol=1e-11, abs_tol=1e-12)
-        scipy_sol = solve_ivp(rhs, (0.0, L), [f0, 0.0, f2], method="RK45",
-                              rtol=1e-11, atol=1e-12, dense_output=True)
-        s = np.linspace(0, L, 41)
-        np.testing.assert_allclose(mine(s), scipy_sol.sol(s).T,
-                                   rtol=0, atol=5e-9)
-
-
 class TestFrozenTravellingWave:
     def test_profile_closes_over_one_period(self):
-        f0, f2, c = TRAVELLING_WAVE_PARAMS
-        rhs = travelling_wave_ode(EXTENDED_BURGERS, c)
-        sol = integrate_ode_adaptive(rhs, [f0, 0.0, f2], (0.0, L),
-                                     rel_tol=1e-12, abs_tol=1e-13)
-        assert np.max(np.abs(sol.y[-1] - sol.y[0])) < 1e-10
+        sol = solve_travelling_wave(EXTENDED_BURGERS, L,
+                                    *TRAVELLING_WAVE_PARAMS)
+        assert sol.status == 0
+        assert np.max(np.abs(sol.y[:, -1] - sol.y[:, 0])) < 1e-10
 
     def test_sampled_profile_satisfies_semi_discrete_flow(self):
         # wave profiles fed to the spatial scheme reproduce -c f' at
         # second order in dx
         f0, f2, c = TRAVELLING_WAVE_PARAMS
-        rhs = travelling_wave_ode(EXTENDED_BURGERS, c)
-        sol = integrate_ode_adaptive(rhs, [f0, 0.0, f2], (0.0, L),
-                                     rel_tol=1e-12, abs_tol=1e-13)
+        sol = solve_travelling_wave(EXTENDED_BURGERS, L, f0, f2, c)
         errs = []
         for N in (16, 32, 64, 128):
             g = PeriodicGrid(N, L)
-            jets = sol(np.mod(g.full_nodes, L))
+            jets = sol.sol(g.full_nodes).T
             ut = conventional_flat_field(EXTENDED_BURGERS, g)[0](jets[:, 0])
             errs.append(np.max(np.abs(ut - (-c) * jets[:, 1])))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -233,3 +150,74 @@ class TestFrozenTravellingWave:
         assert found[0] == pytest.approx(f0, abs=1e-6)
         assert found[1] == pytest.approx(f2, abs=1e-6)
         assert found[2] == pytest.approx(c, abs=1e-6)
+
+    def test_stored_fourier_series_regenerates_from_the_wave_frame(self):
+        # the stored coefficients are the 256-point FFT of the wave-frame
+        # solution, and their series is the profile at any x
+        sol = solve_travelling_wave(EXTENDED_BURGERS, L,
+                                    *TRAVELLING_WAVE_PARAMS,
+                                    rtol=1e-13, atol=1e-14)
+        n = 256
+        modes = np.fft.rfft(sol.sol(np.arange(n) * L / n)[0]) / n
+        K = len(TRAVELLING_WAVE_COSINES)
+        cosines = np.concatenate([[modes[0].real], 2.0 * modes[1:K].real])
+        sines = -2.0 * modes[1:K].imag
+        np.testing.assert_allclose(TRAVELLING_WAVE_COSINES, cosines,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(TRAVELLING_WAVE_SINES, sines,
+                                   rtol=0, atol=1e-12)
+
+        profile = resolve_initial_condition(
+            preset_config("travelling-wave")).profile
+        x = np.random.default_rng(3).uniform(-3 * L, 4 * L, 500)
+        assert np.any(x < 0) and np.any(x > L)
+        np.testing.assert_allclose(profile(x), sol.sol(np.mod(x, L))[0],
+                                   rtol=0, atol=1e-12)
+
+    def test_series_satisfies_the_wave_frame_reduction(self):
+        # the series, differentiated term by term, is a wave of the flow on
+        # its own: its f''' is the reduction's f''' of its (f, f', f'')
+        x = np.random.default_rng(4).uniform(-2 * L, 3 * L, 400)
+        f, f1, f2, f3 = (series_derivative(x, n) for n in range(4))
+        rhs = travelling_wave_ode(EXTENDED_BURGERS, TRAVELLING_WAVE_PARAMS[2])
+        reduced = np.array([rhs(0.0, jet)[2] for jet in zip(f, f1, f2)])
+        assert np.max(np.abs(reduced - f3)) < 1e-9
+
+    def test_series_starts_from_the_crest_jet(self):
+        f0, f2, _ = TRAVELLING_WAVE_PARAMS
+        crest = np.zeros(1)
+        assert series_derivative(crest, 0)[0] == pytest.approx(f0, abs=1e-11)
+        assert series_derivative(crest, 1)[0] == pytest.approx(0.0, abs=1e-11)
+        assert series_derivative(crest, 2)[0] == pytest.approx(f2, abs=1e-11)
+
+    def test_profile_is_uneven_about_its_crest(self):
+        # the C4 u_x^3 term breaks the reflection s -> -s, so a cosine
+        # series alone cannot hold the wave
+        s = np.linspace(0.0, L, 401)
+        sol = solve_travelling_wave(EXTENDED_BURGERS, L,
+                                    *TRAVELLING_WAVE_PARAMS)
+        assert np.max(np.abs(sol.sol(s)[0] - sol.sol(L - s)[0])) > 1e-2
+        assert np.max(np.abs(TRAVELLING_WAVE_SINES)) > 1e-2
+
+    def test_modes_past_the_stored_series_are_at_the_noise_floor(self):
+        sol = solve_travelling_wave(EXTENDED_BURGERS, L,
+                                    *TRAVELLING_WAVE_PARAMS,
+                                    rtol=1e-13, atol=1e-14)
+        n = 256
+        modes = np.fft.rfft(sol.sol(np.arange(n) * L / n)[0]) / n
+        assert np.max(np.abs(modes[len(TRAVELLING_WAVE_COSINES):])) < 1e-13
+
+    def test_shooting_gives_up_on_a_singular_start(self):
+        # f(0) = 0 zeroes the leading coefficient at the first evaluation
+        _, f2, c = TRAVELLING_WAVE_PARAMS
+        assert find_periodic_travelling_wave(EXTENDED_BURGERS, L,
+                                             0.0, f2, c) is None
+
+
+def series_derivative(x, n):
+    """n-th x-derivative of the stored travelling-wave series at x."""
+    k = W * np.arange(len(TRAVELLING_WAVE_COSINES))
+    phase = np.multiply.outer(x, k) + n * np.pi / 2
+    sines = np.concatenate([[0.0], TRAVELLING_WAVE_SINES])
+    return (np.cos(phase) * k**n) @ np.array(TRAVELLING_WAVE_COSINES) \
+        + (np.sin(phase) * k**n) @ sines
