@@ -17,8 +17,11 @@ dx lives in the scaled symplectic form dx * sum dq^j ^ dp_j, which puts the
 canonical equations in standard form), while the direct-picture sum is a
 plain quadrature and does carry dx.
 
-Each sum and each gradient has one kernel, on raw arrays: the lifted pair
-(q, p) with its winding constant C, or the direct samples u.
+Each sum, each gradient and the Casimir has one kernel, on raw arrays: the
+lifted pair (q, p) with its winding constant C, or the direct samples u.
+A sum takes one state, shape (N,), and gives a float, or a column stack
+(N, m) and gives an (m,) array whose entries are bitwise the sums of the
+states alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clebsch import momentum_arrays
-from .grid import Field, PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
+from .grid import s_avg, st_avg, t_diff, tt_diff
 
 __all__ = [
     "HamiltonianSpec",
@@ -77,13 +80,21 @@ BURGERS = HamiltonianSpec(1.0, 0.0, 0.0, 0.0)
 EXTENDED_BURGERS = HamiltonianSpec(0.5, 0.5, -0.25, 0.5)
 
 
+def _space_sum(values: np.ndarray):
+    """Sum over axis 0: a float for shape (N,), one sum per column for
+    (N, m), each summed as a contiguous row and so bitwise the sum of that
+    column alone (``values.sum(axis=0)`` is not)."""
+    total = np.ascontiguousarray(values.T).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
 # -- lifted (collective) picture ----------------------------------------------
 #
 # Both kernels take raw arrays with axis 0 as space; the gradient broadcasts
 # over trailing axes, so the time steppers evaluate batches in one call.
 
 def discrete_H_collective(spec: HamiltonianSpec, dx: float, C: float,
-                          q: np.ndarray, p: np.ndarray) -> float:
+                          q: np.ndarray, p: np.ndarray):
     """Collective Hamiltonian sum over the half grid, without a dx factor.
 
     The even density takes u = J(q, p); the odd density takes the
@@ -91,8 +102,8 @@ def discrete_H_collective(spec: HamiltonianSpec, dx: float, C: float,
     """
     u, _, _ = momentum_arrays(dx, C, q, p)
     w = (-1.0 / dx) * tt_diff(u)
-    return float(np.sum(spec.even_density(u))
-                 + np.sum(spec.odd_density(s_avg(w))))
+    return (_space_sum(spec.even_density(u))
+            + _space_sum(spec.odd_density(s_avg(w))))
 
 
 def grad_collective(spec: HamiltonianSpec, dx: float, C: float,
@@ -116,11 +127,11 @@ def grad_collective(spec: HamiltonianSpec, dx: float, C: float,
 # -- direct picture -------------------------------------------------------------
 
 def discrete_H_conventional(spec: HamiltonianSpec, dx: float,
-                            u: np.ndarray) -> float:
+                            u: np.ndarray):
     """Plain quadrature dx * sum of the density with u_x = (T u)/dx."""
     ux = t_diff(u) / dx
-    return float(dx * (np.sum(spec.even_density(u))
-                       + np.sum(spec.odd_density(ux))))
+    return dx * (_space_sum(spec.even_density(u))
+                 + _space_sum(spec.odd_density(ux)))
 
 
 def grad_conventional(spec: HamiltonianSpec, dx: float,
@@ -133,10 +144,10 @@ def grad_conventional(spec: HamiltonianSpec, dx: float,
 
 # -- Casimir --------------------------------------------------------------------
 
-def casimir(grid: PeriodicGrid, u: Field) -> float:
-    """Quadrature dx * sum sqrt|u|, on whichever node set u carries.
+def casimir(dx: float, u: np.ndarray):
+    """Quadrature dx * sum sqrt|u|, on whichever node set u lives.
 
     Conserved by the exact flow for every density; only ever evaluated,
     never differentiated, so the kink at u = 0 needs no regularisation.
     """
-    return float(grid.dx * np.sum(np.sqrt(np.abs(u.values))))
+    return dx * _space_sum(np.sqrt(np.abs(u)))

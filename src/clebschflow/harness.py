@@ -10,6 +10,11 @@ translated wave profile for the travelling-wave preset) and are omitted
 otherwise.  The wave profile is a stored Fourier series, so resolving it
 solves no ODE.
 
+Diagnostics are evaluated per block of OBSERVE_BLOCK observed states (64 d
+floats per scheme, 4 MB for a lifted N = 4096 run), when it is full and
+after the loop: one call per kernel, and one to the exact reference, serve
+the block, bitwise as one state at a time would.
+
 Comparison conventions: the lifted method is compared on the half grid
 (where its recovered field lives) and its Casimir is evaluated there; the
 direct method uses the full grid for both.  A convergence study is made
@@ -186,14 +191,14 @@ class ExperimentResult:
 
 # -- diagnostics ------------------------------------------------------------------
 
-def fourier_modes(u: Field) -> np.ndarray:
-    """Nonnegative amplitudes |DFT(u)_k| / N for k = 0 .. N//2.
+def fourier_modes(u: np.ndarray) -> np.ndarray:
+    """Nonnegative amplitudes |DFT(u)_k| / N for k = 0 .. N//2 along axis
+    0, one column of amplitudes per column of u.
 
     For odd N the Nyquist mode does not exist and the table simply stops at
     (N-1)//2; callers flag that case via the record's nyquist column.
     """
-    v = u.values
-    return np.abs(np.fft.rfft(v)) / v.shape[0]
+    return np.abs(np.fft.rfft(u, axis=0)) / u.shape[0]
 
 
 def solution_error(u_num: Field, u_ref: Field) -> float:
@@ -420,11 +425,9 @@ def resolve_initial_condition(config: ExperimentConfig) -> InitialCondition:
 
 # -- experiment drivers --------------------------------------------------------------
 
-#: Observations whose exact solutions are asked for in one call.  The
-#: characteristics oracle solves a block in one vectorised Newton iteration
-#: for a fraction of the cost of separate calls; 64 rows of N values stay
-#: small next to the run.
-REFERENCE_BLOCK = 64
+#: Observations evaluated together; the characteristics oracle solves a
+#: block's times in one vectorised Newton iteration.
+OBSERVE_BLOCK = 64
 
 
 def _run_one_method(method: str, config: ExperimentConfig,
@@ -432,8 +435,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
                     reference: Optional[Callable]) -> MethodRun:
     spec = config.spec
     N, dx = grid.N, grid.dx
-    nyquist_ok = N % 2 == 0
 
+    # recover and energy take one packed state (d,) or a stack (d, m)
     if method == COLLECTIVE:
         state0 = lift(grid, u0)
         winding = state0.C
@@ -442,7 +445,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
         compare = Staggering.HALF
 
         def recover(z):
-            return Field.half(momentum_arrays(dx, winding, z[:N], z[N:])[0])
+            return momentum_arrays(dx, winding, z[:N], z[N:])[0]
 
         def energy(z):
             return discrete_H_collective(spec, dx, winding, z[:N], z[N:])
@@ -452,50 +455,51 @@ def _run_one_method(method: str, config: ExperimentConfig,
         compare = Staggering.FULL
 
         def recover(z):
-            return Field.full(z)
+            return z
 
         def energy(z):
             return discrete_H_conventional(spec, dx, z)
 
     nodes = grid.nodes(compare)
     H0 = energy(z0)
-    cas0 = casimir(grid, recover(z0))
+    cas0 = casimir(dx, recover(z0))
     records = []
     n_steps = config.n_steps
-    # (record index, recovered field) of the records whose solution error
-    # waits for the exact solution at their t
-    pending = []
+    # the observations waiting for their diagnostics, as
+    # (step, t, newton_iters, state)
+    block = []
 
-    def fill_solution_errors():
-        exact = reference([records[i].t for i, _ in pending], nodes)
-        for (i, u), values in zip(pending, exact):
-            if values is not None:
-                err = solution_error(u, Field(values, compare))
-                records[i] = replace(records[i], solution_rel_err=err)
-        pending.clear()
+    def flush():
+        steps, times, iterations, states = zip(*block)
+        z = np.stack(states).T
+        u = recover(z)
+        H = energy(z).tolist()
+        cas = casimir(dx, u).tolist()
+        amps = fourier_modes(u).T
+        exact = (reference(list(times), nodes) if reference is not None
+                 else [None] * len(block))
+        for k, values in enumerate(exact):
+            records.append(DiagnosticsRecord(
+                method=method,
+                step=steps[k],
+                t=times[k],
+                H_hat=H[k],
+                casimir=cas[k],
+                H_rel_err=_rel_err(H0, H[k]),
+                casimir_rel_err=_rel_err(cas0, cas[k]),
+                solution_rel_err=(
+                    None if values is None else solution_error(
+                        Field(u[:, k], compare), Field(values, compare))),
+                fourier_amp=amps[k],
+                nyquist_amp=float(amps[k, -1]) if N % 2 == 0 else math.nan,
+                newton_iters=iterations[k],
+            ))
+        block.clear()
 
     def observe(step, t, z, newton_iters):
-        u = recover(z)
-        H = energy(z)
-        cas = casimir(grid, u)
-        amps = fourier_modes(u)
-        records.append(DiagnosticsRecord(
-            method=method,
-            step=step,
-            t=t,
-            H_hat=H,
-            casimir=cas,
-            H_rel_err=_rel_err(H0, H),
-            casimir_rel_err=_rel_err(cas0, cas),
-            solution_rel_err=None,
-            fourier_amp=amps,
-            nyquist_amp=float(amps[-1]) if nyquist_ok else math.nan,
-            newton_iters=newton_iters,
-        ))
-        if reference is not None:
-            pending.append((len(records) - 1, u))
-            if len(pending) >= REFERENCE_BLOCK:
-                fill_solution_errors()
+        block.append((step, t, newton_iters, z.copy()))
+        if len(block) == OBSERVE_BLOCK:
+            flush()
 
     observe(0, 0.0, z0, 0)
     accepted = dict.fromkeys(("increments", "residual", "floor"), 0)
@@ -509,9 +513,9 @@ def _run_one_method(method: str, config: ExperimentConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         result = integrate(rhs, band, z0, config.dt, n_steps,
                            config.newton, observer)
-    if pending:
-        fill_solution_errors()
-    finals = {"u": recover(result.z)}
+        if block:
+            flush()
+    finals = {"u": Field(recover(result.z), compare)}
     if method == COLLECTIVE:
         final_state = unpack_state(result.z, winding)
         finals["q"] = final_state.q

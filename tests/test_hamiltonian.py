@@ -14,6 +14,7 @@ from clebschflow.hamiltonian import (
     grad_collective,
     grad_conventional,
 )
+from clebschflow.harness import fourier_modes
 
 L = 8.0
 W = 2 * np.pi / L
@@ -203,11 +204,11 @@ class TestPictureConsistency:
 class TestCasimir:
     def test_constant_one_gives_circumference(self):
         g = PeriodicGrid(32, L)
-        assert casimir(g, Field.full(np.ones(32))) == pytest.approx(8.0, rel=1e-14)
+        assert casimir(g.dx, np.ones(32)) == pytest.approx(8.0, rel=1e-14)
 
     def test_zero_field(self):
         g = PeriodicGrid(8, L)
-        assert casimir(g, Field.half(np.zeros(8))) == 0.0
+        assert casimir(g.dx, np.zeros(8)) == 0.0
 
     def test_converges_to_quadrature(self):
         # smooth positive periodic integrand: the equispaced sum converges
@@ -217,7 +218,7 @@ class TestCasimir:
         errs = []
         for N in (8, 16, 32):
             g = PeriodicGrid(N, L)
-            errs.append(abs(casimir(g, Field.full(cosine_profile(g.full_nodes)))
+            errs.append(abs(casimir(g.dx, cosine_profile(g.full_nodes))
                             - exact))
         assert errs[0] < 1e-4
         assert errs[1] < 1e-9
@@ -226,15 +227,60 @@ class TestCasimir:
     def test_square_root_homogeneity(self):
         rng = np.random.default_rng(4)
         g = PeriodicGrid(8, L)
-        u = Field.full(rng.standard_normal(8))
+        u = rng.standard_normal(8)
         for c in (2.0, -3.0, 0.5):
-            got = casimir(g, (c * c) * u)
-            assert got == pytest.approx(abs(c) * casimir(g, u), rel=1e-13)
+            got = casimir(g.dx, (c * c) * u)
+            assert got == pytest.approx(abs(c) * casimir(g.dx, u), rel=1e-13)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         g = PeriodicGrid(8, L)
-        assert casimir(g, Field.full(rng.standard_normal(8))) >= 0.0
+        assert casimir(g.dx, rng.standard_normal(8)) >= 0.0
+
+
+class TestColumnStacks:
+    """A kernel given m states as the columns of an (N, m) array returns m
+    values, each bitwise what the kernel gives for that state alone.  A
+    plain sum over axis 0 would add the rows in another order."""
+
+    @pytest.fixture(params=["C", "F"])
+    def stack(self, request):
+        """The columns as a C-ordered array or as the transpose of a
+        row stack, the layout the harness observes in."""
+        def build(columns):
+            stacked = np.stack(columns).T
+            if request.param == "C":
+                return np.ascontiguousarray(stacked)
+            return stacked
+        return build
+
+    @pytest.mark.parametrize("N", [3, 7, 8, 15, 64, 512])
+    @pytest.mark.parametrize("spec", [BURGERS, EXTENDED_BURGERS],
+                             ids=["burgers", "extended"])
+    def test_batched_kernels_equal_their_per_column_calls(self, stack, N,
+                                                          spec):
+        g = PeriodicGrid(N, L)
+        rng = np.random.default_rng(N)
+        states = [random_state(g, rng) for _ in range(5)]
+        qs = [s.q.values for s in states]
+        ps = [s.p.values for s in states]
+        us = [1.0 + 0.4 * rng.standard_normal(N) for _ in range(5)]
+        Q, P, U = stack(qs), stack(ps), stack(us)
+        cases = [
+            (discrete_H_collective(spec, g.dx, g.L, Q, P),
+             [discrete_H_collective(spec, g.dx, g.L, q, p)
+              for q, p in zip(qs, ps)]),
+            (discrete_H_conventional(spec, g.dx, U),
+             [discrete_H_conventional(spec, g.dx, u) for u in us]),
+            (casimir(g.dx, U), [casimir(g.dx, u) for u in us]),
+            (fourier_modes(U).T, [fourier_modes(u) for u in us]),
+        ]
+        for batched, alone in cases:
+            assert batched.shape[0] == 5
+            for got, want in zip(batched, alone):
+                assert np.array_equal(got, want)
+        assert all(isinstance(v, float) for _, alone in cases[:3]
+                   for v in alone)
 
 
 class TestSpecValidation:

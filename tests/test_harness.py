@@ -1,7 +1,8 @@
 import csv
 import io
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,26 +48,26 @@ def quick_config(**overrides):
 
 class TestFourierModes:
     def test_constant_is_pure_dc(self):
-        amps = fourier_modes(Field.full(np.full(8, 2.5)))
+        amps = fourier_modes(np.full(8, 2.5))
         assert amps[0] == pytest.approx(2.5, abs=1e-14)
         np.testing.assert_allclose(amps[1:], np.zeros(4), atol=1e-14)
 
     def test_single_cosine_mode(self):
         g = PeriodicGrid(16, L)
-        amps = fourier_modes(Field.full(np.cos(W * g.full_nodes)))
+        amps = fourier_modes(np.cos(W * g.full_nodes))
         assert amps[1] == pytest.approx(0.5, abs=1e-13)
         mask = np.ones(9, dtype=bool)
         mask[1] = False
         np.testing.assert_allclose(amps[mask], np.zeros(8), atol=1e-13)
 
     def test_alternating_samples_sit_at_nyquist(self):
-        u = Field.full(np.array([1.0, -1.0] * 4))
+        u = np.array([1.0, -1.0] * 4)
         amps = fourier_modes(u)
         assert amps[-1] == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(amps[:-1], np.zeros(4), atol=1e-14)
 
     def test_odd_sample_count_has_no_nyquist_entry(self):
-        amps = fourier_modes(Field.full(np.ones(7)))
+        amps = fourier_modes(np.ones(7))
         assert len(amps) == 4  # modes 0..3 only
 
 
@@ -356,7 +357,8 @@ class TestRunExperiment:
         run = result.runs[0]
         assert not run.converged
         assert run.failed_step is not None
-        assert len(run.records) >= 1
+        # one record per step before the failing one
+        assert [r.step for r in run.records] == list(range(run.failed_step))
         assert not result.converged
 
 
@@ -365,13 +367,27 @@ def solution_errors(result):
             for r in result.records_interleaved()]
 
 
+def record_stream(result):
+    """Every field of every record, each float as its exact hex string, so
+    that equal streams compare equal bit for bit, nan included."""
+    def exact(value):
+        if isinstance(value, np.ndarray):
+            return [v.hex() for v in value.tolist()]
+        return value.hex() if isinstance(value, float) else value
+
+    return [tuple(exact(getattr(r, f.name)) for f in fields(r))
+            for r in result.records_interleaved()]
+
+
 class TestReferenceBlocks:
-    """Observation times are solved in blocks; every record must carry
-    what one oracle call per observation time gives."""
+    """Observations are evaluated in blocks and their times solved in
+    blocks; every record must carry what one observation per block and one
+    oracle call per observation time give."""
 
     @pytest.fixture
     def per_time(self, monkeypatch):
-        """Make the oracle answer a block by one scalar call per time."""
+        """Evaluate one observation per block and make the oracle answer
+        by one scalar call per time."""
         solve = ref_mod.burgers_characteristics
 
         def one_at_a_time(u0, x, t, **options):
@@ -383,21 +399,26 @@ class TestReferenceBlocks:
             with monkeypatch.context() as patch:
                 patch.setattr(ref_mod, "burgers_characteristics",
                               one_at_a_time)
+                patch.setattr(harness, "OBSERVE_BLOCK", 1)
                 return run_experiment(config)
 
         return run
 
-    @pytest.mark.parametrize("block", [harness.REFERENCE_BLOCK, 5])
+    @pytest.mark.parametrize("block", [1, 5, harness.OBSERVE_BLOCK])
     @pytest.mark.parametrize("overrides", [
         dict(observe_every=1, t_end=70 * 2.0 ** -8),
+        # odd N: no Nyquist mode; 25 observations per scheme
         dict(observe_every=3, t_end=71 * 2.0 ** -8, N=15),
         # 0.98 t* = 0.4159 falls between observations
         dict(observe_every=4, t_end=0.5),
-    ], ids=["every-step", "off-stride-end", "straddles-breaking"])
+        dict(method="conventional", dt=64.0, t_end=640.0, observe_every=1,
+             newton=NewtonConfig(max_iter=3)),
+    ], ids=["every-step", "off-stride-end", "straddles-breaking",
+            "diverging"])
     def test_blocks_match_one_call_per_time(self, per_time, monkeypatch,
                                             overrides, block):
         config = quick_config(**overrides)
-        expected = solution_errors(per_time(config))
+        expected = per_time(config)
         asked = []
         solve = ref_mod.burgers_characteristics
 
@@ -405,19 +426,25 @@ class TestReferenceBlocks:
             asked.append(np.atleast_1d(t).tolist())
             return solve(u0, x, t, **options)
 
-        monkeypatch.setattr(harness, "REFERENCE_BLOCK", block)
+        monkeypatch.setattr(harness, "OBSERVE_BLOCK", block)
         monkeypatch.setattr(ref_mod, "burgers_characteristics", counted)
-        result = run_experiment(config)
-        got = solution_errors(result)
-        assert got == expected
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_experiment(config)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert record_stream(result) == record_stream(expected)
+        assert ([run.failed_step for run in result.runs]
+                == [run.failed_step for run in expected.runs])
         # every valid observation time is asked for once per scheme, at the
         # t the record carries, in one call per block of observations
         late = 0.98 * 8.0 / (6.0 * np.pi)
         valid = [r.t for r in result.records_interleaved() if r.t < late]
         assert sorted(t for call in asked for t in call) == sorted(valid)
-        assert [err is None for _, _, err in got] == [
+        assert [r.solution_rel_err is None
+                for r in result.records_interleaved()] == [
             r.t >= late for r in result.records_interleaved()]
-        assert len(asked) == 2 * -(-(len(valid) // 2) // block)
+        assert len(asked) == len(result.runs) * -(
+            -(len(valid) // len(result.runs)) // block)
 
     def test_a_stopped_run_asks_only_for_its_recorded_times(self,
                                                            monkeypatch):
