@@ -15,13 +15,8 @@ for the pieces, and the ``clebschflow`` command line tool for the packaged
 experiments.
 """
 
-from .grid import (
-    Field,
-    PeriodicGrid,
-    Staggering,
-    StaggeringError,
-)
-from .clebsch import ClebschState, lift, momentum_arrays, momentum_map
+from .grid import PeriodicGrid
+from .clebsch import lift, momentum_arrays
 from .hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -43,8 +38,6 @@ from .dynamics import (
     conventional_flat_field,
     integrate,
     midpoint_step,
-    pack_state,
-    unpack_state,
 )
 from .harness import (
     ConfigError,

@@ -67,8 +67,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clebsch import ClebschState
-from .grid import Field, PeriodicGrid
+from .grid import PeriodicGrid
 from .hamiltonian import HamiltonianSpec, grad_collective, grad_conventional
 
 __all__ = [
@@ -86,8 +85,6 @@ __all__ = [
     "collective_flat_field",
     "conventional_flat_field",
     "apply_K",
-    "pack_state",
-    "unpack_state",
     "midpoint_step",
     "fd_jacobian",
     "integrate",
@@ -177,16 +174,15 @@ COLLECTIVE_HALF_WIDTH = 3
 CONVENTIONAL_HALF_WIDTH = 2
 
 
-def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid,
-                          C: float) -> tuple[Callable[[np.ndarray], np.ndarray],
-                                             Band]:
-    """Right-hand side on packed states z = (q, p), and its Band.
+def collective_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid
+                          ) -> tuple[Callable[[np.ndarray], np.ndarray], Band]:
+    """Right-hand side on packed states z = (q, p) of winding constant
+    grid.L, the identity lift's, and its Band.
 
     The right-hand side accepts a single state of shape (2N,) or a batch
     of column-stacked states of shape (2N, m).
     """
-    N = grid.N
-    dx = grid.dx
+    N, dx, C = grid.N, grid.dx, grid.L
 
     def rhs(z: np.ndarray) -> np.ndarray:
         gq, gp = grad_collective(spec, dx, C, z[:N], z[N:])
@@ -229,19 +225,6 @@ def conventional_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid
         return apply_K(u, grad / dx, dx)
 
     return rhs, Band(grid.N, CONVENTIONAL_HALF_WIDTH, blocks=1)
-
-
-# -- state packing ---------------------------------------------------------------
-
-def pack_state(state: ClebschState) -> np.ndarray:
-    """Flatten a Clebsch pair as (q then p); the winding constant travels
-    separately because the flow never changes it."""
-    return np.concatenate([state.q.values, state.p.values])
-
-
-def unpack_state(z: np.ndarray, C: float) -> ClebschState:
-    N = z.shape[0] // 2
-    return ClebschState(q=Field.full(z[:N]), p=Field.full(z[N:]), C=C)
 
 
 # -- Jacobian band ----------------------------------------------------------------

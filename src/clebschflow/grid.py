@@ -20,35 +20,23 @@ The transposes are plain matrix transposes, so  <t_diff(f), g> =
 <f, tt_diff(g)>  and  <s_avg(f), g> = <f, st_avg(g)>  exactly.  They act on
 raw arrays along axis 0 and broadcast over trailing axes, which lets the
 time steppers evaluate whole batches of perturbed states in one call.
-Samples at the public boundary are tagged with their node set by ``Field``.
+Samples are plain arrays throughout the package; which node set an array
+lives on is fixed by the function that produces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Staggering",
-    "StaggeringError",
     "PeriodicGrid",
-    "Field",
     "t_diff",
     "tt_diff",
     "s_avg",
     "st_avg",
 ]
-
-
-class Staggering(Enum):
-    FULL = "full"
-    HALF = "half"
-
-
-class StaggeringError(ValueError):
-    """An operation received samples living on the wrong node set."""
 
 
 @dataclass(frozen=True)
@@ -77,81 +65,6 @@ class PeriodicGrid:
     @property
     def half_nodes(self) -> np.ndarray:
         return self.dx * (np.arange(1, self.N + 1) - 0.5)
-
-    def nodes(self, staggering: Staggering) -> np.ndarray:
-        return self.full_nodes if staggering is Staggering.FULL else self.half_nodes
-
-
-@dataclass(frozen=True)
-class Field:
-    """Real samples on one node set of a periodic grid.
-
-    The staggering tag is fixed at construction; pointwise binary operations
-    between two fields require matching tags.
-    """
-
-    values: np.ndarray
-    staggering: Staggering
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("a field stores a one-dimensional sample vector")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def full(cls, values) -> "Field":
-        return cls(values, Staggering.FULL)
-
-    @classmethod
-    def half(cls, values) -> "Field":
-        return cls(values, Staggering.HALF)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def _coerce(self, other):
-        if isinstance(other, Field):
-            if other.staggering is not self.staggering:
-                raise StaggeringError(
-                    f"cannot combine {self.staggering.value}- and "
-                    f"{other.staggering.value}-staggered fields pointwise"
-                )
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return Field(self.values + self._coerce(other), self.staggering)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Field(self.values - self._coerce(other), self.staggering)
-
-    def __rsub__(self, other):
-        return Field(self._coerce(other) - self.values, self.staggering)
-
-    def __mul__(self, other):
-        return Field(self.values * self._coerce(other), self.staggering)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Field(self.values / self._coerce(other), self.staggering)
-
-    def __neg__(self):
-        return Field(-self.values, self.staggering)
-
-
-def _require(f: Field, staggering: Staggering, op: str) -> np.ndarray:
-    if not isinstance(f, Field):
-        raise TypeError(f"{op} expects a Field, got {type(f).__name__}")
-    if f.staggering is not staggering:
-        raise StaggeringError(
-            f"{op} expects a {staggering.value}-staggered field, "
-            f"got {f.staggering.value}"
-        )
-    return f.values
 
 
 # -- raw-array stencils (axis 0 is space, trailing axes broadcast) ------------

@@ -17,10 +17,12 @@ the block, bitwise as one state at a time would.
 
 Comparison conventions: the lifted method is compared on the half grid
 (where its recovered field lives) and its Casimir is evaluated there; the
-direct method uses the full grid for both.  A convergence study is made
+direct method uses the full grid for both.  Samples are plain arrays, and
+the run of each scheme is the one place that says which nodes its u lives
+on: each final field is kept with its nodes.  A convergence study is made
 of ordinary runs that record only their endpoints; its fine-grid reference
 is one more lifted run per level, on a FINE_GRID_REFINE times finer grid
-at dt/4, restricted to the node set of each scheme.
+at dt/4, restricted by position to the nodes of each scheme.
 
 Each CSV is rendered from one header line and one ``str.format`` row
 template: numbers carry 17 significant digits, a missing solution error is
@@ -44,10 +46,8 @@ from .dynamics import (
     collective_flat_field,
     conventional_flat_field,
     integrate,
-    pack_state,
-    unpack_state,
 )
-from .grid import Field, PeriodicGrid, Staggering, StaggeringError, st_avg
+from .grid import PeriodicGrid, st_avg
 from .hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -116,10 +116,10 @@ class ExperimentConfig:
                               f"got {self.method!r}")
         if self.N < 3:
             raise ConfigError(f"need N >= 3, got {self.N}")
-        if not self.L > 0:
-            raise ConfigError("L must be positive")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.L < math.inf:
+            raise ConfigError(f"L must be positive and finite, got {self.L}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
         if not self.t_end / self.dt <= MAX_STEPS:
@@ -150,9 +150,10 @@ class DiagnosticsRecord:
 
 @dataclass
 class MethodRun:
-    """One scheme's run.  accepted counts the completed steps by the test
-    that ended their Newton iteration (``StepReport.status``):
-    "increments", "residual" or "floor"."""
+    """One scheme's run.  finals maps each final field's name ("u", and "q"
+    and "p" when lifted) to its (nodes, values) pair.  accepted counts the
+    completed steps by the test that ended their Newton iteration
+    (``StepReport.status``): "increments", "residual" or "floor"."""
 
     method: str
     records: list
@@ -201,13 +202,11 @@ def fourier_modes(u: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(u, axis=0)) / u.shape[0]
 
 
-def solution_error(u_num: Field, u_ref: Field) -> float:
-    """Relative discrete L2 distance ||u_num - u_ref|| / ||u_ref||."""
-    if u_num.staggering is not u_ref.staggering:
-        raise StaggeringError("numerical and reference fields must live on "
-                              "the same node set")
-    diff = float(np.linalg.norm(u_num.values - u_ref.values))
-    denom = float(np.linalg.norm(u_ref.values))
+def solution_error(u_num: np.ndarray, u_ref: np.ndarray) -> float:
+    """Relative discrete L2 distance ||u_num - u_ref|| / ||u_ref|| of two
+    sample vectors on the same nodes."""
+    diff = float(np.linalg.norm(u_num - u_ref))
+    denom = float(np.linalg.norm(u_ref))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / denom
@@ -431,18 +430,17 @@ OBSERVE_BLOCK = 64
 
 
 def _run_one_method(method: str, config: ExperimentConfig,
-                    grid: PeriodicGrid, u0: Field,
+                    grid: PeriodicGrid, u0: np.ndarray,
                     reference: Optional[Callable]) -> MethodRun:
     spec = config.spec
-    N, dx = grid.N, grid.dx
+    N, dx, winding = grid.N, grid.dx, grid.L
 
-    # recover and energy take one packed state (d,) or a stack (d, m)
+    # recover and energy take one packed state (d,) or a stack (d, m); the
+    # lifted u lives on the half nodes, the direct one on the full nodes
     if method == COLLECTIVE:
-        state0 = lift(grid, u0)
-        winding = state0.C
-        z0 = pack_state(state0)
-        rhs, band = collective_flat_field(spec, grid, winding)
-        compare = Staggering.HALF
+        z0 = lift(grid, u0)
+        rhs, band = collective_flat_field(spec, grid)
+        nodes = grid.half_nodes
 
         def recover(z):
             return momentum_arrays(dx, winding, z[:N], z[N:])[0]
@@ -450,9 +448,9 @@ def _run_one_method(method: str, config: ExperimentConfig,
         def energy(z):
             return discrete_H_collective(spec, dx, winding, z[:N], z[N:])
     else:
-        z0 = u0.values.copy()
+        z0 = u0.copy()
         rhs, band = conventional_flat_field(spec, grid)
-        compare = Staggering.FULL
+        nodes = grid.full_nodes
 
         def recover(z):
             return z
@@ -460,7 +458,6 @@ def _run_one_method(method: str, config: ExperimentConfig,
         def energy(z):
             return discrete_H_conventional(spec, dx, z)
 
-    nodes = grid.nodes(compare)
     H0 = energy(z0)
     cas0 = casimir(dx, recover(z0))
     records = []
@@ -487,9 +484,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
                 casimir=cas[k],
                 H_rel_err=_rel_err(H0, H[k]),
                 casimir_rel_err=_rel_err(cas0, cas[k]),
-                solution_rel_err=(
-                    None if values is None else solution_error(
-                        Field(u[:, k], compare), Field(values, compare))),
+                solution_rel_err=(None if values is None
+                                  else solution_error(u[:, k], values)),
                 fourier_amp=amps[k],
                 nyquist_amp=float(amps[k, -1]) if N % 2 == 0 else math.nan,
                 newton_iters=iterations[k],
@@ -515,11 +511,10 @@ def _run_one_method(method: str, config: ExperimentConfig,
                            config.newton, observer)
         if block:
             flush()
-    finals = {"u": Field(recover(result.z), compare)}
+    finals = {"u": (nodes, recover(result.z))}
     if method == COLLECTIVE:
-        final_state = unpack_state(result.z, winding)
-        finals["q"] = final_state.q
-        finals["p"] = final_state.p
+        finals["q"] = (grid.full_nodes, result.z[:N])
+        finals["p"] = (grid.full_nodes, result.z[N:])
     failed_step = result.failure.step if result.failure is not None else None
     return MethodRun(method, records, finals, failed_step, accepted)
 
@@ -545,8 +540,8 @@ def _run_experiment(config: ExperimentConfig,
     # a profile that is not finite everywhere is reported once, below
     with np.errstate(all="ignore"):
         ic = resolve_initial_condition(config)
-        u0 = Field.full(np.asarray(ic.profile(grid.full_nodes), dtype=float))
-    if not np.all(np.isfinite(u0.values)):
+        u0 = np.asarray(ic.profile(grid.full_nodes), dtype=float)
+    if not np.all(np.isfinite(u0)):
         raise ConfigError(f"initial condition {ic.name!r} is not finite at "
                           f"every grid node")
     methods = ([COLLECTIVE, CONVENTIONAL] if config.method == "both"
@@ -624,7 +619,8 @@ def convergence_study(base_config: ExperimentConfig, levels,
             refined = _converged_run(
                 fine, N, exact=False,
                 label=f"refined (N={fine.N}, dt/4) ").runs[0]
-            u_fine = st_avg(refined.finals["u"].values)
+            u_fine = st_avg(refined.finals["u"][1])
+            dx_fine = fine.L / fine.N
         for run in result.runs:
             final = run.records[-1]
             if reference == "auto":
@@ -634,15 +630,10 @@ def convergence_study(base_config: ExperimentConfig, levels,
                         "exact reference invalid at the final time; use "
                         "reference='fine-grid'")
             else:
-                # coarse node k is fine full node 8k + 3 on the half grid
-                # and 8k + 7 on the full grid (for the factor 8)
-                u = run.finals["u"]
-                shift = FINE_GRID_REFINE - 1
-                if u.staggering is Staggering.HALF:
-                    shift -= FINE_GRID_REFINE // 2
-                exact = Field(u_fine[FINE_GRID_REFINE * np.arange(N) + shift],
-                              u.staggering)
-                solution_err = solution_error(u, exact)
+                # the fine full node at x has index rint(x / dx_fine) - 1
+                x, u = run.finals["u"]
+                j = np.rint(x / dx_fine).astype(int) - 1
+                solution_err = solution_error(u, u_fine[j])
             rows.setdefault(run.method, []).append(ConvergenceLevel(
                 method=run.method,
                 N=N,
@@ -687,14 +678,14 @@ def records_to_csv(result: ExperimentResult) -> str:
 
 
 def finals_to_csv(result: ExperimentResult) -> str:
-    """Sidecar CSV with the final fields (u, plus q and p when lifted)."""
+    """Sidecar CSV with the final fields (u, plus q and p when lifted), each
+    at its nodes."""
     row = "{},{},{},{:.17g},{:.17g}\n"
     lines = ["method,field,index,x,value\n"]
     for run in result.runs:
-        for name, f in run.finals.items():
-            xs = result.grid.nodes(f.staggering).tolist()
+        for name, (xs, values) in run.finals.items():
             lines += [row.format(run.method, name, j, x, v) for j, (x, v)
-                      in enumerate(zip(xs, f.values.tolist()), start=1)]
+                      in enumerate(zip(xs.tolist(), values.tolist()), start=1)]
     return "".join(lines)
 
 

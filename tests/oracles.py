@@ -1,18 +1,20 @@
-"""Oracles used only by the tests: the Field-typed staggered operators,
-independent dense builds of the grid operators, the jet recursion at
-general depth with its adjoint, the pointwise flow in jet variables, the
-travelling wave's wave-frame reduction with its self-test built on that
-flow and its scipy DOP853 solution, the shooting search that found the
-frozen travelling-wave parameters, and the implicit midpoint step built
-from single field calls and a column-by-column Jacobian.
+"""Oracles used only by the tests: the Field type that tags samples with
+their node set and the Field-typed staggered operators, independent dense
+builds of the grid operators, the jet recursion at general depth with its
+adjoint, the pointwise flow in jet variables, the travelling wave's
+wave-frame reduction with its self-test built on that flow and its scipy
+DOP853 solution, the shooting search that found the frozen travelling-wave
+parameters, and the implicit midpoint step built from single field calls
+and a column-by-column Jacobian.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from clebschflow.clebsch import ClebschState, momentum_map
+from clebschflow.clebsch import momentum_arrays
 from clebschflow.dynamics import (
     FD_STEP,
     FLOOR_THETA,
@@ -21,18 +23,91 @@ from clebschflow.dynamics import (
     NonConvergenceError,
     StepReport,
 )
-from clebschflow.grid import (
-    Field,
-    PeriodicGrid,
-    Staggering,
-    StaggeringError,
-    _require,
-    s_avg,
-    st_avg,
-    t_diff,
-    tt_diff,
-)
+from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
 from clebschflow.hamiltonian import HamiltonianSpec
+
+
+# -- samples tagged with their node set ---------------------------------------------
+
+class Staggering(Enum):
+    FULL = "full"
+    HALF = "half"
+
+
+class StaggeringError(ValueError):
+    """An operation received samples living on the wrong node set."""
+
+
+@dataclass(frozen=True)
+class Field:
+    """Real samples on one node set of a periodic grid.
+
+    The staggering tag is fixed at construction; pointwise binary operations
+    between two fields require matching tags.
+    """
+
+    values: np.ndarray
+    staggering: Staggering
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("a field stores a one-dimensional sample vector")
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def full(cls, values) -> "Field":
+        return cls(values, Staggering.FULL)
+
+    @classmethod
+    def half(cls, values) -> "Field":
+        return cls(values, Staggering.HALF)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def _coerce(self, other):
+        if isinstance(other, Field):
+            if other.staggering is not self.staggering:
+                raise StaggeringError(
+                    f"cannot combine {self.staggering.value}- and "
+                    f"{other.staggering.value}-staggered fields pointwise"
+                )
+            return other.values
+        return other
+
+    def __add__(self, other):
+        return Field(self.values + self._coerce(other), self.staggering)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Field(self.values - self._coerce(other), self.staggering)
+
+    def __rsub__(self, other):
+        return Field(self._coerce(other) - self.values, self.staggering)
+
+    def __mul__(self, other):
+        return Field(self.values * self._coerce(other), self.staggering)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return Field(self.values / self._coerce(other), self.staggering)
+
+    def __neg__(self):
+        return Field(-self.values, self.staggering)
+
+
+def _require(f: Field, staggering: Staggering, op: str) -> np.ndarray:
+    if not isinstance(f, Field):
+        raise TypeError(f"{op} expects a Field, got {type(f).__name__}")
+    if f.staggering is not staggering:
+        raise StaggeringError(
+            f"{op} expects a {staggering.value}-staggered field, "
+            f"got {f.staggering.value}"
+        )
+    return f.values
 
 
 # -- Field-typed staggered operators ----------------------------------------------
@@ -162,11 +237,13 @@ class JetTable:
         return len(self.rows) - 1
 
 
-def jet(grid: PeriodicGrid, state: ClebschState, K: int) -> JetTable:
-    """Jet table of depth K for the state's physical field."""
+def jet(grid: PeriodicGrid, z: np.ndarray, K: int) -> JetTable:
+    """Jet table of depth K for the physical field of the packed lifted
+    state z = (q, p), winding constant grid.L."""
     if K < 0:
         raise ValueError(f"jet depth must be nonnegative, got {K}")
-    rows = [momentum_map(grid, state)]
+    N = grid.N
+    rows = [Field.half(momentum_arrays(grid.dx, grid.L, z[:N], z[N:])[0])]
     inv_dx = 1.0 / grid.dx
     for k in range(1, K + 1):
         if k % 2 == 1:
@@ -199,10 +276,10 @@ def jet_adjoint_accumulate(grid: PeriodicGrid, jet_gradients: JetTable) -> Field
 
 
 def jet_H_collective(spec: HamiltonianSpec, grid: PeriodicGrid,
-                     state: ClebschState) -> float:
+                     z: np.ndarray) -> float:
     """Collective sum from the depth-1 jet table: the even density on row 0,
     the odd density on row 1 averaged onto the half grid."""
-    table = jet(grid, state, 1)
+    table = jet(grid, z, 1)
     u = table.rows[0].values
     ux_half = s_avg(table.rows[1].values)
     return float(np.sum(spec.even_density(u))

@@ -258,6 +258,22 @@ class TestRunCommand:
         assert code == 1
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize("flag, value", [("--dt", "inf"), ("--L", "inf"),
+                                             ("--dt", "nan")])
+    def test_non_finite_flag_exits_one(self, tmp_path, capsys, monkeypatch,
+                                       command, flag, value):
+        # the JSON path rejects non-finite numbers; a flag must as well
+        monkeypatch.setattr(harness, "integrate", no_step)
+        out = tmp_path / "d.csv"
+        code, stdout, err = run_cli(capsys, command, "--N", "8", "--t-end",
+                                    "0.001", flag, value, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == (f"configuration error: {flag[2:]} must be positive "
+                       f"and finite, got {value}\n")
+        assert not out.exists()
+
     def test_solver_divergence_exits_two_with_partial_data(self, tmp_path,
                                                            capsys):
         import numpy as np

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from clebschflow import dynamics
-from clebschflow.clebsch import ClebschState, lift, momentum_map
+from clebschflow.clebsch import lift, momentum_arrays
 from clebschflow.dynamics import (
     Band,
     NewtonConfig,
@@ -15,15 +15,14 @@ from clebschflow.dynamics import (
     fd_jacobian,
     integrate,
     midpoint_step,
-    pack_state,
-    unpack_state,
 )
-from clebschflow.grid import Field, PeriodicGrid
+from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
     HamiltonianSpec,
     discrete_H_conventional,
+    grad_collective,
     grad_conventional,
 )
 from clebschflow.harness import (
@@ -41,17 +40,17 @@ def full_band(d):
     return Band(d, d)
 
 
-def collective_rates(spec, g, state):
-    """(qdot, pdot) of the lifted field at a state."""
-    rhs, _ = collective_flat_field(spec, g, state.C)
-    f = rhs(pack_state(state))
+def collective_rates(spec, g, z):
+    """(qdot, pdot) of the lifted field at a packed state."""
+    rhs, _ = collective_flat_field(spec, g)
+    f = rhs(z)
     return f[:g.N], f[g.N:]
 
 
 class TestCollectiveField:
     def test_zero_spec_is_stationary(self):
         g = PeriodicGrid(8, L)
-        state = lift(g, Field.full(1.0 + 0.3 * np.sin(W * g.full_nodes)))
+        state = lift(g, 1.0 + 0.3 * np.sin(W * g.full_nodes))
         qd, pd = collective_rates(HamiltonianSpec(0, 0, 0, 0), g, state)
         np.testing.assert_array_equal(qd, np.zeros(8))
         np.testing.assert_array_equal(pd, np.zeros(8))
@@ -61,7 +60,7 @@ class TestCollectiveField:
         # p_t = -(q_x p^2)_x / 3; on a constant lift this is (-c/3, 0)
         g = PeriodicGrid(16, L)
         c = 1.3
-        state = lift(g, Field.full(np.full(16, c)))
+        state = lift(g, np.full(16, c))
         qd, pd = collective_rates(HamiltonianSpec(-1 / 6, 0, 0, 0), g, state)
         np.testing.assert_allclose(qd, np.full(16, -c / 3), atol=1e-14)
         np.testing.assert_allclose(pd, np.zeros(16), atol=1e-14)
@@ -74,7 +73,7 @@ class TestCollectiveField:
             x = g.full_nodes
             q = x + 0.1 * np.sin(W * x)
             p = 1.0 + 0.3 * np.cos(W * x)
-            state = ClebschState(Field.full(q), Field.full(p), L)
+            state = np.concatenate([q, p])
             qd, pd = collective_rates(spec, g, state)
             qx = 1.0 + 0.1 * W * np.cos(W * x)
             qxx = -0.1 * W * W * np.sin(W * x)
@@ -208,16 +207,15 @@ class TestMidpointStep:
 
     def test_frozen_step_evaluates_the_field_once_per_round_the_first_batched(self):
         g = PeriodicGrid(16, L)
-        u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
-        state = lift(g, u0)
-        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        z0 = lift(g, 1.0 + 0.5 * np.cos(W * g.full_nodes))
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g)
         calls = []
 
         def counted(z):
             calls.append(z.shape[1:])
             return rhs(z)
 
-        _, report = midpoint_step(counted, band, pack_state(state), 2.0 ** -6)
+        _, report = midpoint_step(counted, band, z0, 2.0 ** -6)
         assert report.newton_iterations >= 2
         assert len(calls) == report.newton_iterations
         # the midpoint itself, then one state per colour
@@ -226,11 +224,10 @@ class TestMidpointStep:
 
     def test_extrapolated_guess_reaches_the_same_solution(self):
         g = PeriodicGrid(16, L)
-        state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
-        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g)
         cfg = NewtonConfig()
         dt = 2.0 ** -6
-        z_prev = pack_state(state)
+        z_prev = lift(g, 1.0 + 0.5 * np.cos(W * g.full_nodes))
         z, _ = midpoint_step(rhs, band, z_prev, dt, cfg)
         plain, plain_report = midpoint_step(rhs, band, z, dt, cfg)
         guessed, report = midpoint_step(rhs, band, z, dt, cfg,
@@ -273,13 +270,11 @@ class TestStepMatchesColumnReference:
 
     def field_and_state(self, scheme, spec, coloured):
         g = PeriodicGrid(32, L)
-        u0 = Field.full(1.0 + 0.5 * np.cos(W * (g.full_nodes - 1.3)))
+        u0 = 1.0 + 0.5 * np.cos(W * (g.full_nodes - 1.3))
         if scheme == "collective":
-            state = lift(g, u0)
-            (rhs, band), z0 = (collective_flat_field(spec, g, state.C),
-                               pack_state(state))
+            (rhs, band), z0 = collective_flat_field(spec, g), lift(g, u0)
         else:
-            (rhs, band), z0 = conventional_flat_field(spec, g), u0.values
+            (rhs, band), z0 = conventional_flat_field(spec, g), u0
         return rhs, (band if coloured else full_band(band.d)), z0
 
     def test_one_step(self, scheme, spec, coloured):
@@ -333,10 +328,9 @@ class TestStoppingRule:
 
     def test_stall_at_the_roundoff_floor_is_accepted_as_floor(self):
         g = PeriodicGrid(64, L)
-        state = lift(g, Field.full(
-            1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)))
-        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
-        z0, dt = pack_state(state), 2.0 ** -8
+        z0 = lift(g, 1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2))
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g)
+        dt = 2.0 ** -8
         # an increment target of 0.1 * 1e-16 * (1 + 8) is below roundoff
         z1, report = midpoint_step(rhs, band, z0, dt, NewtonConfig(tol=1e-16))
         assert report.status == "floor"
@@ -374,16 +368,15 @@ class TestStoppingRule:
         def runs():
             g = PeriodicGrid(16, L)
             u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
-            state = lift(g, Field.full(u0))
-            yield (*collective_flat_field(BURGERS, g, state.C),
-                   pack_state(state), 2.0 ** -6, NewtonConfig())
+            yield (*collective_flat_field(BURGERS, g),
+                   lift(g, u0), 2.0 ** -6, NewtonConfig())
             yield (*conventional_flat_field(BURGERS, g), u0, 2.0 ** -6,
                    NewtonConfig())
             g = PeriodicGrid(64, L)
-            state = lift(g, Field.full(
-                1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)))
-            yield (*collective_flat_field(EXTENDED_BURGERS, g, state.C),
-                   pack_state(state), 2.0 ** -8, NewtonConfig(tol=1e-16))
+            z0 = lift(g, 1.0 + 0.5 * np.exp(
+                -np.sin(np.pi * g.full_nodes / L) ** 2))
+            yield (*collective_flat_field(EXTENDED_BURGERS, g),
+                   z0, 2.0 ** -8, NewtonConfig(tol=1e-16))
 
         seen = set()
         for rhs, band, z0, dt, cfg in runs():
@@ -403,8 +396,8 @@ class TestStoppingRule:
     def test_one_batched_call_per_step_once_the_rate_is_known(self):
         # the lifted shock-every-step configuration, cut to 64 steps
         g = PeriodicGrid(64, L)
-        state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
-        rhs, band = collective_flat_field(BURGERS, g, state.C)
+        z0 = lift(g, 1.0 + 0.5 * np.cos(W * g.full_nodes))
+        rhs, band = collective_flat_field(BURGERS, g)
         calls = []
 
         def counted(z):
@@ -412,7 +405,7 @@ class TestStoppingRule:
             return rhs(z)
 
         per_step = []
-        result = integrate(counted, band, pack_state(state), 2.0 ** -12, 64,
+        result = integrate(counted, band, z0, 2.0 ** -12, 64,
                            observer=lambda k, t, z, rep: per_step.append(
                                (list(calls), rep)))
         assert result.converged
@@ -429,7 +422,7 @@ class TestStoppingRule:
 def scheme_field(scheme, spec, g):
     """Flat field of the given scheme and its band."""
     if scheme == "collective":
-        return collective_flat_field(spec, g, g.L)
+        return collective_flat_field(spec, g)
     return conventional_flat_field(spec, g)
 
 
@@ -515,7 +508,7 @@ class TestJacobianAssembly:
 
     def test_a_wrapped_field_assembles_on_the_band_it_is_given(self):
         g = PeriodicGrid(32, L)
-        rhs, band = collective_flat_field(BURGERS, g, g.L)
+        rhs, band = collective_flat_field(BURGERS, g)
         z = random_state(g, band.d)
         widths = []
 
@@ -577,11 +570,10 @@ class TestJacobianAssembly:
 def bump_case(scheme, spec, N):
     """Flat field, band and state of the periodic bump at N nodes."""
     g = PeriodicGrid(N, L)
-    u0 = Field.full(1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2))
+    u0 = 1.0 + 0.5 * np.exp(-np.sin(np.pi * g.full_nodes / L) ** 2)
     if scheme == "collective":
-        state = lift(g, u0)
-        return (*collective_flat_field(spec, g, state.C), pack_state(state))
-    return (*conventional_flat_field(spec, g), u0.values)
+        return (*collective_flat_field(spec, g), lift(g, u0))
+    return (*conventional_flat_field(spec, g), u0)
 
 
 def expand(M):
@@ -752,9 +744,8 @@ class TestIntegrate:
 
     def test_first_step_starts_from_the_initial_state(self):
         g = PeriodicGrid(16, L)
-        state = lift(g, Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes)))
-        rhs, band = collective_flat_field(EXTENDED_BURGERS, g, state.C)
-        z0 = pack_state(state)
+        z0 = lift(g, 1.0 + 0.5 * np.cos(W * g.full_nodes))
+        rhs, band = collective_flat_field(EXTENDED_BURGERS, g)
         result = integrate(rhs, band, z0, 2.0 ** -6, 1)
         z1, _ = midpoint_step(rhs, band, z0, 2.0 ** -6)
         np.testing.assert_array_equal(result.z, z1)
@@ -763,14 +754,13 @@ class TestIntegrate:
     def test_one_solve_per_step_after_the_first(self, scheme, monkeypatch):
         # the shock-every-step benchmark configuration, cut to 64 steps
         g = PeriodicGrid(64, L)
-        u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
+        u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
         if scheme == "collective":
-            state = lift(g, u0)
-            rhs, band = collective_flat_field(BURGERS, g, state.C)
-            z0 = pack_state(state)
+            rhs, band = collective_flat_field(BURGERS, g)
+            z0 = lift(g, u0)
         else:
             rhs, band = conventional_flat_field(BURGERS, g)
-            z0 = u0.values
+            z0 = u0
         solve = np.linalg.solve
         solves = []
 
@@ -786,28 +776,29 @@ class TestIntegrate:
         assert result.converged
         assert max(np.diff(per_step)) <= 1
 
-    def test_winding_constant_is_untouched(self):
+    def test_lifted_field_winds_once_around_the_grid(self):
+        # the identity lift's winding constant is the circumference
         g = PeriodicGrid(16, L)
-        u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
-        state = lift(g, u0)
-        rhs, band = collective_flat_field(BURGERS, g, state.C)
-        result = integrate(rhs, band, pack_state(state), 2.0 ** -8, 64)
-        final = unpack_state(result.z, state.C)
-        assert final.C == g.L  # bitwise: the flat flow never carries C
+        rng = np.random.default_rng(3)
+        z = lift(g, 1.0 + 0.5 * np.cos(W * g.full_nodes))
+        z = z + 0.05 * rng.standard_normal(z.shape)
+        rhs, _ = collective_flat_field(EXTENDED_BURGERS, g)
+        gq, gp = grad_collective(EXTENDED_BURGERS, g.dx, g.L, z[:16], z[16:])
+        assert np.array_equal(rhs(z), np.concatenate([gp, -gq]))
 
     def test_cross_method_agreement_before_breaking(self):
         g = PeriodicGrid(32, L)
         dt = 2.0 ** -10
         n = 103  # t ~ 0.1, well before the gradient catastrophe
-        u0 = Field.full(1.0 + 0.5 * np.cos(W * g.full_nodes))
-        conv = integrate(*conventional_flat_field(BURGERS, g), u0.values, dt,
+        u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
+        conv = integrate(*conventional_flat_field(BURGERS, g), u0, dt,
                          n)
-        state = lift(g, u0)
-        coll = integrate(*collective_flat_field(BURGERS, g, state.C),
-                         pack_state(state), dt, n)
-        u_coll = momentum_map(g, unpack_state(coll.z, state.C))
+        coll = integrate(*collective_flat_field(BURGERS, g), lift(g, u0), dt,
+                         n)
+        u_coll = momentum_arrays(g.dx, g.L, coll.z[:32], coll.z[32:])[0]
         # compare on the half grid via the lift of the direct solution
-        u_conv_half = momentum_map(g, lift(g, Field.full(conv.z)))
-        rel = (np.linalg.norm(u_coll.values - u_conv_half.values)
-               / np.linalg.norm(u_conv_half.values))
+        lifted = lift(g, conv.z)
+        u_conv_half = momentum_arrays(g.dx, g.L, lifted[:32], lifted[32:])[0]
+        rel = (np.linalg.norm(u_coll - u_conv_half)
+               / np.linalg.norm(u_conv_half))
         assert rel < 0.01

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from clebschflow.clebsch import ClebschState, lift
-from clebschflow.grid import Field, PeriodicGrid
+from clebschflow.clebsch import lift
+from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -29,19 +29,18 @@ def cosine_slope(x):
 
 
 def random_state(g, rng):
+    """A packed lifted state z = (q, p) near the identity lift."""
     q = g.full_nodes + 0.15 * rng.standard_normal(g.N)
     p = 1.0 + 0.4 * rng.standard_normal(g.N)
-    return ClebschState(Field.full(q), Field.full(p), g.L)
+    return np.concatenate([q, p])
 
 
-def H_coll(spec, g, state):
-    return discrete_H_collective(spec, g.dx, state.C, state.q.values,
-                                 state.p.values)
+def H_coll(spec, g, z):
+    return discrete_H_collective(spec, g.dx, g.L, z[:g.N], z[g.N:])
 
 
-def grad_coll(spec, g, state):
-    return grad_collective(spec, g.dx, state.C, state.q.values,
-                           state.p.values)
+def grad_coll(spec, g, z):
+    return grad_collective(spec, g.dx, g.L, z[:g.N], z[g.N:])
 
 
 def central_fd_gradient(fun, z, h=1e-6):
@@ -58,14 +57,14 @@ class TestCollectiveSum:
     def test_constant_quadratic_density(self):
         g = PeriodicGrid(12, L)
         c = 1.7
-        state = lift(g, Field.full(np.full(12, c)))
+        state = lift(g, np.full(12, c))
         spec = HamiltonianSpec(1, 0, 0, 0)
         assert H_coll(spec, g, state) == pytest.approx(
             12 * c * c, rel=1e-14)
 
     def test_constant_has_no_slope_energy(self):
         g = PeriodicGrid(12, L)
-        state = lift(g, Field.full(np.full(12, 2.0)))
+        state = lift(g, np.full(12, 2.0))
         spec = HamiltonianSpec(0, 1, 0, 0)
         assert H_coll(spec, g, state) == pytest.approx(0, abs=1e-12)
 
@@ -79,7 +78,7 @@ class TestCollectiveSum:
         errs = []
         for N in (32, 64, 128):
             g = PeriodicGrid(N, L)
-            state = lift(g, Field.full(cosine_profile(g.full_nodes)))
+            state = lift(g, cosine_profile(g.full_nodes))
             errs.append(abs(g.dx * H_coll(spec, g, state) - exact))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.7) and np.all(orders < 2.3)
@@ -89,7 +88,7 @@ class TestCollectiveSum:
         g = PeriodicGrid(8, L)
         state = random_state(g, rng)
         spec = HamiltonianSpec(1.0, 0.5, 0.0, 0.0)
-        doubled = ClebschState(state.q, 2.0 * state.p, state.C)
+        doubled = np.concatenate([state[:8], 2.0 * state[8:]])
         assert H_coll(spec, g, doubled) == pytest.approx(
             4.0 * H_coll(spec, g, state), rel=1e-13)
 
@@ -105,7 +104,7 @@ class TestCollectiveGradient:
     def test_constant_state_hand_values(self):
         g = PeriodicGrid(10, L)
         c = 1.3
-        state = lift(g, Field.full(np.full(10, c)))
+        state = lift(g, np.full(10, c))
         gq, gp = grad_coll(HamiltonianSpec(1, 0, 0, 0), g, state)
         np.testing.assert_allclose(gp, np.full(10, 2 * c), atol=1e-13)
         np.testing.assert_allclose(gq, np.zeros(10), atol=1e-13)
@@ -120,8 +119,7 @@ class TestCollectiveGradient:
         def H(z):
             return discrete_H_collective(spec, g.dx, g.L, z[:N], z[N:])
 
-        z = np.concatenate([state.q.values, state.p.values])
-        fd = central_fd_gradient(H, z)
+        fd = central_fd_gradient(H, state)
         analytic = np.concatenate(grad_coll(spec, g, state))
         scale = max(1.0, np.max(np.abs(analytic)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-6
@@ -193,9 +191,9 @@ class TestPictureConsistency:
         errs = []
         for N in (16, 32, 64):
             g = PeriodicGrid(N, L)
-            u0 = Field.full(cosine_profile(g.full_nodes))
+            u0 = cosine_profile(g.full_nodes)
             coll = g.dx * H_coll(spec, g, lift(g, u0))
-            conv = discrete_H_conventional(spec, g.dx, u0.values)
+            conv = discrete_H_conventional(spec, g.dx, u0)
             errs.append(abs(coll - conv))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.7) and np.all(orders < 2.3)
@@ -262,8 +260,8 @@ class TestColumnStacks:
         g = PeriodicGrid(N, L)
         rng = np.random.default_rng(N)
         states = [random_state(g, rng) for _ in range(5)]
-        qs = [s.q.values for s in states]
-        ps = [s.p.values for s in states]
+        qs = [z[:N] for z in states]
+        ps = [z[N:] for z in states]
         us = [1.0 + 0.4 * rng.standard_normal(N) for _ in range(5)]
         Q, P, U = stack(qs), stack(ps), stack(us)
         cases = [

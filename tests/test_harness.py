@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from clebschflow import dynamics
+from clebschflow.clebsch import momentum_arrays
 from clebschflow.dynamics import NewtonConfig
-from clebschflow.grid import Field, PeriodicGrid, Staggering, StaggeringError
+from clebschflow.grid import PeriodicGrid, st_avg
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
 from clebschflow import harness
 from clebschflow import reference as ref_mod
@@ -34,6 +35,8 @@ from clebschflow.harness import (
     run_experiment,
     solution_error,
 )
+
+from oracles import Field, apply_T
 
 L = 8.0
 W = 2 * np.pi / L
@@ -73,24 +76,20 @@ class TestFourierModes:
 
 class TestSolutionError:
     def test_identical_fields(self):
-        u = Field.full(np.linspace(0, 1, 8))
+        u = np.linspace(0, 1, 8)
         assert solution_error(u, u) == 0.0
 
     def test_constant_offset(self):
-        a = Field.full(np.full(8, 1.01))
-        b = Field.full(np.ones(8))
+        a = np.full(8, 1.01)
+        b = np.ones(8)
         assert solution_error(a, b) == pytest.approx(0.01, rel=1e-12)
 
     def test_matches_direct_norm_ratio(self):
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(16), rng.standard_normal(16)
-        got = solution_error(Field.half(x), Field.half(y))
+        got = solution_error(x, y)
         want = math.sqrt(np.sum((x - y) ** 2)) / math.sqrt(np.sum(y ** 2))
         assert got == pytest.approx(want, rel=1e-14)
-
-    def test_staggering_mismatch_rejected(self):
-        with pytest.raises(StaggeringError):
-            solution_error(Field.full(np.ones(4)), Field.half(np.ones(4)))
 
 
 class TestConfigValidation:
@@ -104,6 +103,10 @@ class TestConfigValidation:
         dict(t_end=-1.0),
         dict(observe_every=0),
         dict(L=-8.0),
+        dict(L=math.inf),
+        dict(L=math.nan),
+        dict(dt=math.inf),
+        dict(dt=math.nan),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
@@ -331,8 +334,27 @@ class TestRunExperiment:
         result = run_experiment(quick_config(method="collective"))
         finals = result.runs[0].finals
         assert set(finals) == {"u", "q", "p"}
-        assert finals["u"].staggering.value == "half"
-        assert len(finals["q"]) == 16
+        assert np.array_equal(finals["u"][0], result.grid.half_nodes)
+        assert len(finals["q"][1]) == 16
+
+    def test_finals_carry_the_nodes_of_each_field(self):
+        result = run_experiment(quick_config())
+        g = result.grid
+        lifted = result.run_for(COLLECTIVE).finals
+        direct = result.run_for(CONVENTIONAL).finals
+        assert set(direct) == {"u"}
+        for finals, name, nodes in ((lifted, "u", g.half_nodes),
+                                    (lifted, "q", g.full_nodes),
+                                    (lifted, "p", g.full_nodes),
+                                    (direct, "u", g.full_nodes)):
+            x, values = finals[name]
+            assert np.array_equal(x, nodes)
+            assert values.shape == (16,)
+        # u is the momentum map of the final (q, p)
+        x, u = lifted["u"]
+        q, p = lifted["q"][1], lifted["p"][1]
+        assert np.array_equal(
+            u, momentum_arrays(g.dx, g.L, q, p)[0])
 
     @pytest.mark.parametrize("expr", ["1/(x-x)", "sqrt(x-10)"])
     def test_non_finite_initial_profile_rejected(self, expr):
@@ -554,9 +576,8 @@ class TestCsvOutput:
         finals = list(csv.reader(io.StringIO(finals_to_csv(result))))[1:]
         expected = [(run.method, name, j, x, v)
                     for run in result.runs
-                    for name, f in run.finals.items()
-                    for j, (x, v) in enumerate(
-                        zip(result.grid.nodes(f.staggering), f.values), 1)]
+                    for name, (xs, values) in run.finals.items()
+                    for j, (x, v) in enumerate(zip(xs, values), 1)]
         assert len(finals) == len(expected)
         for row, (method, name, j, x, v) in zip(finals, expected):
             assert row[:3] == [method, name, str(j)]
@@ -659,11 +680,9 @@ class TestConvergenceStudy:
         ic = resolve_initial_condition(base)
         for row in table:
             result = run_experiment(replace(base, N=row.N))
-            u = result.run_for(row.method).finals["u"]
-            nodes = result.grid.nodes(u.staggering)
+            nodes, u = result.run_for(row.method).finals["u"]
             exact = ic.reference([base.n_steps * base.dt], nodes)[0]
-            assert row.solution_err == solution_error(
-                u, Field(exact, u.staggering))
+            assert row.solution_err == solution_error(u, exact)
 
     def test_one_oracle_call_per_scheme_per_level(self, monkeypatch):
         # several reference blocks' worth of steps, all of them observed by
@@ -759,52 +778,75 @@ class TestConvergenceStudy:
 
 
 def fine_grid_comparison(monkeypatch, base, N, refine=FINE_GRID_REFINE):
-    """{staggering: (final u, fine-grid reference)} as a one-level study
-    compares them."""
-    compared = {}
+    """({method: (final u, fine-grid reference)}, fine full-node u) as a
+    one-level study compares them."""
+    methods = ([COLLECTIVE, CONVENTIONAL] if base.method == "both"
+               else [base.method])
+    compared, fine = [], []
+    converged_run = harness._converged_run
 
     def recording(u, exact):
-        compared[u.staggering] = (u, exact)
+        compared.append((u, exact))
         return solution_error(u, exact)
+
+    def keeping_fine(config, level, exact, label=""):
+        result = converged_run(config, level, exact, label)
+        if config.N == refine * N:
+            fine.append(st_avg(result.runs[0].finals["u"][1]))
+        return result
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "solution_error", recording)
+        patch.setattr(harness, "_converged_run", keeping_fine)
         patch.setattr(harness, "FINE_GRID_REFINE", refine)
         convergence_study(replace(base, N=N), [N], reference="fine-grid")
-    return compared
+    return dict(zip(methods, compared, strict=True)), fine[0]
 
 
 class TestFineGridReference:
     def test_constant_profile_is_exact(self, monkeypatch):
         base = quick_config(initial_condition="custom:1.5", dt=2.0 ** -6)
-        compared = fine_grid_comparison(monkeypatch, base, 8)
-        assert set(compared) == {Staggering.HALF, Staggering.FULL}
-        for staggering, (_, exact) in compared.items():
-            np.testing.assert_allclose(exact.values, np.full(8, 1.5),
-                                       atol=1e-10)
-            assert exact.staggering is staggering
+        compared, _ = fine_grid_comparison(monkeypatch, base, 8)
+        assert set(compared) == {COLLECTIVE, CONVENTIONAL}
+        for _, exact in compared.values():
+            np.testing.assert_allclose(exact, np.full(8, 1.5), atol=1e-10)
+
+    @pytest.mark.parametrize("refine", [8, 16])
+    def test_restriction_by_position_picks_the_shifted_fine_nodes(
+            self, monkeypatch, refine):
+        # coarse node k (from 0) is fine full node refine k + refine - 1 on
+        # the full grid, and refine / 2 nodes earlier on the half grid
+        base = quick_config(dt=2.0 ** -8, t_end=0.0625)
+        compared, u_fine = fine_grid_comparison(monkeypatch, base, 16, refine)
+        for method, (_, exact) in compared.items():
+            shift = refine - 1
+            if method == COLLECTIVE:
+                shift -= refine // 2
+            assert np.array_equal(exact,
+                                  u_fine[refine * np.arange(16) + shift])
 
     def test_matches_characteristics_before_breaking(self, monkeypatch):
         # the reference carries the fine scheme's own O(dx_fine^2) error
         base = quick_config(dt=2.0 ** -8, t_end=0.0625)
-        compared = fine_grid_comparison(monkeypatch, base, 16)
+        compared, _ = fine_grid_comparison(monkeypatch, base, 16)
         g = PeriodicGrid(16, L)
         profile = lambda y: 1.0 + 0.5 * np.cos(W * np.asarray(y))
-        for staggering, (_, exact) in compared.items():
+        nodes = {COLLECTIVE: g.half_nodes, CONVENTIONAL: g.full_nodes}
+        for method, (_, exact) in compared.items():
             oracle = ref_mod.burgers_characteristics(
-                profile, g.nodes(staggering), 0.0625)
-            assert np.max(np.abs(exact.values - oracle)) < 1e-3
+                profile, nodes[method], 0.0625)
+            assert np.max(np.abs(exact - oracle)) < 1e-3
 
     def test_refinement_self_consistency(self, monkeypatch):
         # switching 8x -> 16x refinement must move the reference far less
         # than the coarse-grid error it is used to measure
         base = quick_config(method=COLLECTIVE, dt=2.0 ** -8, t_end=0.0625)
-        _, ref8 = fine_grid_comparison(monkeypatch, base, 16)[Staggering.HALF]
+        _, ref8 = fine_grid_comparison(monkeypatch, base, 16)[0][COLLECTIVE]
         u_coarse, ref16 = fine_grid_comparison(
-            monkeypatch, base, 16, refine=16)[Staggering.HALF]
-        coarse_err = np.max(np.abs(u_coarse.values - ref16.values))
-        assert np.any(ref8.values != ref16.values)
-        assert np.max(np.abs(ref8.values - ref16.values)) < 0.2 * coarse_err
+            monkeypatch, base, 16, refine=16)[0][COLLECTIVE]
+        coarse_err = np.max(np.abs(u_coarse - ref16))
+        assert np.any(ref8 != ref16)
+        assert np.max(np.abs(ref8 - ref16)) < 0.2 * coarse_err
 
 
 class TestSchemeContracts:
@@ -822,7 +864,6 @@ class TestSchemeContracts:
 
     def test_shock_steepening_near_the_breaking_time(self):
         # slopes of the quadratic-density flow steepen hard by t ~ 0.45
-        from oracles import apply_T
         from clebschflow.dynamics import conventional_flat_field, integrate
         g = PeriodicGrid(64, L)
         u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from clebschflow.clebsch import ClebschState, lift
-from clebschflow.grid import Field, PeriodicGrid, Staggering, StaggeringError
+from clebschflow.clebsch import lift
+from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -12,7 +12,10 @@ from clebschflow.hamiltonian import (
 )
 
 from oracles import (
+    Field,
     JetTable,
+    Staggering,
+    StaggeringError,
     dense_jet_maps,
     dense_momentum_map,
     dense_T,
@@ -22,10 +25,25 @@ from oracles import (
 )
 
 
+class TestFieldAlgebra:
+    def test_binary_ops_demand_matching_staggering(self):
+        a = Field.full([1.0, 2.0, 3.0])
+        b = Field.half([1.0, 1.0, 1.0])
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(StaggeringError):
+                op()
+
+    def test_scalar_ops_keep_staggering(self):
+        a = Field.half([1.0, 2.0])
+        assert (2.0 * a).staggering is Staggering.HALF
+        np.testing.assert_array_equal((a + 1.0).values, [2.0, 3.0])
+        np.testing.assert_array_equal((-a).values, [-1.0, -2.0])
+
+
 class TestJet:
     def test_constant_state_has_vanishing_derivatives(self):
         g = PeriodicGrid(8, 4.0)
-        state = lift(g, Field.full(np.full(8, 2.5)))
+        state = lift(g, np.full(8, 2.5))
         table = jet(g, state, 4)
         np.testing.assert_allclose(table.rows[0].values, np.full(8, 2.5),
                                    atol=1e-14)
@@ -34,7 +52,7 @@ class TestJet:
 
     def test_staggering_alternates(self):
         g = PeriodicGrid(8, 4.0)
-        table = jet(g, lift(g, Field.full(np.ones(8))), 3)
+        table = jet(g, lift(g, np.ones(8)), 3)
         kinds = [row.staggering for row in table.rows]
         assert kinds == [Staggering.HALF, Staggering.FULL,
                          Staggering.HALF, Staggering.FULL]
@@ -46,7 +64,7 @@ class TestJet:
         errs1, errs2 = [], []
         for N in (16, 32, 64):
             g = PeriodicGrid(N, L)
-            state = lift(g, Field.full(np.sin(w * g.full_nodes)))
+            state = lift(g, np.sin(w * g.full_nodes))
             table = jet(g, state, 2)
             errs1.append(np.max(np.abs(table.rows[1].values
                                        - w * np.cos(w * g.full_nodes))))
@@ -59,10 +77,10 @@ class TestJet:
     def test_rows_are_linear_in_p(self):
         rng = np.random.default_rng(21)
         g = PeriodicGrid(8, 5.0)
-        q = Field.full(g.full_nodes + 0.1 * rng.standard_normal(8))
+        q = g.full_nodes + 0.1 * rng.standard_normal(8)
         p = rng.standard_normal(8)
-        one = jet(g, ClebschState(q, Field.full(p), g.L), 3)
-        two = jet(g, ClebschState(q, Field.full(2.0 * p), g.L), 3)
+        one = jet(g, np.concatenate([q, p]), 3)
+        two = jet(g, np.concatenate([q, 2.0 * p]), 3)
         for a, b in zip(one.rows, two.rows):
             np.testing.assert_allclose(b.values, 2.0 * a.values,
                                        rtol=0, atol=1e-13)
@@ -72,8 +90,7 @@ class TestJet:
         g = PeriodicGrid(8, 3.0)
         q = g.full_nodes + 0.1 * rng.standard_normal(8)
         p = 1.0 + 0.3 * rng.standard_normal(8)
-        state = ClebschState(Field.full(q), Field.full(p), g.L)
-        table = jet(g, state, 3)
+        table = jet(g, np.concatenate([q, p]), 3)
         u0 = dense_momentum_map(g, q, p, g.L)
         for k, A in enumerate(dense_jet_maps(g, 3)):
             np.testing.assert_allclose(table.rows[k].values, A @ u0,
@@ -82,7 +99,7 @@ class TestJet:
     def test_negative_depth_rejected(self):
         g = PeriodicGrid(4, 1.0)
         with pytest.raises(ValueError):
-            jet(g, lift(g, Field.full(np.ones(4))), -1)
+            jet(g, lift(g, np.ones(4)), -1)
 
     def test_jet_table_validates_staggering_pattern(self):
         with pytest.raises(StaggeringError):
@@ -148,6 +165,5 @@ class TestCollectiveSumAgainstJet:
         for _ in range(10):
             q = g.full_nodes + 0.15 * rng.standard_normal(N)
             p = 1.0 + 0.4 * rng.standard_normal(N)
-            state = ClebschState(Field.full(q), Field.full(p), g.L)
             assert (discrete_H_collective(spec, g.dx, g.L, q, p)
-                    == jet_H_collective(spec, g, state))
+                    == jet_H_collective(spec, g, np.concatenate([q, p])))

@@ -1,6 +1,6 @@
 """Package hygiene: the exported names resolve, the package imports numpy
-alone (scipy and sympy are test-only oracles), and the names the benchmark's
-tracer wraps still exist."""
+alone (scipy and sympy are test-only oracles), the names the benchmark's
+tracer wraps still exist, and the README's quick start runs."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clebschflow
@@ -79,3 +80,15 @@ def test_traced_layer_boundaries_exist(module, attr):
 def test_integrate_keeps_its_traced_parameters():
     from clebschflow.harness import integrate
     assert {"field", "observer"} <= set(inspect.signature(integrate).parameters)
+
+
+def test_readme_quick_start_runs():
+    # the quick start is the first python block after "Quick start:"
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    after = readme.split("Quick start:", 1)[1]
+    code = after.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md quick start", "exec"), namespace)
+    grid, u = namespace["grid"], namespace["u"]
+    assert namespace["run"].converged
+    assert u.shape == (grid.N,) and np.all(np.isfinite(u))

@@ -18,9 +18,8 @@ from clebschflow.dynamics import (
     conventional_flat_field,
     fd_jacobian,
     integrate,
-    pack_state,
 )
-from clebschflow.grid import Field, PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
+from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
 from clebschflow.hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
@@ -145,7 +144,7 @@ def test_batch_columns_are_bitwise_single_calls(spec, N, m, lifted, seed):
     # Jacobian batch, so a column must be the single call to the bit
     g = PeriodicGrid(N, L)
     if lifted:
-        field, band = collective_flat_field(spec, g, g.L)
+        field, band = collective_flat_field(spec, g)
     else:
         field, band = conventional_flat_field(spec, g)
     d = band.d
@@ -169,14 +168,11 @@ def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
     # ratios seen so far, which can understate the later rate, so each
     # accepted step is held to 1/KAPPA times that bound, tol (1 + max|z|)
     g = PeriodicGrid(N, L)
-    u0 = Field.full(1.0 + amplitude * np.cos(2 * np.pi * (g.full_nodes - shift)
-                                             / L))
+    u0 = 1.0 + amplitude * np.cos(2 * np.pi * (g.full_nodes - shift) / L)
     if lifted:
-        state = lift(g, u0)
-        (field, band), z0 = (collective_flat_field(spec, g, state.C),
-                             pack_state(state))
+        (field, band), z0 = collective_flat_field(spec, g), lift(g, u0)
     else:
-        (field, band), z0 = conventional_flat_field(spec, g), u0.values
+        (field, band), z0 = conventional_flat_field(spec, g), u0
     dt = 2.0 ** -log2_steps
     seen = []
     # a diverging draw is reported by its non-finite residual, as in a run
