@@ -17,6 +17,14 @@ dx lives in the scaled symplectic form dx * sum dq^j ^ dp_j, which puts the
 canonical equations in standard form), while the direct-picture sum is a
 plain quadrature and does carry dx.
 
+The kernels evaluate the odd part only when the spec has one
+(:attr:`HamiltonianSpec.has_odd_part`: C2 or C4 nonzero).  Otherwise that
+part is exactly +0.0 wherever the slope is finite, so leaving it out is
+bitwise: the lifted gradient subtracted it, and x - (+0.0) = x; the direct
+gradient and both sums added it, and keep a literal + 0.0 in its place,
+which turns -0.0 into +0.0 as the addition did.  The even monomial C3 u^3
+is always evaluated: its zero term carries the sign of u.
+
 Each sum, each gradient and the Casimir has one kernel, on raw arrays: the
 lifted pair (q, p) with its winding constant C, or the direct samples u.
 A sum takes one state, shape (N,), and gives a float, or a column stack
@@ -26,7 +34,9 @@ states alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +69,13 @@ class HamiltonianSpec:
         for name in ("C1", "C2", "C3", "C4"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"coefficient {name} must be finite")
+
+    @cached_property
+    def has_odd_part(self) -> bool:
+        """Whether the kernels evaluate the u_x terms.  A -0.0 coefficient
+        counts as present, since its terms can be -0.0."""
+        return any(c != 0.0 or math.copysign(1.0, c) < 0
+                   for c in (self.C2, self.C4))
 
     def even_density(self, u):
         return self.C1 * u * u + self.C3 * u * u * u
@@ -101,9 +118,11 @@ def discrete_H_collective(spec: HamiltonianSpec, dx: float, C: float,
     full-grid slope -T^t u / dx averaged back onto the half grid with S.
     """
     u, _, _ = momentum_arrays(dx, C, q, p)
-    w = (-1.0 / dx) * tt_diff(u)
-    return (_space_sum(spec.even_density(u))
-            + _space_sum(spec.odd_density(s_avg(w))))
+    odd = 0.0
+    if spec.has_odd_part:
+        w = (-1.0 / dx) * tt_diff(u)
+        odd = _space_sum(spec.odd_density(s_avg(w)))
+    return _space_sum(spec.even_density(u)) + odd
 
 
 def grad_collective(spec: HamiltonianSpec, dx: float, C: float,
@@ -116,9 +135,11 @@ def grad_collective(spec: HamiltonianSpec, dx: float, C: float,
     g_q = T^t(S p . g_u)/dx,  g_p = S^t(D q . g_u).
     """
     u, dq, sp = momentum_arrays(dx, C, q, p)
-    w = -tt_diff(u) / dx
-    odd_cot = st_avg(spec.odd_derivative(s_avg(w)))
-    gu = spec.even_derivative(u) - t_diff(odd_cot) / dx
+    gu = spec.even_derivative(u)
+    if spec.has_odd_part:
+        w = -tt_diff(u) / dx
+        odd_cot = st_avg(spec.odd_derivative(s_avg(w)))
+        gu = gu - t_diff(odd_cot) / dx
     gq = tt_diff(sp * gu) / dx
     gp = st_avg(dq * gu)
     return gq, gp
@@ -129,17 +150,20 @@ def grad_collective(spec: HamiltonianSpec, dx: float, C: float,
 def discrete_H_conventional(spec: HamiltonianSpec, dx: float,
                             u: np.ndarray):
     """Plain quadrature dx * sum of the density with u_x = (T u)/dx."""
-    ux = t_diff(u) / dx
-    return dx * (_space_sum(spec.even_density(u))
-                 + _space_sum(spec.odd_density(ux)))
+    odd = 0.0
+    if spec.has_odd_part:
+        odd = _space_sum(spec.odd_density(t_diff(u) / dx))
+    return dx * (_space_sum(spec.even_density(u)) + odd)
 
 
 def grad_conventional(spec: HamiltonianSpec, dx: float,
                       u: np.ndarray) -> np.ndarray:
     """Exact gradient of the direct-picture sum with respect to the
     samples; broadcasts over trailing axes like the collective gradient."""
-    ux = t_diff(u) / dx
-    return dx * spec.even_derivative(u) + tt_diff(spec.odd_derivative(ux))
+    odd = 0.0
+    if spec.has_odd_part:
+        odd = tt_diff(spec.odd_derivative(t_diff(u) / dx))
+    return dx * spec.even_derivative(u) + odd
 
 
 # -- Casimir --------------------------------------------------------------------

@@ -120,8 +120,9 @@ class ExperimentConfig:
             raise ConfigError(f"L must be positive and finite, got {self.L}")
         if not 0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigError("t_end must be nonnegative and finite, "
+                              f"got {self.t_end}")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ConfigError(f"t_end / dt = {self.t_end / self.dt:.3g} "
                               f"steps; at most {MAX_STEPS} are allowed")

@@ -1,9 +1,10 @@
 """Oracles used only by the tests: the Field type that tags samples with
 their node set and the Field-typed staggered operators, independent dense
 builds of the grid operators, the jet recursion at general depth with its
-adjoint, the pointwise flow in jet variables, the travelling wave's
-wave-frame reduction with its self-test built on that flow and its scipy
-DOP853 solution, the shooting search that found the frozen travelling-wave
+adjoint, the discrete sums and gradients with every term evaluated, the
+pointwise flow in jet variables, the travelling wave's wave-frame
+reduction with its self-test built on that flow and its scipy DOP853
+solution, the shooting search that found the frozen travelling-wave
 parameters, and the implicit midpoint step built from single field calls
 and a column-by-column Jacobian.
 """
@@ -24,7 +25,7 @@ from clebschflow.dynamics import (
     StepReport,
 )
 from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
-from clebschflow.hamiltonian import HamiltonianSpec
+from clebschflow.hamiltonian import HamiltonianSpec, _space_sum
 
 
 # -- samples tagged with their node set ---------------------------------------------
@@ -284,6 +285,44 @@ def jet_H_collective(spec: HamiltonianSpec, grid: PeriodicGrid,
     ux_half = s_avg(table.rows[1].values)
     return float(np.sum(spec.even_density(u))
                  + np.sum(spec.odd_density(ux_half)))
+
+
+# -- the discrete sums and gradients with every term evaluated ------------------------
+#
+# The package's kernels leave out the odd (u_x) part when C2 and C4 are
+# zero; these forms always evaluate it, so the tests can hold the kernels
+# to them bitwise.
+
+def all_terms_H_collective(spec: HamiltonianSpec, dx: float, C: float,
+                           q: np.ndarray, p: np.ndarray):
+    u, _, _ = momentum_arrays(dx, C, q, p)
+    w = (-1.0 / dx) * tt_diff(u)
+    return (_space_sum(spec.even_density(u))
+            + _space_sum(spec.odd_density(s_avg(w))))
+
+
+def all_terms_grad_collective(spec: HamiltonianSpec, dx: float, C: float,
+                              q: np.ndarray, p: np.ndarray):
+    u, dq, sp = momentum_arrays(dx, C, q, p)
+    w = -tt_diff(u) / dx
+    odd_cot = st_avg(spec.odd_derivative(s_avg(w)))
+    gu = spec.even_derivative(u) - t_diff(odd_cot) / dx
+    gq = tt_diff(sp * gu) / dx
+    gp = st_avg(dq * gu)
+    return gq, gp
+
+
+def all_terms_H_conventional(spec: HamiltonianSpec, dx: float,
+                             u: np.ndarray):
+    ux = t_diff(u) / dx
+    return dx * (_space_sum(spec.even_density(u))
+                 + _space_sum(spec.odd_density(ux)))
+
+
+def all_terms_grad_conventional(spec: HamiltonianSpec, dx: float,
+                                u: np.ndarray) -> np.ndarray:
+    ux = t_diff(u) / dx
+    return dx * spec.even_derivative(u) + tt_diff(spec.odd_derivative(ux))
 
 
 # -- pointwise flow, the wave-frame reduction and its self-test --------------------

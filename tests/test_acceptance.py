@@ -5,9 +5,6 @@ prints a one-line verdict.  The heavy shock-experiment run is shared
 between criteria 3 and 8 through a module-scoped fixture.
 """
 
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

@@ -274,6 +274,21 @@ class TestRunCommand:
                        f"and finite, got {value}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_end_time_exits_one(self, tmp_path, capsys,
+                                           monkeypatch, command, value):
+        # named as t_end, not blamed on the step cap
+        monkeypatch.setattr(harness, "integrate", no_step)
+        out = tmp_path / "d.csv"
+        code, stdout, err = run_cli(capsys, command, "--N", "8",
+                                    f"--t-end={value}", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == ("configuration error: t_end must be nonnegative "
+                       f"and finite, got {value}\n")
+        assert not out.exists()
+
     def test_solver_divergence_exits_two_with_partial_data(self, tmp_path,
                                                            capsys):
         import numpy as np

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
+from clebschflow import dynamics
 from clebschflow.clebsch import lift
 from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import (
@@ -14,6 +18,7 @@ from clebschflow.hamiltonian import (
     grad_collective,
     grad_conventional,
 )
+from clebschflow.dynamics import collective_flat_field, conventional_flat_field
 from clebschflow.harness import fourier_modes
 
 L = 8.0
@@ -279,6 +284,96 @@ class TestColumnStacks:
                 assert np.array_equal(got, want)
         assert all(isinstance(v, float) for _, alone in cases[:3]
                    for v in alone)
+
+
+def signed_zero_states(g, rng, stacked):
+    """Lifted states z and direct samples u holding +0.0 and -0.0: five
+    pairs of shapes (2N,) and (N,), or the pair of their column stacks.
+    In three, about half the rows of p and of u are zeros, and neighbouring
+    zeros in p give zero momenta; in the last two, p and u are all -0.0 or
+    all +0.0, so the even sums are signed zeros too."""
+    z = np.stack([random_state(g, rng) for _ in range(5)], axis=1)
+    u = 1.0 + 0.4 * rng.standard_normal((g.N, 5))
+    for rows in (z[g.N:, :3], u[:, :3]):
+        for row in rows:
+            pick = rng.integers(4)
+            if pick < 2:
+                row[:] = (0.0, -0.0)[pick]
+    for zero, col in ((-0.0, 3), (0.0, 4)):
+        z[g.N:, col] = u[:, col] = zero
+    if stacked:
+        return [(z, u)]
+    return [(z[:, k].copy(), u[:, k].copy()) for k in range(5)]
+
+
+def kernel_values(spec, g, z, u, grad_c, grad_d, H_c, H_d):
+    """The four kernels and both flat fields at (z, u), each as bytes with
+    its type; the fields call the gradients that are live in dynamics."""
+    N = g.N
+    fields = (collective_flat_field(spec, g)[0](z),
+              conventional_flat_field(spec, g)[0](u))
+    values = (*grad_c(spec, g.dx, g.L, z[:N], z[N:]),
+              grad_d(spec, g.dx, u),
+              H_c(spec, g.dx, g.L, z[:N], z[N:]),
+              H_d(spec, g.dx, u), *fields)
+    return [(type(v), np.asarray(v).tobytes()) for v in values]
+
+
+class TestOddPartSkip:
+    """The kernels leave out the u_x part when C2 and C4 are zero; every
+    result stays bitwise that of the all-terms forms."""
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["single", "stack"])
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_kernels_equal_all_terms_forms_bitwise(self, monkeypatch, N,
+                                                   stacked):
+        g = PeriodicGrid(N, L)
+        rng = np.random.default_rng(2 * N + stacked)
+        states = signed_zero_states(g, rng, stacked)
+        for coeffs, (z, u) in itertools.product(
+                itertools.product((0.0, -0.0, 1.0, -0.7), repeat=4), states):
+            spec = HamiltonianSpec(*coeffs)
+            got = kernel_values(spec, g, z, u, grad_collective,
+                                grad_conventional, discrete_H_collective,
+                                discrete_H_conventional)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "grad_collective",
+                          oracles.all_terms_grad_collective)
+                m.setattr(dynamics, "grad_conventional",
+                          oracles.all_terms_grad_conventional)
+                want = kernel_values(
+                    spec, g, z, u, oracles.all_terms_grad_collective,
+                    oracles.all_terms_grad_conventional,
+                    oracles.all_terms_H_collective,
+                    oracles.all_terms_H_conventional)
+            assert got == want, coeffs
+
+    def test_burgers_never_evaluates_the_odd_part(self, monkeypatch):
+        class OddCalled(Exception):
+            pass
+
+        def odd(self, w):
+            raise OddCalled
+
+        monkeypatch.setattr(HamiltonianSpec, "odd_derivative", odd)
+        monkeypatch.setattr(HamiltonianSpec, "odd_density", odd)
+        g = PeriodicGrid(8, L)
+        rng = np.random.default_rng(0)
+        for stacked in (False, True):
+            z, u = signed_zero_states(g, rng, stacked)[0]
+            args = (z, u, grad_collective, grad_conventional,
+                    discrete_H_collective, discrete_H_conventional)
+            kernel_values(BURGERS, g, *args)
+            with pytest.raises(OddCalled):
+                kernel_values(EXTENDED_BURGERS, g, *args)
+
+    def test_odd_part_present_iff_a_slope_coefficient_is_not_plus_zero(self):
+        assert not BURGERS.has_odd_part
+        assert not HamiltonianSpec(1.0, 0.0, -0.7, 0.0).has_odd_part
+        assert EXTENDED_BURGERS.has_odd_part
+        assert HamiltonianSpec(0.0, 0.0, 0.0, 1.0).has_odd_part
+        assert HamiltonianSpec(0.0, -0.0, 0.0, 0.0).has_odd_part
 
 
 class TestSpecValidation:

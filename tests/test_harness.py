@@ -101,6 +101,9 @@ class TestConfigValidation:
         dict(N=2),
         dict(dt=0.0),
         dict(t_end=-1.0),
+        dict(t_end=math.nan),
+        dict(t_end=math.inf),
+        dict(t_end=-math.inf),
         dict(observe_every=0),
         dict(L=-8.0),
         dict(L=math.inf),

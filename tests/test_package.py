@@ -1,6 +1,7 @@
 """Package hygiene: the exported names resolve, the package imports numpy
-alone (scipy and sympy are test-only oracles), the names the benchmark's
-tracer wraps still exist, and the README's quick start runs."""
+alone (scipy and sympy are test-only oracles), no module imports a name it
+never uses, the names the benchmark's tracer wraps still exist, and the
+README's quick start runs."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import clebschflow
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(clebschflow.__path__))
 SOURCES = sorted(Path(clebschflow.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -61,6 +63,32 @@ def test_no_scipy_or_sympy_import(path):
     assert not roots & {"scipy", "sympy"}
 
 
+def unused_imports(path):
+    """Names a module imports but never reads; __future__ imports are
+    directives, not names."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    # the package __init__ imports only to re-export
+    paths = [*sorted((ROOT / "src").rglob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "tools").glob("*.py")), ROOT / "conftest.py"]
+    unused = [f"{path.relative_to(ROOT)}: {name}" for path in paths
+              if path != ROOT / "src" / "clebschflow" / "__init__.py"
+              for name in unused_imports(path)]
+    assert not unused, unused
+
+
 @pytest.mark.parametrize("module, attr", [
     ("harness", "integrate"),
     ("dynamics", "midpoint_step"),
@@ -84,7 +112,7 @@ def test_integrate_keeps_its_traced_parameters():
 
 def test_readme_quick_start_runs():
     # the quick start is the first python block after "Quick start:"
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     after = readme.split("Quick start:", 1)[1]
     code = after.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}

@@ -4,7 +4,7 @@ import sympy as sp
 
 from clebschflow.dynamics import conventional_flat_field
 from clebschflow.grid import PeriodicGrid
-from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS, HamiltonianSpec
+from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS
 from clebschflow.harness import (
     TRAVELLING_WAVE_COSINES,
     TRAVELLING_WAVE_PARAMS,
