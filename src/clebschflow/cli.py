@@ -168,6 +168,8 @@ def _cmd_run(args) -> int:
               f"{run.accepted['increments']} steps on increments, "
               f"{run.accepted['residual']} on the residual, "
               f"{run.accepted['floor']} at the roundoff floor")
+        print(f"{run.method}: fixed-point iteration accepted "
+              f"{run.accepted['fixed-point']} steps")
     return 0 if result.converged else 2
 
 

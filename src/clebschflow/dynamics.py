@@ -1,5 +1,6 @@
 """Semi-discrete vector fields for both pictures and the implicit midpoint
-rule with a Newton solver.
+rule, solved by plain fixed-point iteration while it contracts fast and by
+Newton otherwise.
 
 Lifted picture: the packed state z = (q_1..q_N, p_1..p_N) follows the
 canonical equations  qdot = g_p,  pdot = -g_q  of the collective sum.
@@ -10,10 +11,10 @@ built from the centered-difference matrix and gradH/dx is the variational
 derivative of the quadrature sum (the quadrature weight dx is divided back
 out so the field is consistent with the PDE).
 
-The midpoint equations  z+ = z + dt*F((z + z+)/2)  are solved by Newton
-iteration on the frozen matrix  M = I - (dt/2) J,  with J a forward-
-difference Jacobian (step FD_STEP) assembled once per step at the first
-midpoint and reused across iterations.  The first round evaluates the
+Newton solves the midpoint equations  z+ = z + dt*F((z + z+)/2)  on the
+frozen matrix  M = I - (dt/2) J,  with J a forward-difference Jacobian
+(step FD_STEP) assembled once per step at the first midpoint and reused
+across iterations.  The first round evaluates the
 field once, on a batch holding the midpoint itself and its perturbed
 states, and takes its residual from the unperturbed column; every later
 round makes one single-state call.  So a step costs one field call per
@@ -56,6 +57,18 @@ update is then a sweep of batched block products around one solve of the
 reduced s x s system.  A run starts each step's Newton iteration from the
 extrapolation 2 z_n - z_{n-1}, which is O(dt^2) from the solution instead
 of O(dt).
+
+Many steps need no Newton matrix at all: at the Burgers settings the plain
+iteration  z+ <- z + dt F((z + z+)/2)  contracts at about the spectral
+radius of (dt/2) J, a few hundredths, so a round costs one single-state
+field call and no assembly or solve.  After a Newton first step a run
+tries it on every step (fixed_point_step): a round's rate is the ratio of
+its increment to the one before, the iterate is accepted by the increment
+test above with that rate, and the step declines as soon as a rate
+exceeds FIXED_POINT_RATE, an iterate is non-finite or FIXED_POINT_ROUNDS
+rounds pass.  A declined step is solved by Newton from the same start, and
+the run stays on Newton to its end (as LSODA switches between functional
+iteration and Newton; Petzold, SIAM J. Sci. Stat. Comput. 4, 1983).
 """
 
 from __future__ import annotations
@@ -86,6 +99,9 @@ __all__ = [
     "conventional_flat_field",
     "apply_K",
     "midpoint_step",
+    "FIXED_POINT_RATE",
+    "FIXED_POINT_ROUNDS",
+    "fixed_point_step",
     "fd_jacobian",
     "integrate",
 ]
@@ -108,8 +124,9 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(
+                f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -127,19 +144,27 @@ KAPPA = 0.1
 FLOOR_THETA = 0.5
 EPS = float(np.finfo(float).eps)
 
+#: A fixed-point round whose increment shrinks by less than this factor
+#: (a rate above it) makes its step decline to Newton.
+FIXED_POINT_RATE = 0.125
+
+#: Field-call rounds a fixed-point step may make before it declines.
+FIXED_POINT_ROUNDS = 8
+
 
 @dataclass(frozen=True)
 class StepReport:
     """Outcome of one implicit solve.
 
-    newton_iterations counts field-call rounds, so a state that is already
-    a fixed point reports one round and zero linear solves.  status names
-    the test that ended the iteration: "increments", "residual", "floor"
-    (stalled at the roundoff floor, accepted) or "diverged" (carried by
-    NonConvergenceError only).  final_residual is the last residual
-    evaluated; a step accepted on its increments made one more update
-    after it.  increments holds the max norm of every Newton update, and
-    theta the latest contraction rate: the ratio of the last two
+    newton_iterations counts field-call rounds of either iteration, so a
+    state that is already a fixed point reports one round and zero linear
+    solves.  status names the test that ended the iteration: "increments",
+    "residual", "floor" (stalled at the roundoff floor, accepted),
+    "fixed-point" (plain iteration, accepted on its increments) or
+    "diverged" (carried by NonConvergenceError only).  final_residual is
+    the last residual evaluated; a step accepted on its increments made one
+    more update after it.  increments holds the max norm of every update,
+    and theta the latest contraction rate: the ratio of the last two
     increments when the step made two, otherwise the one carried in from
     the previous step (None when there was none).
     """
@@ -518,6 +543,11 @@ def _max_row_sum(M) -> float:
 DEFAULT_NEWTON = NewtonConfig()
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
+
+
 def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
                   z: np.ndarray, dt: float, cfg: NewtonConfig = DEFAULT_NEWTON,
                   guess: Optional[np.ndarray] = None,
@@ -543,8 +573,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
     Returns (z_next, StepReport); raises NonConvergenceError when the
     update budget is exhausted or the residual turns non-finite.
     """
-    if not dt != 0.0:
-        raise ValueError("dt must be nonzero")
+    _check_dt(dt)
     z = np.asarray(z, dtype=float)
     z_new = z.copy() if guess is None else np.array(guess, dtype=float)
     f_mid, M = fd_jacobian(field, band, 0.5 * (z + z_new), 0.5 * dt)
@@ -597,6 +626,49 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
         f"after {cfg.max_iter} updates", report=report)
 
 
+def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
+                     z: np.ndarray, dt: float,
+                     cfg: NewtonConfig = DEFAULT_NEWTON,
+                     guess: Optional[np.ndarray] = None):
+    """One implicit midpoint step by plain iteration, or None to decline.
+
+    Iterates  z+ <- z + dt * F((z + z+)/2)  from ``guess`` (z when none is
+    given), one single-state field call per round.  From the second round
+    on, the rate is the ratio of the round's increment to the previous
+    one; a round is accepted, with status "fixed-point", when
+    rate/(1 - rate) |dz| <= KAPPA * cfg.tol * (1 + max|z|), the increment
+    test of :func:`midpoint_step` with a rate measured within the step.
+    An iterate that maps to itself has rate 0.  Returns (z_next,
+    StepReport), or None as soon as a rate exceeds FIXED_POINT_RATE (or is
+    not a number), an iterate is non-finite, or FIXED_POINT_ROUNDS rounds
+    pass unaccepted.
+    """
+    _check_dt(dt)
+    z = np.asarray(z, dtype=float)
+    z_new = z if guess is None else np.asarray(guess, dtype=float)
+    target = KAPPA * cfg.tol * (1.0 + float(np.abs(z).max()))
+    increments = []
+    rate = None
+    for rounds in range(1, FIXED_POINT_ROUNDS + 1):
+        z_next = z + dt * np.asarray(field(0.5 * (z + z_new)), dtype=float)
+        # the increment is minus the residual of the previous iterate
+        dz_norm = float(np.abs(z_next - z_new).max())
+        if not math.isfinite(dz_norm):
+            return None
+        if dz_norm == 0.0:
+            rate = 0.0
+        elif increments:
+            rate = dz_norm / increments[-1]
+            if not rate <= FIXED_POINT_RATE:
+                return None
+        increments.append(dz_norm)
+        z_new = z_next
+        if rate is not None and rate / (1.0 - rate) * dz_norm <= target:
+            return z_new, StepReport(rounds, dz_norm, "fixed-point", rate,
+                                     tuple(increments))
+    return None
+
+
 @dataclass
 class IntegrationResult:
     """Final state of a fixed-step run; converged is False when Newton gave
@@ -619,33 +691,42 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
     """Fixed-step midpoint loop of ``field``, whose Jacobian has the
     structure ``band``.
 
-    Every step assembles and factorises its Newton matrix on the band (see
-    :func:`midpoint_step`).  The first step starts Newton from z_0; every
-    later one from the linear extrapolation 2 z_n - z_{n-1}, which equals
-    z_n + dt F(mid_{n-1}) to within the Newton tolerance and so is O(dt^2)
-    from the solution.  Each step after the first is handed the contraction
-    rate its predecessor reported, so it can stop on its first increment
-    (see :func:`midpoint_step`).  The equations and their tolerance are
-    unchanged.
+    The first step is a Newton step from z_0 (see :func:`midpoint_step`).
+    Every later one starts from the linear extrapolation 2 z_n - z_{n-1},
+    which equals z_n + dt F(mid_{n-1}) to within the tolerance and so is
+    O(dt^2) from the solution, and is first tried by plain iteration (see
+    :func:`fixed_point_step`).  The first step that declines is solved by
+    Newton from the same start, and so is every step after it.  A Newton
+    step is handed the contraction rate its predecessor reported when that
+    was a Newton step too, so it can stop on its first increment.  The
+    equations and their tolerance are the same on both paths.
 
     The observer, when given, is called as observer(step, t, z, report)
     after every completed step with t = step * dt.  On Newton failure the
     loop halts and flags the partial result instead of raising, so callers
     keep whatever the observer collected.
     """
+    _check_dt(dt)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     z = np.asarray(z0, dtype=float).copy()
     guess = theta = None
+    plain = True
     for step in range(1, n_steps + 1):
-        try:
-            z_next, report = midpoint_step(field, band, z, dt, cfg,
-                                           guess=guess, theta=theta)
-        except NonConvergenceError as err:
-            err.step = step
-            return IntegrationResult(z, step - 1, err)
+        taken = None
+        if plain and guess is not None:
+            taken = fixed_point_step(field, z, dt, cfg, guess)
+            plain = taken is not None
+        if taken is None:
+            try:
+                taken = midpoint_step(field, band, z, dt, cfg, guess=guess,
+                                      theta=theta)
+            except NonConvergenceError as err:
+                err.step = step
+                return IntegrationResult(z, step - 1, err)
+        z_next, report = taken
         guess = 2.0 * z_next - z
-        theta = report.theta
+        theta = report.theta if report.status != "fixed-point" else None
         z = z_next
         if observer is not None:
             observer(step, step * dt, z, report)

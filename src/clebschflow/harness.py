@@ -153,8 +153,9 @@ class DiagnosticsRecord:
 class MethodRun:
     """One scheme's run.  finals maps each final field's name ("u", and "q"
     and "p" when lifted) to its (nodes, values) pair.  accepted counts the
-    completed steps by the test that ended their Newton iteration
-    (``StepReport.status``): "increments", "residual" or "floor"."""
+    completed steps by the test that ended their iteration
+    (``StepReport.status``): "increments", "residual" or "floor" for
+    Newton, "fixed-point" for plain iteration."""
 
     method: str
     records: list
@@ -499,7 +500,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
             flush()
 
     observe(0, 0.0, z0, 0)
-    accepted = dict.fromkeys(("increments", "residual", "floor"), 0)
+    accepted = dict.fromkeys(
+        ("increments", "residual", "floor", "fixed-point"), 0)
 
     def observer(step, t, z, report):
         accepted[report.status] += 1

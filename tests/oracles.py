@@ -5,8 +5,9 @@ adjoint, the discrete sums and gradients with every term evaluated, the
 pointwise flow in jet variables, the travelling wave's wave-frame
 reduction with its self-test built on that flow and its scipy DOP853
 solution, the shooting search that found the frozen travelling-wave
-parameters, and the implicit midpoint step built from single field calls
-and a column-by-column Jacobian.
+parameters, the implicit midpoint step built from single field calls
+and a column-by-column Jacobian, and a run loop that solves every step by
+Newton.
 """
 
 from dataclasses import dataclass
@@ -542,3 +543,19 @@ def midpoint_step_by_columns(field, z, dt, cfg=NewtonConfig(), guess=None,
             return z_new, StepReport(rounds, r_norm, "floor", theta,
                                      tuple(increments))
     raise NonConvergenceError("midpoint Newton stalled")
+
+
+def newton_steps(step, z0, dt, n_steps, cfg=NewtonConfig()):
+    """Yield (z_n, report) for n = 1..n_steps of a run that solves every
+    step by Newton: the first step from z0, every later one from
+    2 z_n - z_{n-1} with the rate its predecessor reported.  ``step(z, dt, cfg, guess=, theta=)`` is
+    a Newton step such as ``functools.partial(midpoint_step, field, band)``
+    or ``functools.partial(midpoint_step_by_columns, field)``."""
+    z = np.asarray(z0, dtype=float)
+    guess = theta = None
+    for _ in range(n_steps):
+        z_next, report = step(z, dt, cfg, guess=guess, theta=theta)
+        guess = 2.0 * z_next - z
+        theta = report.theta
+        z = z_next
+        yield z, report

@@ -234,6 +234,23 @@ class TestCriterion5PeriodicBumpLongRun:
         bounded(lambda r: r.nyquist_amp, "nyquist amplitude")
         announce(5, f"bump run to t=1000, |dH|<{h_max:.1e}, |dC|<{c_max:.1e}")
 
+    def test_energy_error_is_second_order_in_dt(self):
+        # a symplectic midpoint rule conserves a modified energy to O(dt^2)
+        # over long times, so the energy error falls as dt^2
+        errors = []
+        for k in range(3, 7):
+            config = ExperimentConfig(
+                method="collective", spec=EXTENDED_BURGERS, N=16, L=L,
+                dt=2.0 ** -k, t_end=50.0, initial_condition="periodic-bump",
+                observe_every=1)
+            run = run_experiment(config).runs[0]
+            assert run.converged
+            errors.append(max(abs(r.H_rel_err) for r in run.records))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse >= 2.5 * fine
+        scaled = [err / 2.0 ** (-2 * k) for k, err in zip(range(3, 7), errors)]
+        assert max(scaled) <= 2.0 * min(scaled)
+
 
 class TestCriterion6Symplecticity:
     def test_one_step_jacobian_preserves_the_scaled_form(self):

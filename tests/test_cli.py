@@ -84,12 +84,20 @@ class TestRunCommand:
             capsys, "run", "--N", "16", "--dt", "0.00390625", "--t-end",
             "0.0625", "--out", str(tmp_path / "both.csv"))
         assert code == 0
+
+        def counts(line):
+            return [int(word) for word in line.replace(",", "").split()
+                    if word.isdigit()]
+
+        lines = stdout.splitlines()
         for method in ("collective", "conventional"):
-            line = next(line for line in stdout.splitlines()
-                        if line.startswith(f"{method}: Newton accepted"))
-            counts = [int(word) for word in line.replace(",", "").split()
-                      if word.isdigit()]
-            assert len(counts) == 3 and sum(counts) == 16
+            newton = next(counts(line) for line in lines
+                          if line.startswith(f"{method}: Newton accepted"))
+            plain = next(counts(line) for line in lines if line.startswith(
+                f"{method}: fixed-point iteration accepted"))
+            # a Newton first step, then plain iteration throughout
+            assert len(newton) == 3 and sum(newton) == 1
+            assert plain == [15]
         cfg = {"method": "collective", "spec": {"C1": 0.5, "C2": 0.5,
                                                 "C3": -0.25, "C4": 0.5},
                "N": 64, "dt": 0.00390625, "t_end": 0.015625,
@@ -101,7 +109,9 @@ class TestRunCommand:
                                   "--out", str(tmp_path / "floor.csv"))
         assert code == 0
         assert ("collective: Newton accepted 0 steps on increments, 0 on the "
-                "residual, 4 at the roundoff floor\n") in stdout
+                "residual, 4 at the roundoff floor\n"
+                "collective: fixed-point iteration accepted 0 steps\n"
+                ) in stdout
 
     def test_emit_plots_writes_script(self, tmp_path, capsys):
         out = tmp_path / "d.csv"

@@ -1,3 +1,5 @@
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from clebschflow.hamiltonian import (
 from clebschflow.harness import (
     ExperimentConfig, convergence_study, run_experiment)
 
-from oracles import column_jacobian, dense_K, midpoint_step_by_columns
+from oracles import (
+    column_jacobian, dense_K, midpoint_step_by_columns, newton_steps)
 
 L = 8.0
 W = 2 * np.pi / L
@@ -286,21 +289,17 @@ class TestStepMatchesColumnReference:
         np.testing.assert_array_equal(z1, z1_ref)
 
     def test_sixteen_steps(self, scheme, spec, coloured):
+        # sixteen Newton steps, each from the extrapolated start with the
+        # rate carried in, as a run makes them once it is on Newton
         rhs, band, z0 = self.field_and_state(scheme, spec, coloured)
-        seen = []
-        result = integrate(rhs, band, z0, self.DT, 16,
-                           observer=lambda k, t, z, rep: seen.append(
-                               (z.copy(), rep)))
-        assert result.converged
-        z, guess, theta = z0, None, None
-        for z_seen, report in seen:
-            z_next, report_ref = midpoint_step_by_columns(
-                rhs, z, self.DT, guess=guess, theta=theta)
-            guess = 2.0 * z_next - z
-            theta = report_ref.theta
-            z = z_next
+        batched = newton_steps(functools.partial(midpoint_step, rhs, band),
+                               z0, self.DT, 16)
+        by_columns = newton_steps(
+            functools.partial(midpoint_step_by_columns, rhs), z0, self.DT, 16)
+        for (z, report), (z_ref, report_ref) in zip(batched, by_columns,
+                                                    strict=True):
             assert report == report_ref
-            np.testing.assert_array_equal(z_seen, z)
+            np.testing.assert_array_equal(z, z_ref)
 
 
 class TestStoppingRule:
@@ -398,18 +397,17 @@ class TestStoppingRule:
         g = PeriodicGrid(64, L)
         z0 = lift(g, 1.0 + 0.5 * np.cos(W * g.full_nodes))
         rhs, band = collective_flat_field(BURGERS, g)
+        batch = (1 + band.colouring.n_colours,)
         calls = []
 
         def counted(z):
             calls.append(z.shape[1:])
             return rhs(z)
 
-        per_step = []
-        result = integrate(counted, band, z0, 2.0 ** -12, 64,
-                           observer=lambda k, t, z, rep: per_step.append(
-                               (list(calls), rep)))
-        assert result.converged
-        batch = (1 + band.colouring.n_colours,)
+        # solved by Newton throughout
+        per_step = [(list(calls), report) for _, report in newton_steps(
+            functools.partial(midpoint_step, counted, band), z0,
+            2.0 ** -12, 64)]
         # the first step has no rate to carry in, so it needs a confirming call
         first_calls, first = per_step[0]
         assert first_calls[0] == batch and first.newton_iterations > 1
@@ -417,6 +415,20 @@ class TestStoppingRule:
             assert after[len(before):] == [batch]
             assert report.status == "increments"
             assert report.newton_iterations == len(report.increments) == 1
+
+        # a run: the same Newton first step, then only single-state calls,
+        # one per fixed-point round
+        calls.clear()
+        per_step.clear()
+        result = integrate(counted, band, z0, 2.0 ** -12, 64,
+                           observer=lambda k, t, z, rep: per_step.append(
+                               (list(calls), rep)))
+        assert result.converged
+        assert per_step[0] == (first_calls, first)
+        for (before, _), (after, report) in zip(per_step, per_step[1:]):
+            assert report.status == "fixed-point"
+            assert after[len(before):] == [()] * report.newton_iterations
+            assert report.newton_iterations == len(report.increments) >= 2
 
 
 def scheme_field(scheme, spec, g):
@@ -698,11 +710,17 @@ class TestBandedSolve:
             return solve(*args)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        reports = []
+        reports = [report for _, report in newton_steps(
+            functools.partial(midpoint_step, rhs, band), z0, 2.0 ** -12, 4)]
+        assert solves == [(8, 8)] * sum(len(r.increments) for r in reports)
+        # a run solves only its Newton first step; the rest are fixed-point
+        solves.clear()
+        reports.clear()
         result = integrate(rhs, band, z0, 2.0 ** -12, 4,
                            observer=lambda k, t, z, rep: reports.append(rep))
         assert result.converged
-        assert solves == [(8, 8)] * sum(len(r.increments) for r in reports)
+        assert [r.status for r in reports[1:]] == ["fixed-point"] * 3
+        assert solves == [(8, 8)] * len(reports[0].increments)
 
     def test_a_call_without_a_band_is_a_type_error(self):
         rhs, band, z0 = bump_case("collective", BURGERS, 16)
@@ -715,6 +733,142 @@ class TestBandedSolve:
         with pytest.raises(TypeError):
             fd_jacobian(rhs, None, z0, 0.5 * self.DT)
         assert not hasattr(rhs, "colouring")
+
+
+def cosine_case(scheme, spec, N):
+    """Flat field, band and state of the cosine bump at N nodes."""
+    g = PeriodicGrid(N, L)
+    u0 = 1.0 + 0.5 * np.cos(W * g.full_nodes)
+    if scheme == "collective":
+        return (*collective_flat_field(spec, g), lift(g, u0))
+    return (*conventional_flat_field(spec, g), u0)
+
+
+class TestFixedPoint:
+    """After a Newton first step a run tries plain iteration on every step,
+    and stays on Newton from the first step that declines it."""
+
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_a_burgers_run_assembles_only_on_its_first_step(
+            self, scheme, monkeypatch):
+        # the shock-every-step configuration, cut to 64 steps
+        rhs, band, z0 = cosine_case(scheme, BURGERS, 64)
+        assemble = dynamics.fd_jacobian
+        steps = []
+        assembled_at = []
+
+        def counted(*args, **kwargs):
+            assembled_at.append(len(steps) + 1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "fd_jacobian", counted)
+        result = integrate(rhs, band, z0, 2.0 ** -12, 64,
+                           observer=lambda k, t, z, rep: steps.append(rep))
+        assert result.converged
+        assert assembled_at == [1]
+        assert steps[0].status != "fixed-point"
+        for report in steps[1:]:
+            assert report.status == "fixed-point"
+            assert report.theta <= dynamics.FIXED_POINT_RATE
+            assert (report.newton_iterations == len(report.increments)
+                    <= dynamics.FIXED_POINT_ROUNDS)
+
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_a_cubic_run_falls_back_at_step_two(self, scheme, monkeypatch):
+        # the periodic bump of bump-long: plain iteration is tried once and
+        # declined, and the run is then bitwise a Newton run
+        rhs, band, z0 = bump_case(scheme, EXTENDED_BURGERS, 32)
+        dt = 2.0 ** -8
+        plain = dynamics.fixed_point_step
+        tried = []
+
+        def recorded(*args, **kwargs):
+            tried.append(plain(*args, **kwargs))
+            return tried[-1]
+
+        monkeypatch.setattr(dynamics, "fixed_point_step", recorded)
+        seen = []
+        result = integrate(rhs, band, z0, dt, 64,
+                           observer=lambda k, t, z, rep: seen.append(
+                               (z.copy(), rep)))
+        assert result.converged
+        assert tried == [None]
+        newton = newton_steps(functools.partial(midpoint_step, rhs, band),
+                              z0, dt, 64)
+        for (z, report), (z_ref, report_ref) in zip(seen, newton,
+                                                    strict=True):
+            assert report == report_ref
+            assert_bitwise(z, z_ref)
+
+    @pytest.mark.parametrize("scheme, fallback", [("collective", 246),
+                                                  ("conventional", 198)])
+    def test_a_rising_rate_falls_back_within_tolerance(self, scheme,
+                                                       fallback):
+        # the burgers-shock preset at dt = 2^-9 to t = 0.55: the rate rises
+        # as the front steepens, and the run falls back for good
+        rhs, band, z0 = cosine_case(scheme, BURGERS, 64)
+        dt = 2.0 ** -9
+        seen = []
+        result = integrate(rhs, band, z0, dt, 282,
+                           observer=lambda k, t, z, rep: seen.append(
+                               (z.copy(), rep)))
+        assert result.converged
+        statuses = [report.status for _, report in seen]
+        assert statuses[0] != "fixed-point"
+        assert statuses[1:fallback - 1] == ["fixed-point"] * (fallback - 2)
+        assert "fixed-point" not in statuses[fallback - 1:]
+        tol = NewtonConfig().tol
+        z = z0
+        for z_next, _ in seen:
+            z_ref, _ = midpoint_step_by_columns(rhs, z, dt)
+            assert np.abs(z_next - z_ref).max() <= tol * (1.0 + np.abs(z).max())
+            z = z_next
+
+    def test_a_contracting_linear_field_is_accepted(self):
+        # z' = -z: the rate is exactly dt/2 per round
+        z = np.array([1.0, -2.0, 0.5])
+        exact = z * (1.0 - 0.05) / (1.0 + 0.05)
+        z1, report = dynamics.fixed_point_step(lambda v: -v, z, 0.1,
+                                               guess=exact + 1e-4)
+        assert report.status == "fixed-point"
+        assert report.theta == pytest.approx(0.05, rel=1e-3)
+        assert report.newton_iterations == len(report.increments) >= 2
+        assert np.abs(z1 - exact).max() <= 1e-12 * (1.0 + 2.0)
+
+    def test_a_state_that_maps_to_itself_is_accepted_in_one_round(self):
+        z = np.array([1.0, 2.0])
+        z1, report = dynamics.fixed_point_step(np.zeros_like, z, 0.25)
+        assert_bitwise(z1, z)
+        assert (report.newton_iterations, report.theta) == (1, 0.0)
+
+    @pytest.mark.parametrize("field, dt", [
+        (lambda v: -v, 0.3),            # rate 0.15, above FIXED_POINT_RATE
+        (lambda v: -v, 0.24),           # rate 0.12: 8 rounds are not enough
+        (lambda v: v * np.nan, 0.1),    # a non-finite iterate
+        (lambda v: v * np.inf, 0.1),
+    ])
+    def test_declines(self, field, dt):
+        with np.errstate(invalid="ignore"):
+            assert dynamics.fixed_point_step(field, np.ones(4), dt) is None
+
+
+class TestTimeStepValidation:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0])
+    def test_a_step_that_is_not_finite_and_nonzero_is_refused(self, dt):
+        rhs, band, z0 = cosine_case("conventional", BURGERS, 8)
+        with pytest.raises(ValueError, match="dt"):
+            midpoint_step(rhs, band, z0, dt)
+        with pytest.raises(ValueError, match="dt"):
+            dynamics.fixed_point_step(rhs, z0, dt)
+        # checked before the loop, so also for a run of no steps
+        for n_steps in (0, 4):
+            with pytest.raises(ValueError, match="dt"):
+                integrate(rhs, band, z0, dt, n_steps)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            NewtonConfig(tol=tol)
 
 
 class TestIntegrate:

@@ -475,16 +475,22 @@ class TestReferenceBlocks:
                                                            monkeypatch):
         config = quick_config(observe_every=1, t_end=80 * 2.0 ** -8)
         full = solution_errors(run_experiment(config))
-        midpoint_step = dynamics.midpoint_step
-        calls = []
+        integrate = harness.integrate
 
-        def fails_at_step_ten(*args, **kwargs):
-            # the schemes run one after the other: calls 10 and 20 are
-            # step 10 of each
-            calls.append(None)
-            if len(calls) % 10 == 0:
-                raise dynamics.NonConvergenceError("chosen to fail")
-            return midpoint_step(*args, **kwargs)
+        def fails_at_step_ten(field, band, z0, dt, n_steps, cfg, observer):
+            # the field turns non-finite once nine steps are done, so step
+            # 10 declines plain iteration and Newton fails on it
+            done = []
+
+            def poisoned(z):
+                f = field(z)
+                return f * np.nan if len(done) == 9 else f
+
+            def counting(step, t, z, report):
+                done.append(step)
+                observer(step, t, z, report)
+
+            return integrate(poisoned, band, z0, dt, n_steps, cfg, counting)
 
         asked = []
         solve = ref_mod.burgers_characteristics
@@ -493,7 +499,7 @@ class TestReferenceBlocks:
             asked.append(np.atleast_1d(t).tolist())
             return solve(u0, x, t, **options)
 
-        monkeypatch.setattr(dynamics, "midpoint_step", fails_at_step_ten)
+        monkeypatch.setattr(harness, "integrate", fails_at_step_ten)
         monkeypatch.setattr(ref_mod, "burgers_characteristics", counted)
         result = run_experiment(config)
         assert [run.failed_step for run in result.runs] == [10, 10]

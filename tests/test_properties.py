@@ -11,13 +11,16 @@ from hypothesis.extra.numpy import arrays
 
 from clebschflow.clebsch import lift, momentum_arrays
 from clebschflow.dynamics import (
+    FIXED_POINT_RATE,
     NewtonConfig,
     NonConvergenceError,
     apply_K,
     collective_flat_field,
     conventional_flat_field,
     fd_jacobian,
+    fixed_point_step,
     integrate,
+    midpoint_step,
 )
 from clebschflow.grid import PeriodicGrid, s_avg, st_avg, t_diff, tt_diff
 from clebschflow.hamiltonian import (
@@ -197,6 +200,43 @@ def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
         tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
         assert np.max(np.abs(accepted - fixed)) <= tolerance
         z = accepted
+
+
+@PROPERTY
+@given(st.sampled_from([BURGERS, EXTENDED_BURGERS]), st.integers(4, 64),
+       st.integers(5, 14), st.floats(0.1, 0.6), st.floats(0.0, L),
+       st.booleans())
+def test_accepted_fixed_point_steps_lie_within_tolerance_of_the_solution(
+        spec, N, log2_steps, amplitude, shift, lifted):
+    # a run's second step: plain iteration from 2 z_1 - z_0 after a Newton
+    # first step, held to tol (1 + max|z|) like a Newton step
+    g = PeriodicGrid(N, L)
+    u0 = 1.0 + amplitude * np.cos(2 * np.pi * (g.full_nodes - shift) / L)
+    if lifted:
+        (field, band), z0 = collective_flat_field(spec, g), lift(g, u0)
+    else:
+        (field, band), z0 = conventional_flat_field(spec, g), u0
+    dt = 2.0 ** -log2_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            z, _ = midpoint_step(field, band, z0, dt)
+        except NonConvergenceError:
+            event("first step diverged")
+            return
+        taken = fixed_point_step(field, z, dt, guess=2.0 * z - z0)
+    event("declined" if taken is None else "accepted")
+    if taken is None:
+        return
+    accepted, report = taken
+    assert report.status == "fixed-point"
+    assert report.theta <= FIXED_POINT_RATE
+    # the same step iterated on to its fixed point by Newton
+    fixed = accepted.copy()
+    _, M = fd_jacobian(field, band, 0.5 * (z + fixed), 0.5 * dt)
+    for _ in range(20):
+        fixed -= np.linalg.solve(M, fixed - z - dt * field(0.5 * (z + fixed)))
+    tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
+    assert np.max(np.abs(accepted - fixed)) <= tolerance
 
 
 @st.composite

@@ -74,3 +74,62 @@ def test_converge_tables_are_digested(tmp_path):
         ours, theirs = ours.split(","), theirs.split(",")
         assert ours[:3] + ours[4:6] == theirs[:3] + theirs[4:6]
         assert ours[3] != theirs[3]
+
+
+BENCH_TOOL = TOOL.with_name("bench_pairs.py")
+bench_spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_TOOL)
+bench_pairs = importlib.util.module_from_spec(bench_spec)
+bench_spec.loader.exec_module(bench_pairs)
+
+
+def canned(step_ms, correct=True):
+    """A benchmark result whose every metric reads ``step_ms``."""
+    return {"correct": correct, "host": {"cpu": "test"},
+            "metrics": {name: {"value": step_ms, "unit": unit}
+                        for name, unit in bench_pairs.END_TO_END.items()}}
+
+
+def test_pairs_alternate_and_summarise(capsys):
+    readings = {("p", 1): 4.0, ("c", 1): 3.0, ("p", 2): 2.0, ("c", 2): 2.5,
+                ("p", 3): 6.0, ("c", 3): 1.0}
+    calls = []
+
+    def runner(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        return canned(readings[checkout, seed], correct=seed != 3)
+
+    pairs = bench_pairs.run_pairs("p", "c", "bump-long", [1, 2, 3], 40.0,
+                                  runner)
+    assert calls == [("p", 1), ("c", 1), ("c", 2), ("p", 2), ("p", 3),
+                     ("c", 3)]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
+    summary = bench_pairs.summarise(pairs)
+    assert summary["collective.step_ms"] == {
+        "unit": "ms", "parent_median": 4.0, "change_median": 2.5,
+        "parent_quartiles": [3.0, 5.0], "change_quartiles": [1.75, 2.75],
+        "pairs": 3, "change_lower": 2}
+    lines = bench_pairs.summary_lines(summary, pairs)
+    assert lines[3].split() == ["collective.step_ms", "ms", "4", "2.5",
+                                "-37.5", "%", "2", "2/3"]
+    assert lines[-2:] == ["parent: 2 of 3 runs correct",
+                          "change: 2 of 3 runs correct"]
+
+
+def test_a_failed_run_is_left_out_of_the_medians():
+    pairs = [{"parent": canned(1.0), "change": {"correct": False,
+                                                "metrics": {}}},
+             {"parent": canned(3.0), "change": canned(2.0)}]
+    summary = bench_pairs.summarise(pairs)["wall_s"]
+    assert (summary["parent_median"], summary["change_median"]) == (2.0, 2.0)
+    assert (summary["pairs"], summary["change_lower"]) == (1, 1)
+    assert summary["change_quartiles"] == [2.0, 2.0]
+
+
+def test_checkouts_of_unequal_path_length_are_refused(tmp_path, capsys):
+    code = bench_pairs.main(["--parent", str(tmp_path / "pa"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "bump-long", "--seeds", "1"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "differ in length" in err
