@@ -169,7 +169,8 @@ def _cmd_run(args) -> int:
               f"{run.accepted['residual']} on the residual, "
               f"{run.accepted['floor']} at the roundoff floor")
         print(f"{run.method}: fixed-point iteration accepted "
-              f"{run.accepted['fixed-point']} steps")
+              f"{run.accepted['fixed-point']} steps in "
+              f"{run.fixed_point_rounds} rounds")
     return 0 if result.converged else 2
 
 

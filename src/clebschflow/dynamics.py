@@ -54,9 +54,9 @@ cyclic block tridiagonal (8 x 8 blocks for the lifted field, 4 x 4 for the
 direct one) and is held as its three block diagonals, with no d x d
 array.  A step factorises it once by block cyclic reduction, and every
 update is then a sweep of batched block products around one solve of the
-reduced s x s system.  A run starts each step's Newton iteration from the
-extrapolation 2 z_n - z_{n-1}, which is O(dt^2) from the solution instead
-of O(dt).
+reduced s x s system.  A run starts each Newton step after its first from
+the extrapolation 2 z_n - z_{n-1}, which is O(dt^2) from the solution
+instead of O(dt).
 
 Many steps need no Newton matrix at all: at the Burgers settings the plain
 iteration  z+ <- z + dt F((z + z+)/2)  contracts at about the spectral
@@ -66,9 +66,16 @@ tries it on every step (fixed_point_step): a round's rate is the ratio of
 its increment to the one before, the iterate is accepted by the increment
 test above with that rate, and the step declines as soon as a rate
 exceeds FIXED_POINT_RATE, an iterate is non-finite or FIXED_POINT_ROUNDS
-rounds pass.  A declined step is solved by Newton from the same start, and
-the run stays on Newton to its end (as LSODA switches between functional
-iteration and Newton; Petzold, SIAM J. Sci. Stat. Comput. 4, 1983).
+rounds pass.  Each round gains only a factor of the rate, so the start
+decides how many rounds a step makes: a plain step starts from the
+polynomial through the run's last states, the line through two at step 2,
+the quadratic through three at step 3 and the cubic through four from
+step 4 on, O(dt^4) from the solution (the extrapolated starting value of
+Hairer & Wanner, IV.8).  At the Burgers settings that leaves one round to
+measure a rate and one to accept: 2 field calls a step.  A declined step
+is solved by Newton from 2 z_n - z_{n-1}, and the run stays on Newton to
+its end (as LSODA switches between functional iteration and Newton;
+Petzold, SIAM J. Sci. Stat. Comput. 4, 1983), keeping no states.
 """
 
 from __future__ import annotations
@@ -632,16 +639,19 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
                      guess: Optional[np.ndarray] = None):
     """One implicit midpoint step by plain iteration, or None to decline.
 
-    Iterates  z+ <- z + dt * F((z + z+)/2)  from ``guess`` (z when none is
-    given), one single-state field call per round.  From the second round
-    on, the rate is the ratio of the round's increment to the previous
-    one; a round is accepted, with status "fixed-point", when
-    rate/(1 - rate) |dz| <= KAPPA * cfg.tol * (1 + max|z|), the increment
-    test of :func:`midpoint_step` with a rate measured within the step.
-    An iterate that maps to itself has rate 0.  Returns (z_next,
-    StepReport), or None as soon as a rate exceeds FIXED_POINT_RATE (or is
-    not a number), an iterate is non-finite, or FIXED_POINT_ROUNDS rounds
-    pass unaccepted.
+    Iterates  z+ <- z + dt * F((z + z+)/2)  from ``guess``, one
+    single-state field call per round.  Without a guess the first round
+    maps z to the start z + dt * F(z), which is O(dt) from the solution,
+    so the rate it would give understates the later ones and is not
+    measured: the round counts in newton_iterations but not in increments.
+    From the second increment on, the rate is the ratio of the round's
+    increment to the previous one; a round is accepted, with status
+    "fixed-point", when rate/(1 - rate) |dz| <= KAPPA * cfg.tol *
+    (1 + max|z|), the increment test of :func:`midpoint_step` with a rate
+    measured within the step.  An iterate that maps to itself has rate 0.
+    Returns (z_next, StepReport), or None as soon as a rate exceeds
+    FIXED_POINT_RATE (or is not a number), an iterate is non-finite, or
+    FIXED_POINT_ROUNDS rounds pass unaccepted.
     """
     _check_dt(dt)
     z = np.asarray(z, dtype=float)
@@ -661,12 +671,28 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
             rate = dz_norm / increments[-1]
             if not rate <= FIXED_POINT_RATE:
                 return None
-        increments.append(dz_norm)
+        # round one from z only makes the start z + dt F(z)
+        if guess is not None or rounds > 1:
+            increments.append(dz_norm)
         z_new = z_next
         if rate is not None and rate / (1.0 - rate) * dz_norm <= target:
             return z_new, StepReport(rounds, dz_norm, "fixed-point", rate,
                                      tuple(increments))
     return None
+
+
+def _extrapolate(states: list) -> np.ndarray:
+    """The polynomial through the last two, three or four states (oldest
+    first) at the next step: 2 z_n - z_{n-1}, 3 z_n - 3 z_{n-1} + z_{n-2}
+    or 4 z_n - 6 z_{n-1} + 4 z_{n-2} - z_{n-3}."""
+    if len(states) == 2:
+        previous, z = states
+        return 2.0 * z - previous
+    if len(states) == 3:
+        before, previous, z = states
+        return 3.0 * (z - previous) + before
+    first, before, previous, z = states
+    return 4.0 * (z + before) - 6.0 * previous - first
 
 
 @dataclass
@@ -692,14 +718,17 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
     structure ``band``.
 
     The first step is a Newton step from z_0 (see :func:`midpoint_step`).
-    Every later one starts from the linear extrapolation 2 z_n - z_{n-1},
-    which equals z_n + dt F(mid_{n-1}) to within the tolerance and so is
-    O(dt^2) from the solution, and is first tried by plain iteration (see
-    :func:`fixed_point_step`).  The first step that declines is solved by
-    Newton from the same start, and so is every step after it.  A Newton
-    step is handed the contraction rate its predecessor reported when that
-    was a Newton step too, so it can stop on its first increment.  The
-    equations and their tolerance are the same on both paths.
+    Every later one is first tried by plain iteration (see
+    :func:`fixed_point_step`), from the polynomial through the run's last
+    states at the next step: 2 z_n - z_{n-1} at step 2, 3 z_n - 3 z_{n-1}
+    + z_{n-2} at step 3 and 4 z_n - 6 z_{n-1} + 4 z_{n-2} - z_{n-3} from
+    step 4 on, O(dt^2), O(dt^3) and O(dt^4) from the solution.  The first
+    step that declines is solved by Newton from the linear extrapolation
+    2 z_n - z_{n-1}, and so is every step after it; the run then keeps no
+    earlier states.  A Newton step is handed the contraction rate its
+    predecessor reported when that was a Newton step too, so it can stop
+    on its first increment.  The equations and their tolerance are the
+    same on both paths.
 
     The observer, when given, is called as observer(step, t, z, report)
     after every completed step with t = step * dt.  On Newton failure the
@@ -711,12 +740,16 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
         raise ValueError("n_steps must be nonnegative")
     z = np.asarray(z0, dtype=float).copy()
     guess = theta = None
-    plain = True
+    # the run's last (at most four) states, oldest first, until a step
+    # declines plain iteration
+    states = [z]
     for step in range(1, n_steps + 1):
         taken = None
-        if plain and guess is not None:
-            taken = fixed_point_step(field, z, dt, cfg, guess)
-            plain = taken is not None
+        if states is not None and len(states) > 1:
+            taken = fixed_point_step(field, z, dt, cfg, _extrapolate(states))
+            if taken is None:
+                guess = _extrapolate(states[-2:])
+                states = None
         if taken is None:
             try:
                 taken = midpoint_step(field, band, z, dt, cfg, guess=guess,
@@ -725,8 +758,11 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
                 err.step = step
                 return IntegrationResult(z, step - 1, err)
         z_next, report = taken
-        guess = 2.0 * z_next - z
         theta = report.theta if report.status != "fixed-point" else None
+        if states is None:
+            guess = 2.0 * z_next - z
+        else:
+            states = states[-3:] + [z_next]
         z = z_next
         if observer is not None:
             observer(step, step * dt, z, report)

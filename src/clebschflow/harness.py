@@ -155,13 +155,15 @@ class MethodRun:
     and "p" when lifted) to its (nodes, values) pair.  accepted counts the
     completed steps by the test that ended their iteration
     (``StepReport.status``): "increments", "residual" or "floor" for
-    Newton, "fixed-point" for plain iteration."""
+    Newton, "fixed-point" for plain iteration; fixed_point_rounds is the
+    total of the field-call rounds those plain steps made."""
 
     method: str
     records: list
     finals: dict
     failed_step: Optional[int] = None
     accepted: dict = dataclass_field(default_factory=dict)
+    fixed_point_rounds: int = 0
 
     @property
     def converged(self) -> bool:
@@ -502,9 +504,13 @@ def _run_one_method(method: str, config: ExperimentConfig,
     observe(0, 0.0, z0, 0)
     accepted = dict.fromkeys(
         ("increments", "residual", "floor", "fixed-point"), 0)
+    fixed_point_rounds = 0
 
     def observer(step, t, z, report):
+        nonlocal fixed_point_rounds
         accepted[report.status] += 1
+        if report.status == "fixed-point":
+            fixed_point_rounds += report.newton_iterations
         if step % config.observe_every == 0 or step == n_steps:
             observe(step, t, z, report.newton_iterations)
 
@@ -519,7 +525,8 @@ def _run_one_method(method: str, config: ExperimentConfig,
         finals["q"] = (grid.full_nodes, result.z[:N])
         finals["p"] = (grid.full_nodes, result.z[N:])
     failed_step = result.failure.step if result.failure is not None else None
-    return MethodRun(method, records, finals, failed_step, accepted)
+    return MethodRun(method, records, finals, failed_step, accepted,
+                     fixed_point_rounds)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

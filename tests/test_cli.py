@@ -90,14 +90,15 @@ class TestRunCommand:
                     if word.isdigit()]
 
         lines = stdout.splitlines()
-        for method in ("collective", "conventional"):
+        for method, rounds in (("collective", 63), ("conventional", 76)):
             newton = next(counts(line) for line in lines
                           if line.startswith(f"{method}: Newton accepted"))
             plain = next(counts(line) for line in lines if line.startswith(
                 f"{method}: fixed-point iteration accepted"))
-            # a Newton first step, then plain iteration throughout
+            # a Newton first step, then plain iteration throughout, with
+            # the field-call rounds those steps made
             assert len(newton) == 3 and sum(newton) == 1
-            assert plain == [15]
+            assert plain == [15, rounds]
         cfg = {"method": "collective", "spec": {"C1": 0.5, "C2": 0.5,
                                                 "C3": -0.25, "C4": 0.5},
                "N": 64, "dt": 0.00390625, "t_end": 0.015625,
@@ -110,7 +111,8 @@ class TestRunCommand:
         assert code == 0
         assert ("collective: Newton accepted 0 steps on increments, 0 on the "
                 "residual, 4 at the roundoff floor\n"
-                "collective: fixed-point iteration accepted 0 steps\n"
+                "collective: fixed-point iteration accepted 0 steps in 0 "
+                "rounds\n"
                 ) in stdout
 
     def test_emit_plots_writes_script(self, tmp_path, capsys):

@@ -800,23 +800,44 @@ class TestFixedPoint:
             assert report == report_ref
             assert_bitwise(z, z_ref)
 
-    @pytest.mark.parametrize("scheme, fallback", [("collective", 246),
-                                                  ("conventional", 198)])
-    def test_a_rising_rate_falls_back_within_tolerance(self, scheme,
-                                                       fallback):
-        # the burgers-shock preset at dt = 2^-9 to t = 0.55: the rate rises
-        # as the front steepens, and the run falls back for good
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_burgers_steps_take_two_rounds_from_a_cubic_start(self, scheme):
+        # the shock-every-step configuration, cut to 64 steps: from step 4
+        # on the start is the cubic through the last four states, close
+        # enough that the second round, the first with a rate, accepts
         rhs, band, z0 = cosine_case(scheme, BURGERS, 64)
-        dt = 2.0 ** -9
+        rounds = []
+        result = integrate(rhs, band, z0, 2.0 ** -12, 64,
+                           observer=lambda k, t, z, rep: rounds.append(
+                               rep.newton_iterations))
+        assert result.converged
+        if scheme == "collective":
+            assert rounds[3:] == [2] * 61
+        else:
+            assert max(rounds[3:]) <= 3
+
+    @pytest.mark.parametrize("scheme, log2_dt, n_steps, fallback", [
+        ("collective", 8, 141, 62), ("conventional", 8, 141, 63),
+        ("collective", 9, 282, None), ("conventional", 9, 282, None)])
+    def test_a_rising_rate_falls_back_within_tolerance(
+            self, scheme, log2_dt, n_steps, fallback):
+        # the burgers-shock preset to t = 0.55: the rate rises as the front
+        # steepens; at dt = 2^-8 it passes FIXED_POINT_RATE and the run
+        # falls back for good, while at dt = 2^-9 it stays below and every
+        # step after the first is plain, some of them in 8 rounds
+        rhs, band, z0 = cosine_case(scheme, BURGERS, 64)
+        dt = 2.0 ** -log2_dt
         seen = []
-        result = integrate(rhs, band, z0, dt, 282,
+        result = integrate(rhs, band, z0, dt, n_steps,
                            observer=lambda k, t, z, rep: seen.append(
                                (z.copy(), rep)))
         assert result.converged
         statuses = [report.status for _, report in seen]
         assert statuses[0] != "fixed-point"
-        assert statuses[1:fallback - 1] == ["fixed-point"] * (fallback - 2)
-        assert "fixed-point" not in statuses[fallback - 1:]
+        # steps 2 to last_plain are plain, and none after
+        last_plain = n_steps if fallback is None else fallback - 1
+        assert statuses[1:last_plain] == ["fixed-point"] * (last_plain - 1)
+        assert "fixed-point" not in statuses[last_plain:]
         tol = NewtonConfig().tol
         z = z0
         for z_next, _ in seen:
@@ -834,6 +855,23 @@ class TestFixedPoint:
         assert report.theta == pytest.approx(0.05, rel=1e-3)
         assert report.newton_iterations == len(report.increments) >= 2
         assert np.abs(z1 - exact).max() <= 1e-12 * (1.0 + 2.0)
+
+    def test_a_start_from_z_measures_its_rate_from_z_plus_dt_f(self):
+        # lifted extended Burgers, N = 7, dt = 2^-9: the first increment
+        # from z is O(dt), and a rate measured from it understates the
+        # later ones (accepting on it left this step 0.71 tol (1 + max|z|)
+        # from the solution), so that round only makes the start
+        g = PeriodicGrid(7, L)
+        rhs, _ = collective_flat_field(EXTENDED_BURGERS, g)
+        z = lift(g, 1.0 + 0.1 * np.cos(W * g.full_nodes))
+        dt = 2.0 ** -9
+        z1, report = dynamics.fixed_point_step(rhs, z, dt)
+        assert report.status == "fixed-point"
+        assert (report.newton_iterations, len(report.increments)) == (3, 2)
+        z_ref, _ = midpoint_step_by_columns(rhs, z, dt)
+        size = 1.0 + np.abs(z).max()
+        assert np.abs(z1 - z_ref).max() <= (dynamics.KAPPA
+                                            * NewtonConfig().tol * size)
 
     def test_a_state_that_maps_to_itself_is_accepted_in_one_round(self):
         z = np.array([1.0, 2.0])

@@ -239,6 +239,41 @@ def test_accepted_fixed_point_steps_lie_within_tolerance_of_the_solution(
     assert np.max(np.abs(accepted - fixed)) <= tolerance
 
 
+@PROPERTY
+@given(st.sampled_from([BURGERS, EXTENDED_BURGERS]), st.integers(4, 64),
+       st.integers(5, 14), st.floats(0.1, 0.6), st.floats(0.0, L),
+       st.booleans())
+def test_fixed_point_steps_from_extrapolated_starts_lie_within_tolerance(
+        spec, N, log2_steps, amplitude, shift, lifted):
+    # a run's first 6 steps: plain iteration from the linear, quadratic
+    # and then cubic start through the last states, each accepted step
+    # held to tol (1 + max|z|) of its Newton-iterated fixed point
+    g = PeriodicGrid(N, L)
+    u0 = 1.0 + amplitude * np.cos(2 * np.pi * (g.full_nodes - shift) / L)
+    if lifted:
+        (field, band), z0 = collective_flat_field(spec, g), lift(g, u0)
+    else:
+        (field, band), z0 = conventional_flat_field(spec, g), u0
+    dt = 2.0 ** -log2_steps
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrate(field, band, z0, dt, 6,
+                  observer=lambda k, t, z, report: seen.append(
+                      (z.copy(), report.status)))
+    event(f"{sum(status == 'fixed-point' for _, status in seen)} plain steps")
+    z = z0
+    for accepted, status in seen:
+        if status == "fixed-point":
+            fixed = accepted.copy()
+            _, M = fd_jacobian(field, band, 0.5 * (z + fixed), 0.5 * dt)
+            for _ in range(20):
+                fixed -= np.linalg.solve(
+                    M, fixed - z - dt * field(0.5 * (z + fixed)))
+            tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
+            assert np.max(np.abs(accepted - fixed)) <= tolerance
+        z = accepted
+
+
 @st.composite
 def cosine_bumps(draw):
     """A shifted cosine bump u0 = 1 + a cos(k (x - s)), its breaking time

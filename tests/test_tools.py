@@ -3,6 +3,7 @@ its convergence tables."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
@@ -123,6 +124,28 @@ def test_a_failed_run_is_left_out_of_the_medians():
     assert (summary["parent_median"], summary["change_median"]) == (2.0, 2.0)
     assert (summary["pairs"], summary["change_lower"]) == (1, 1)
     assert summary["change_quartiles"] == [2.0, 2.0]
+
+
+def test_failed_checks_are_kept_and_printed(tmp_path):
+    # a checkout whose benchmark prints one failed repeat
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    result = dict(canned(2.0, correct=False), failed=2560)
+    script.write_text(
+        "print('FAILED repeat 3: CSV output differs from the first repeat "
+        "of its phase')\n"
+        "print('manifest {\"cpu\": \"test\"}')\n"
+        f"print({json.dumps(json.dumps(result))})\n")
+    run = bench_pairs.run_bench(str(tmp_path), "bump-long", 1, 1.0)
+    assert run["failures"] == [
+        "repeat 3: CSV output differs from the first repeat of its phase"]
+    assert run["host"]["cpu"] == "test"
+    pairs = [{"seed": 7, "parent": canned(1.0), "change": run}]
+    lines = bench_pairs.summary_lines(bench_pairs.summarise(pairs), pairs)
+    assert lines[-2:] == [
+        "change: 0 of 1 runs correct",
+        "  seed 7: repeat 3: CSV output differs from the first repeat of "
+        "its phase"]
 
 
 def test_checkouts_of_unequal_path_length_are_refused(tmp_path, capsys):

@@ -14,11 +14,13 @@ with one line and exit status 2.
 
 It prints, per end-to-end metric, the parent's median, the change's
 median, the distance between the parent's quartiles and in how many pairs
-the change read lower (every metric is better lower).  ``--out`` writes
-the same summary with both sides' quartiles, every pair's metrics and
-``correct`` flags, and the host (CPU, CPU count, Python, numpy and the
-BLAS thread pin, from the benchmark's manifest) to a JSON file, keyed by
-workload: an existing file keeps its other workloads.
+the change read lower (every metric is better lower), then per side the
+runs whose repeats all passed the benchmark's checks, and every check a
+repeat failed.  ``--out`` writes the same summary with both sides'
+quartiles, every pair's metrics, ``correct`` flags and failed checks, and
+the host (CPU, CPU count, Python, numpy and the BLAS thread pin, from the
+benchmark's manifest) to a JSON file, keyed by workload: an existing file
+keeps its other workloads.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ HOST_KEYS = ("cpu", "nproc", "python", "numpy", "blas_threads")
 def run_bench(checkout: str, workload: str, seed: int,
               seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` in ``checkout``: its result
-    object with the manifest beside it, or an ``error`` when it printed
-    none."""
+    object with the manifest beside it and the checks its repeats failed
+    (``failures``, when any did), or an ``error`` when it printed none."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -59,6 +61,10 @@ def run_bench(checkout: str, workload: str, seed: int,
     manifest = next((json.loads(line[len("manifest "):]) for line in lines
                      if line.startswith("manifest ")), {})
     result["host"] = {key: manifest.get(key) for key in HOST_KEYS}
+    failures = [line[len("FAILED "):] for line in lines
+                if line.startswith("FAILED ")]
+    if failures:
+        result["failures"] = failures
     return result
 
 
@@ -136,6 +142,8 @@ def summary_lines(summary: dict, pairs: list) -> list:
         wrong = sum(not p[side].get("correct") for p in pairs)
         lines.append(f"{side}: {len(pairs) - wrong} of {len(pairs)} runs "
                      f"correct")
+        lines += [f"  seed {p['seed']}: {failure}" for p in pairs
+                  for failure in p[side].get("failures", [])]
     return lines
 
 
