@@ -66,13 +66,14 @@ tries it on every step (fixed_point_step): a round's rate is the ratio of
 its increment to the one before, the iterate is accepted by the increment
 test above with that rate, and the step declines as soon as a rate
 exceeds FIXED_POINT_RATE, an iterate is non-finite or FIXED_POINT_ROUNDS
-rounds pass.  Each round gains only a factor of the rate, so the start
-decides how many rounds a step makes: a plain step starts from the
-polynomial through the run's last states, the line through two at step 2,
-the quadratic through three at step 3 and the cubic through four from
-step 4 on, O(dt^4) from the solution (the extrapolated starting value of
-Hairer & Wanner, IV.8).  At the Burgers settings that leaves one round to
-measure a rate and one to accept: 2 field calls a step.  A declined step
+rounds pass; an increment at the roundoff floor (FIXED_POINT_FLOOR) is
+accepted whatever the rate it shows.  Each round gains only a factor of
+the rate, so the start decides how many rounds a step makes: a plain step
+starts from the polynomial through the run's last states, the line
+through two at steps 2 and 3 and the cubic through four from step 4 on,
+O(dt^4) from the solution (the extrapolated starting value of Hairer &
+Wanner, IV.8).  At the Burgers settings that leaves one round to measure
+a rate and one to accept: 2 field calls a step.  A declined step
 is solved by Newton from 2 z_n - z_{n-1}, and the run stays on Newton to
 its end (as LSODA switches between functional iteration and Newton;
 Petzold, SIAM J. Sci. Stat. Comput. 4, 1983), keeping no states.
@@ -157,6 +158,14 @@ FIXED_POINT_RATE = 0.125
 
 #: Field-call rounds a fixed-point step may make before it declines.
 FIXED_POINT_ROUNDS = 8
+
+#: A fixed-point increment of at most FIXED_POINT_FLOOR * eps * (1 + max|z|)
+#: is at the roundoff floor, where a measured rate is noise: it is accepted
+#: whatever its rate.  Such an iterate lies within KAPPA * tol * (1 + max|z|)
+#: of the solution at the default tol for any contraction up to 7/8.
+#: Burgers increments reach 32 eps (1 + max|z|) at the floor (lifted, N =
+#: 1024, dt = 2^-14).
+FIXED_POINT_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -649,14 +658,18 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
     "fixed-point", when rate/(1 - rate) |dz| <= KAPPA * cfg.tol *
     (1 + max|z|), the increment test of :func:`midpoint_step` with a rate
     measured within the step.  An iterate that maps to itself has rate 0.
-    Returns (z_next, StepReport), or None as soon as a rate exceeds
-    FIXED_POINT_RATE (or is not a number), an iterate is non-finite, or
-    FIXED_POINT_ROUNDS rounds pass unaccepted.
+    A round with a measured rate whose increment is at the roundoff floor,
+    at most FIXED_POINT_FLOOR * eps * (1 + max|z|), is accepted whatever
+    that rate.  Returns (z_next, StepReport), or None as soon as a rate
+    above the floor exceeds FIXED_POINT_RATE (or is not a number), an
+    iterate is non-finite, or FIXED_POINT_ROUNDS rounds pass unaccepted.
     """
     _check_dt(dt)
     z = np.asarray(z, dtype=float)
     z_new = z if guess is None else np.asarray(guess, dtype=float)
-    target = KAPPA * cfg.tol * (1.0 + float(np.abs(z).max()))
+    size = 1.0 + float(np.abs(z).max())
+    target = KAPPA * cfg.tol * size
+    floor = FIXED_POINT_FLOOR * EPS * size
     increments = []
     rate = None
     for rounds in range(1, FIXED_POINT_ROUNDS + 1):
@@ -669,28 +682,26 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
             rate = 0.0
         elif increments:
             rate = dz_norm / increments[-1]
-            if not rate <= FIXED_POINT_RATE:
+            if not rate <= FIXED_POINT_RATE and dz_norm > floor:
                 return None
         # round one from z only makes the start z + dt F(z)
         if guess is not None or rounds > 1:
             increments.append(dz_norm)
         z_new = z_next
-        if rate is not None and rate / (1.0 - rate) * dz_norm <= target:
+        if rate is not None and (
+                dz_norm <= floor or rate / (1.0 - rate) * dz_norm <= target):
             return z_new, StepReport(rounds, dz_norm, "fixed-point", rate,
                                      tuple(increments))
     return None
 
 
-def _extrapolate(states: list) -> np.ndarray:
-    """The polynomial through the last two, three or four states (oldest
-    first) at the next step: 2 z_n - z_{n-1}, 3 z_n - 3 z_{n-1} + z_{n-2}
-    or 4 z_n - 6 z_{n-1} + 4 z_{n-2} - z_{n-3}."""
-    if len(states) == 2:
-        previous, z = states
+def _extrapolate(states) -> np.ndarray:
+    """At the next step, the cubic through the last four states (oldest
+    first), 4 z_n - 6 z_{n-1} + 4 z_{n-2} - z_{n-3}, when there are four,
+    and otherwise the line through the last two, 2 z_n - z_{n-1}."""
+    if len(states) < 4:
+        previous, z = states[-2:]
         return 2.0 * z - previous
-    if len(states) == 3:
-        before, previous, z = states
-        return 3.0 * (z - previous) + before
     first, before, previous, z = states
     return 4.0 * (z + before) - 6.0 * previous - first
 
@@ -720,12 +731,11 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
     The first step is a Newton step from z_0 (see :func:`midpoint_step`).
     Every later one is first tried by plain iteration (see
     :func:`fixed_point_step`), from the polynomial through the run's last
-    states at the next step: 2 z_n - z_{n-1} at step 2, 3 z_n - 3 z_{n-1}
-    + z_{n-2} at step 3 and 4 z_n - 6 z_{n-1} + 4 z_{n-2} - z_{n-3} from
-    step 4 on, O(dt^2), O(dt^3) and O(dt^4) from the solution.  The first
-    step that declines is solved by Newton from the linear extrapolation
-    2 z_n - z_{n-1}, and so is every step after it; the run then keeps no
-    earlier states.  A Newton step is handed the contraction rate its
+    states at the next step: the line 2 z_n - z_{n-1} at steps 2 and 3,
+    O(dt^2) from the solution, and the cubic 4 z_n - 6 z_{n-1} + 4 z_{n-2}
+    - z_{n-3} from step 4 on, O(dt^4).  The first step that declines is
+    solved by Newton from the line, and so is every step after it; the run
+    then keeps no earlier states.  A Newton step is handed the contraction rate its
     predecessor reported when that was a Newton step too, so it can stop
     on its first increment.  The equations and their tolerance are the
     same on both paths.
@@ -760,7 +770,7 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
         z_next, report = taken
         theta = report.theta if report.status != "fixed-point" else None
         if states is None:
-            guess = 2.0 * z_next - z
+            guess = _extrapolate((z, z_next))
         else:
             states = states[-3:] + [z_next]
         z = z_next

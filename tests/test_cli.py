@@ -90,7 +90,7 @@ class TestRunCommand:
                     if word.isdigit()]
 
         lines = stdout.splitlines()
-        for method, rounds in (("collective", 63), ("conventional", 76)):
+        for method, rounds in (("collective", 64), ("conventional", 77)):
             newton = next(counts(line) for line in lines
                           if line.startswith(f"{method}: Newton accepted"))
             plain = next(counts(line) for line in lines if line.startswith(

@@ -845,6 +845,55 @@ class TestFixedPoint:
             assert np.abs(z_next - z_ref).max() <= tol * (1.0 + np.abs(z).max())
             z = z_next
 
+    @pytest.mark.parametrize("scheme, N, log2_dt, n_steps", [
+        ("collective", 64, 14, 400), ("conventional", 64, 14, 400),
+        ("collective", 64, 16, 400), ("conventional", 64, 16, 400),
+        ("collective", 256, 14, 480), ("collective", 512, 14, 16)])
+    def test_roundoff_sized_increments_keep_a_run_plain(
+            self, scheme, N, log2_dt, n_steps):
+        # at small dt the cubic start leaves the increments at the roundoff
+        # floor, where the rate between two of them is noise and can pass
+        # FIXED_POINT_RATE; without the floor rule the dt = 2^-16 runs fell
+        # back at steps 391 and 213, and the lifted fine-grid references
+        # of convergence studies at the default dt (N = 8 * 32 and 8 * 64
+        # at dt / 4 = 2^-14) at steps 462 and 4
+        rhs, band, z0 = cosine_case(scheme, BURGERS, N)
+        dt = 2.0 ** -log2_dt
+        seen = []
+        result = integrate(rhs, band, z0, dt, n_steps,
+                           observer=lambda k, t, z, rep: seen.append(
+                               (z.copy(), rep)))
+        assert result.converged
+        assert [rep.status for _, rep in seen[1:]] == (
+            ["fixed-point"] * (n_steps - 1))
+        tol = NewtonConfig().tol
+        z = z0
+        for z_next, _ in seen:
+            z_ref, _ = midpoint_step(rhs, band, z, dt)
+            assert np.abs(z_next - z_ref).max() <= tol * (1.0 + np.abs(z).max())
+            z = z_next
+
+    @pytest.mark.parametrize("offset, accepted", [(1e-14, True),
+                                                  (1e-11, False)])
+    def test_a_rate_above_the_limit_is_accepted_only_at_the_floor(
+            self, offset, accepted):
+        # z' = -z at dt = 0.3 contracts at 0.15, above FIXED_POINT_RATE:
+        # from 1e-14 off the solution every increment is within the floor,
+        # FIXED_POINT_FLOOR * eps * (1 + max|z|) = 4.3e-14, and the second
+        # round accepts; from 1e-11 off the rate declines the step
+        z = np.array([1.0, -2.0, 0.5])
+        exact = z * (1.0 - 0.15) / (1.0 + 0.15)
+        taken = dynamics.fixed_point_step(lambda v: -v, z, 0.3,
+                                          guess=exact + offset)
+        if not accepted:
+            assert taken is None
+            return
+        z1, report = taken
+        assert report.status == "fixed-point"
+        assert report.newton_iterations == 2
+        assert report.theta > dynamics.FIXED_POINT_RATE
+        assert np.abs(z1 - exact).max() <= 1e-13
+
     def test_a_contracting_linear_field_is_accepted(self):
         # z' = -z: the rate is exactly dt/2 per round
         z = np.array([1.0, -2.0, 0.5])

@@ -245,9 +245,9 @@ def test_accepted_fixed_point_steps_lie_within_tolerance_of_the_solution(
        st.booleans())
 def test_fixed_point_steps_from_extrapolated_starts_lie_within_tolerance(
         spec, N, log2_steps, amplitude, shift, lifted):
-    # a run's first 6 steps: plain iteration from the linear, quadratic
-    # and then cubic start through the last states, each accepted step
-    # held to tol (1 + max|z|) of its Newton-iterated fixed point
+    # a run's first 6 steps: plain iteration from the linear and then the
+    # cubic start through the last states, each accepted step held to
+    # tol (1 + max|z|) of its Newton-iterated fixed point
     g = PeriodicGrid(N, L)
     u0 = 1.0 + amplitude * np.cos(2 * np.pi * (g.full_nodes - shift) / L)
     if lifted:
