@@ -22,8 +22,12 @@ The kernels evaluate the odd part only when the spec has one
 part is exactly +0.0 wherever the slope is finite, so leaving it out is
 bitwise: the lifted gradient subtracted it, and x - (+0.0) = x; the direct
 gradient and both sums added it, and keep a literal + 0.0 in its place,
-which turns -0.0 into +0.0 as the addition did.  The even monomial C3 u^3
-is always evaluated: its zero term carries the sign of u.
+which turns -0.0 into +0.0 as the addition did.  Likewise the even
+monomial C3 u^3 is evaluated only when C3 is not +0.0
+(:attr:`HamiltonianSpec.has_cubic_term`).  On finite u its zero term in the
+derivative, 0 u u, is +0.0, and a literal + 0.0 stands in for it; its zero
+term in the density, 0 u u u, carries the sign of u, and + 0.0 * u stands
+in for it.
 
 Each sum, each gradient and the Casimir has one kernel, on raw arrays: the
 lifted pair (q, p) with its winding constant C, or the direct samples u.
@@ -77,10 +81,20 @@ class HamiltonianSpec:
         return any(c != 0.0 or math.copysign(1.0, c) < 0
                    for c in (self.C2, self.C4))
 
+    @cached_property
+    def has_cubic_term(self) -> bool:
+        """Whether the even part evaluates C3 u^3.  A -0.0 coefficient
+        counts as present, like a slope coefficient."""
+        return self.C3 != 0.0 or math.copysign(1.0, self.C3) < 0
+
     def even_density(self, u):
+        if not self.has_cubic_term:
+            return self.C1 * u * u + 0.0 * u
         return self.C1 * u * u + self.C3 * u * u * u
 
     def even_derivative(self, u):
+        if not self.has_cubic_term:
+            return 2.0 * self.C1 * u + 0.0
         return 2.0 * self.C1 * u + 3.0 * self.C3 * u * u
 
     def odd_density(self, w):

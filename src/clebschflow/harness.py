@@ -52,6 +52,7 @@ from .hamiltonian import (
     BURGERS,
     EXTENDED_BURGERS,
     HamiltonianSpec,
+    _space_sum,
     casimir,
     discrete_H_collective,
     discrete_H_conventional,
@@ -206,14 +207,17 @@ def fourier_modes(u: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(u, axis=0)) / u.shape[0]
 
 
-def solution_error(u_num: np.ndarray, u_ref: np.ndarray) -> float:
+def solution_error(u_num: np.ndarray, u_ref: np.ndarray):
     """Relative discrete L2 distance ||u_num - u_ref|| / ||u_ref|| of two
-    sample vectors on the same nodes."""
-    diff = float(np.linalg.norm(u_num - u_ref))
-    denom = float(np.linalg.norm(u_ref))
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / denom
+    sample vectors on the same nodes: a float for shape (N,), one distance
+    per column for (N, m), each bitwise that of its column alone."""
+    diff = np.sqrt(_space_sum(np.square(u_num - u_ref)))
+    denom = np.sqrt(_space_sum(np.square(u_ref)))
+    # a zero reference gives 0 against itself and inf against anything else
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(denom == 0.0, np.where(diff == 0.0, 0.0, math.inf),
+                       diff / denom)
+    return float(err) if err.ndim == 0 else err
 
 
 def _rel_err(v0: float, v: float) -> float:
@@ -364,7 +368,14 @@ def _characteristics_reference(profile: Callable, spec: HamiltonianSpec,
     advection = 6.0 * spec.C1
 
     def wrapped(y):
-        return profile(np.mod(y, L))
+        # np.mod is the identity on the open interval (0, L), so only the
+        # points outside it go through it
+        y = np.asarray(y, dtype=float)
+        outside = ~((y > 0.0) & (y < L))
+        if outside.any():
+            y = y.copy()
+            y[outside] = np.mod(y[outside], L)
+        return profile(y)
 
     t_star = ref_mod.burgers_shock_time(wrapped, L, advection=advection)
 
@@ -479,7 +490,13 @@ def _run_one_method(method: str, config: ExperimentConfig,
         amps = fourier_modes(u).T
         exact = (reference(list(times), nodes) if reference is not None
                  else [None] * len(block))
-        for k, values in enumerate(exact):
+        valid = [k for k, values in enumerate(exact) if values is not None]
+        errors = {}
+        if valid:
+            found = solution_error(u[:, valid],
+                                   np.stack([exact[k] for k in valid], 1))
+            errors = dict(zip(valid, found.tolist()))
+        for k in range(len(block)):
             records.append(DiagnosticsRecord(
                 method=method,
                 step=steps[k],
@@ -488,8 +505,7 @@ def _run_one_method(method: str, config: ExperimentConfig,
                 casimir=cas[k],
                 H_rel_err=_rel_err(H0, H[k]),
                 casimir_rel_err=_rel_err(cas0, cas[k]),
-                solution_rel_err=(None if values is None
-                                  else solution_error(u[:, k], values)),
+                solution_rel_err=errors.get(k),
                 fourier_amp=amps[k],
                 nyquist_amp=float(amps[k, -1]) if N % 2 == 0 else math.nan,
                 newton_iters=iterations[k],

@@ -26,7 +26,8 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
     """Pre-shock solution of u_t = a u u_x (a = ``advection``) at (x, t).
 
     Solves the implicit characteristic relation u = u0(x + a t u) by Newton
-    iteration, seeded with u0(x), with a central-difference slope of u0.
+    iteration, seeded with u0(x), with the forward-difference slope
+    (u0(y + h) - u0(y)) / h, which reuses the u0(y) of the residual.
     Valid strictly before the gradient catastrophe.  At or past it the
     iteration either raises NonConvergenceError or lands on one of the
     isolated roots the relation keeps there, so callers keep t below the
@@ -34,12 +35,14 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
     and returns matching shape.
 
     ``t`` may also be a 1-D array of times; the result then has one row per
-    time, shape ``(len(t),) + x.shape``, from one vectorised iteration.  Each
-    row runs exactly the iteration of its scalar call: the same u0(x) seed,
-    its own max-residual test and its own denominator check, and it is
-    frozen once it converges, so every row is bitwise the scalar result.  A
-    t = 0 row is u0(x).  The call raises NonConvergenceError when any row
-    would; ``u0`` must act elementwise on arrays of any shape.
+    time, shape ``(len(t),) + x.shape``, from one vectorised iteration over
+    the (time, node) points.  Each point runs exactly the iteration of its
+    own (x, t) call: the same u0(x) seed, its own residual test and its own
+    denominator check, and it is frozen once it converges, so every entry
+    is bitwise the one-point result.  A round evaluates u0 twice, on the
+    unconverged points only.  A t = 0 point is u0(x).  The call raises
+    NonConvergenceError when any point would; ``u0`` must act elementwise
+    on arrays of any shape.
     """
     x_arr = np.asarray(x, dtype=float)
     t_arr = np.asarray(t, dtype=float)
@@ -47,33 +50,37 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
         raise ValueError("t must be a scalar or a 1-D array of times")
     seed = np.asarray(u0(x_arr), dtype=float)
     rows = np.broadcast_to(seed, t_arr.shape + x_arr.shape).copy()
-    # the iteration runs on a (time, node) view of the rows
-    flat = rows.reshape(t_arr.size, -1)
-    x_flat = x_arr.reshape(1, -1)
-    times = t_arr.reshape(-1, 1)
-    active = np.flatnonzero(times[:, 0] != 0.0)
+    # the iteration runs on the flat (time, node) points of the rows, and
+    # carries only the unconverged ones: their index, x, a t and u
+    flat = rows.reshape(-1)
+    nodes = x_arr.size
+    at = np.repeat(advection * t_arr.reshape(-1), nodes)
+    index = np.flatnonzero(np.repeat(t_arr.reshape(-1) != 0.0, nodes))
+    xs = np.tile(x_arr.reshape(-1), t_arr.size)[index]
+    at, u = at[index], flat[index]
     fd_step = 1e-6
-    # both central-difference points in one call to u0 (y + (-h) is
-    # bitwise y - h)
-    fd_offsets = np.array([fd_step, -fd_step]).reshape(2, 1, 1)
     for _ in range(_CHARACTERISTICS_MAX_ITER):
-        if not active.size:
+        if not index.size:
             break
-        u = flat[active]
-        at = advection * times[active]
-        y = x_flat + at * u
-        residual = u - np.asarray(u0(y), dtype=float)
-        # a converged row keeps its value from here on
-        going = ~(np.max(np.abs(residual), axis=1) < _CHARACTERISTICS_TOL)
-        active, at, y = active[going], at[going], y[going]
-        ahead, behind = np.asarray(u0(y + fd_offsets), dtype=float)
-        slope = (ahead - behind) / (2.0 * fd_step)
+        y = xs + at * u
+        profile = np.asarray(u0(y), dtype=float)
+        residual = u - profile
+        # a converged point keeps its value from here on
+        done = np.abs(residual) < _CHARACTERISTICS_TOL
+        if done.any():
+            flat[index[done]] = u[done]
+            going = ~done
+            index, xs, at, u = index[going], xs[going], at[going], u[going]
+            y, profile, residual = y[going], profile[going], residual[going]
+            if not index.size:
+                break
+        slope = (np.asarray(u0(y + fd_step), dtype=float) - profile) / fd_step
         denom = 1.0 - at * slope
         if np.any(np.abs(denom) < 1e-10) or not np.all(np.isfinite(denom)):
             raise NonConvergenceError(
                 "characteristics cross at or before this time")
-        flat[active] = u[going] - residual[going] / denom
-    if active.size:
+        u = u - residual / denom
+    if index.size:
         raise NonConvergenceError(
             f"characteristic relation not solved to {_CHARACTERISTICS_TOL:g} "
             f"in {_CHARACTERISTICS_MAX_ITER} iterations")

@@ -376,6 +376,64 @@ class TestOddPartSkip:
         assert HamiltonianSpec(0.0, -0.0, 0.0, 0.0).has_odd_part
 
 
+class TestCubicTermSkip:
+    """The even part leaves out C3 u^3 when C3 is +0.0; every result stays
+    bitwise that of the form that evaluates the term."""
+
+    COEFFICIENTS = (0.0, -0.0, 1.0, -0.7)
+
+    @staticmethod
+    def with_cubic_term(monkeypatch):
+        monkeypatch.setattr(HamiltonianSpec, "has_cubic_term",
+                            property(lambda self: True))
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["single", "stack"])
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_kernels_equal_the_cubic_forms_bitwise(self, monkeypatch, N,
+                                                   stacked):
+        g = PeriodicGrid(N, L)
+        rng = np.random.default_rng(3 * N + stacked)
+        states = signed_zero_states(g, rng, stacked)
+        # and the same states scaled until u^2 is subnormal and u^3 is zero
+        states += [(np.concatenate([z[:N], 1e-160 * z[N:]]), 1e-160 * u)
+                   for z, u in states]
+        kernels = (grad_collective, grad_conventional, discrete_H_collective,
+                   discrete_H_conventional)
+        slope = (0.0, 0.5)
+        for coeffs, (z, u) in itertools.product(
+                itertools.product(self.COEFFICIENTS, slope, self.COEFFICIENTS,
+                                  slope), states):
+            spec = HamiltonianSpec(*coeffs)
+            got = kernel_values(spec, g, z, u, *kernels)
+            with monkeypatch.context() as m:
+                self.with_cubic_term(m)
+                want = kernel_values(HamiltonianSpec(*coeffs), g, z, u,
+                                     *kernels)
+            assert got == want, coeffs
+
+    def test_even_part_equals_the_cubic_form_elementwise(self, monkeypatch):
+        u = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-300,
+                      -1e-300, 0.3, -1.7, 1e150, -1e150])
+        for C1 in self.COEFFICIENTS:
+            spec = HamiltonianSpec(C1, 0.0, 0.0, 0.0)
+            got = [spec.even_density(u).tobytes(),
+                   spec.even_derivative(u).tobytes()]
+            with monkeypatch.context() as m:
+                self.with_cubic_term(m)
+                full = HamiltonianSpec(C1, 0.0, 0.0, 0.0)
+                with np.errstate(over="ignore"):
+                    want = [full.even_density(u).tobytes(),
+                            full.even_derivative(u).tobytes()]
+            assert got == want, C1
+
+    def test_cubic_term_present_iff_c3_is_not_plus_zero(self):
+        assert not BURGERS.has_cubic_term
+        assert not HamiltonianSpec(1.0, 0.5, 0.0, 0.5).has_cubic_term
+        assert EXTENDED_BURGERS.has_cubic_term
+        assert HamiltonianSpec(0.0, 0.0, -0.0, 0.0).has_cubic_term
+
+
 class TestSpecValidation:
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,28 @@ class TestSolutionError:
         assert got == pytest.approx(want, rel=1e-14)
 
 
+    def test_columns_are_their_one_column_calls_bitwise(self):
+        rng = np.random.default_rng(1)
+        ref = rng.standard_normal((64, 16))
+        num = ref + 1e-6 * rng.standard_normal((64, 16))
+        num[:, 1] = ref[:, 1]  # exact: 0
+        ref[:, 2] = num[:, 2] = 0.0  # zero against zero: 0
+        ref[:, 3] = -0.0  # anything against zero: inf
+        num[5, 4] = np.nan
+        ref[2, 5] = np.inf
+        num[:, 6] = 1e200 * np.sign(num[:, 6])  # squares overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = solution_error(num, ref)
+            alone = [solution_error(num[:, k], ref[:, k]) for k in range(16)]
+            fortran = solution_error(np.asfortranarray(num),
+                                     np.asfortranarray(ref))
+        assert block.shape == (16,)
+        assert all(isinstance(err, float) for err in alone)
+        assert block.tobytes() == np.array(alone).tobytes()
+        assert block.tobytes() == fortran.tobytes()
+        assert alone[1:4] == [0.0, 0.0, math.inf]
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         ExperimentConfig().validate()
@@ -283,6 +305,37 @@ class TestInitialConditions:
             np.testing.assert_allclose(
                 values, ic.profile(np.mod(nodes - c * t, L)),
                 rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("period", [L, 2.0 * np.pi])
+    def test_characteristics_wrap_is_np_mod_bitwise(self, monkeypatch,
+                                                    period):
+        # the reference wraps each characteristics point onto the circle
+        # only off (0, L); taken off that interval it is bitwise np.mod
+        wraps = []
+
+        def shock_time(u0, L, advection):
+            wraps.append(u0)
+            return math.inf
+
+        monkeypatch.setattr(ref_mod, "burgers_shock_time", shock_time)
+        identity = lambda y: np.array(y, dtype=float)
+        cosine = lambda y: 1.0 + 0.5 * np.cos(2.0 * np.pi * y / period)
+        for profile in (identity, cosine):
+            harness._characteristics_reference(profile, BURGERS, period)
+        points = np.array([
+            0.0, -0.0, 5e-324, -5e-324, period, np.nextafter(period, 0.0),
+            -period, 2.0 * period, -3.5 * period, 1e300, np.inf, -np.inf,
+            np.nan, 0.5 * period])
+        given = points.tobytes()
+        with np.errstate(invalid="ignore"):
+            for wrapped, profile in zip(wraps, (identity, cosine)):
+                want = profile(np.mod(points, period))
+                assert wrapped(points).tobytes() == want.tobytes()
+                for k, y in enumerate(points):
+                    assert (np.asarray(wrapped(y)).tobytes()
+                            == want[k].tobytes())
+        assert points.tobytes() == given  # the caller's points stay put
 
 
 class TestRunExperiment:

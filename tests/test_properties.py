@@ -294,21 +294,27 @@ def cosine_bumps(draw):
 @PROPERTY
 @given(cosine_bumps(), st.lists(st.floats(1e-3, 0.9), min_size=1,
                                 max_size=12),
-       st.integers(0, 12))
-def test_characteristics_rows_are_the_scalar_solves(bump, fractions, zero_at):
+       st.integers(0, 12), st.lists(st.floats(-L, 2.0 * L), max_size=6))
+def test_characteristics_rows_are_the_scalar_solves(bump, fractions, zero_at,
+                                                    extra_nodes):
     u0, t_star, x = bump
+    x = np.concatenate([x, extra_nodes])
     times = [f * t_star for f in fractions]
     times.insert(min(zero_at, len(times)), 0.0)
     try:
         singles = [burgers_characteristics(u0, x, t) for t in times]
+        points = [[burgers_characteristics(u0, node, t) for node in x]
+                  for t in times]
     except NonConvergenceError:
-        # one time the iteration cannot solve fails the whole block
+        # one point the iteration cannot solve fails the whole block
         with pytest.raises(NonConvergenceError):
             burgers_characteristics(u0, x, np.array(times))
         return
     rows = burgers_characteristics(u0, x, np.array(times))
     assert rows.shape == (len(times), x.size)
     np.testing.assert_array_equal(rows, np.stack(singles))
+    # every entry is bitwise its own (x, t) call
+    np.testing.assert_array_equal(rows, np.array(points))
     np.testing.assert_array_equal(rows[times.index(0.0)], u0(x))
 
 

@@ -31,6 +31,18 @@ def cosine_profile(y):
     return 1.0 + 0.5 * np.cos(W * np.asarray(y))
 
 
+def counted(profile):
+    """The profile and the list of the sizes of the arrays it was called
+    on, in call order."""
+    sizes = []
+
+    def counting(y):
+        sizes.append(np.size(y))
+        return profile(y)
+
+    return counting, sizes
+
+
 class TestCharacteristics:
     def test_time_zero_returns_profile(self):
         x = np.linspace(0, L, 9)
@@ -54,6 +66,31 @@ class TestCharacteristics:
         # near 1/(6 pi/8) ~ 0.4244
         t_star = burgers_shock_time(cosine_profile, L)
         assert t_star == pytest.approx(8 / (6 * np.pi), rel=1e-4)
+
+    def test_a_round_evaluates_the_profile_on_unconverged_points_only(self):
+        # a point's own call evaluates u0 once for its seed, then once for
+        # the residual and once for the slope in every round but its last,
+        # which only finds the residual converged: 2 k calls in k rounds
+        x = np.linspace(0.0, L, 16, endpoint=False)
+        times = np.array([0.05, 0.0, 0.2, 0.35, 0.41])
+        rounds = []
+        for t in times:
+            for node in x:
+                profile, sizes = counted(cosine_profile)
+                burgers_characteristics(profile, node, t)
+                rounds.append(len(sizes) // 2)
+        assert rounds.count(0) == x.size  # the t = 0 points
+        assert len(set(rounds)) > 3
+        profile, sizes = counted(cosine_profile)
+        burgers_characteristics(profile, x, times)
+        # after the seed, round r evaluates the residual at the points that
+        # take r rounds or more and the slope at those that take more
+        want = [x.size]
+        for r in range(1, max(rounds) + 1):
+            want.append(sum(k >= r for k in rounds))
+            if r < max(rounds):
+                want.append(sum(k > r for k in rounds))
+        assert sizes == want
 
     def test_solves_the_advection_form(self):
         # u_t + (-6u) u_x = 0, differentiated numerically
