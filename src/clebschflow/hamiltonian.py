@@ -26,8 +26,8 @@ which turns -0.0 into +0.0 as the addition did.  Likewise the even
 monomial C3 u^3 is evaluated only when C3 is not +0.0
 (:attr:`HamiltonianSpec.has_cubic_term`).  On finite u its zero term in the
 derivative, 0 u u, is +0.0, and a literal + 0.0 stands in for it; its zero
-term in the density, 0 u u u, carries the sign of u, and + 0.0 * u stands
-in for it.
+term in the density, 0 u u u, carries the sign of u, and the term 0.0 * u
+stands in for it.
 
 Each sum, each gradient and the Casimir has one kernel, on raw arrays: the
 lifted pair (q, p) with its winding constant C, or the direct samples u.

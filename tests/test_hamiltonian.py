@@ -422,9 +422,8 @@ class TestCubicTermSkip:
             with monkeypatch.context() as m:
                 self.with_cubic_term(m)
                 full = HamiltonianSpec(C1, 0.0, 0.0, 0.0)
-                with np.errstate(over="ignore"):
-                    want = [full.even_density(u).tobytes(),
-                            full.even_derivative(u).tobytes()]
+                want = [full.even_density(u).tobytes(),
+                        full.even_derivative(u).tobytes()]
             assert got == want, C1
 
     def test_cubic_term_present_iff_c3_is_not_plus_zero(self):

@@ -91,7 +91,6 @@ class TestSolutionError:
         want = math.sqrt(np.sum((x - y) ** 2)) / math.sqrt(np.sum(y ** 2))
         assert got == pytest.approx(want, rel=1e-14)
 
-
     def test_columns_are_their_one_column_calls_bitwise(self):
         rng = np.random.default_rng(1)
         ref = rng.standard_normal((64, 16))
@@ -305,7 +304,6 @@ class TestInitialConditions:
             np.testing.assert_allclose(
                 values, ic.profile(np.mod(nodes - c * t, L)),
                 rtol=0, atol=1e-12)
-
 
     @pytest.mark.parametrize("period", [L, 2.0 * np.pi])
     def test_characteristics_wrap_is_np_mod_bitwise(self, monkeypatch,
