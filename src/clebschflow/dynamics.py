@@ -41,22 +41,26 @@ fixed grid distance of i, in every block.  Each flat-field builder returns
 the field together with its Band, (N, half_width, blocks), and the band is
 passed beside the field to integrate, midpoint_step and fd_jacobian; a
 call without one is a TypeError.  Everything the Newton layer needs
-derives from the band.  A column colouring (Curtis, Powell & Reid 1974)
-perturbs all columns of one colour in one batch column: 16 columns for the
-lifted field and 6 for the direct one at N = 32, 64 or 512, instead of 2N
-and N.  Columns of one colour never share a row, so every entry is bitwise
-the column-by-column difference.  Below d = BAND_CROSSOVER the entries
-are scattered into a dense M, which every Newton update solves with
-np.linalg.solve.  From it on, the state is interleaved by node, (q_i, p_i),
-and cut into blocks of NODES_PER_BLOCK nodes (when N is not a multiple of
-it, of the least divisor of N above it; a prime N stays dense), so M is
-cyclic block tridiagonal (8 x 8 blocks for the lifted field, 4 x 4 for the
-direct one) and is held as its three block diagonals, with no d x d
-array.  A step factorises it once by block cyclic reduction, and every
-update is then a sweep of batched block products around one solve of the
-reduced s x s system.  A run starts each Newton step after its first from
-the extrapolation 2 z_n - z_{n-1}, which is O(dt^2) from the solution
-instead of O(dt).
+derives from the band: the colouring, the step of each batch column, the
+map that gathers each entry from the compressed difference and the map
+that scatters it into M's storage, all broadcast from (node, stencil
+offset, copy) terms in O(d) and built once per band shape and process.
+A column colouring (Curtis, Powell & Reid 1974) perturbs all columns of
+one colour in one batch column: 16 columns for the lifted field and 6 for
+the direct one at N = 32, 64 or 512, instead of 2N and N.  Columns of one
+colour never share a row, so every entry is bitwise the column-by-column
+difference.  Below d = BAND_CROSSOVER the entries are scattered into a
+dense M, which every Newton update solves with np.linalg.solve.  From it
+on, the state is interleaved by node, (q_i, p_i), and cut into blocks of
+NODES_PER_BLOCK nodes (when N is not a multiple of it, of the least
+divisor of N above it; a prime N stays dense), so M is cyclic block
+tridiagonal (8 x 8 blocks for the lifted field, 4 x 4 for the direct one)
+and is held as its three block diagonals, with no d x d array.  A step
+factorises it once by block cyclic reduction, and every update is then a
+sweep of batched block products around one solve of the reduced s x s
+system.  A run starts each Newton step after its first from the
+extrapolation 2 z_n - z_{n-1}, which is O(dt^2) from the solution instead
+of O(dt).
 
 Many steps need no Newton matrix at all: at the Burgers settings the plain
 iteration  z+ <- z + dt F((z + z+)/2)  contracts at about the spectral
@@ -272,65 +276,107 @@ def conventional_flat_field(spec: HamiltonianSpec, grid: PeriodicGrid
 
 @dataclass(frozen=True)
 class Colouring:
-    """Column colouring of a sparse d x d Jacobian.
+    """Column colouring of a sparse d x d Jacobian, with the maps that
+    assemble the Newton matrix from it.
 
-    seed[:, c] is the 0/1 indicator of the columns of colour c.  The k-th
-    entry that may be nonzero sits at flat position entries[k] of the
-    Jacobian and is read from flat position sources[k] of the (d, colours)
-    compressed difference: its own row, its column's colour.  Columns of
-    one colour share no row.  The arrays are read-only, so one colouring
+    Column j has colour column_colour[j], and perturbation is FD_STEP
+    times the 0/1 seed, 1 at (j, column_colour[j]): the step every batch
+    column takes.  The k-th entry that may be nonzero is read from
+    flat position sources[k] of the (d, colours) compressed difference (its
+    own row, its column's colour) and written to flat position targets[k]
+    of an array of the given shape: the dense d x d matrix, or the
+    (3, n, s, s) sub-, main and super-diagonal node blocks of a
+    :class:`CyclicBlockMatrix`.  Columns of one colour share no row, and no
+    two entries share a target.  The arrays are read-only, so one colouring
     can serve every caller.
     """
 
-    seed: np.ndarray
-    entries: np.ndarray
+    column_colour: np.ndarray
+    perturbation: np.ndarray
     sources: np.ndarray
+    targets: np.ndarray
+    shape: tuple
 
     def __post_init__(self):
-        for array in (self.seed, self.entries, self.sources):
+        for array in (self.column_colour, self.perturbation, self.sources,
+                      self.targets):
             array.flags.writeable = False
 
     @property
     def n_colours(self) -> int:
-        return self.seed.shape[1]
+        return self.perturbation.shape[1]
+
+
+def _per_entry(node_term: np.ndarray, row_stride: int, col_stride: int,
+               blocks: int) -> np.ndarray:
+    """A flat position per listed entry, ordered by column copy, column
+    node, row copy and stencil offset: ``node_term`` (N, offsets) plus
+    row_stride times the row's copy plus col_stride times the column's."""
+    copies = np.arange(blocks)
+    return (node_term[:, None, :] + row_stride * copies[:, None]
+            + col_stride * copies[:, None, None, None]).reshape(-1)
 
 
 @functools.lru_cache(maxsize=8)
-def band_colouring(N: int, half_width: int, blocks: int = 1) -> Colouring:
+def band_colouring(N: int, half_width: int, blocks: int = 1,
+                   nodes_per_block: Optional[int] = None) -> Colouring:
     """Colouring of a field on ``blocks`` stacked copies of an N-node
     circle whose output node i reads only inputs within cyclic grid
-    distance ``half_width`` of i, in every block.
+    distance ``half_width`` of i, in every block; its targets are in the
+    dense d x d matrix, or with ``nodes_per_block`` (a divisor of N) in the
+    node blocks of that cut.
 
     Two columns can share a row only when their nodes are at most
     2 * half_width apart, so the circle is cut into N // (2 half_width + 1)
-    contiguous segments and a column's colour is its offset in its
-    segment, one set of colours per block: ceil(N / segments) colours per
-    block.  Fewer than two segments give every column its own colour.
-    When 2 half_width < N the colouring is built in O(N) time and memory,
-    with no d x d array.  Colourings are cached, so the bands of every run
-    on one grid share theirs.
+    contiguous segments, segment k starting at node k N // segments, and a
+    column's colour is its offset in its segment, one set of colours per
+    block: ceil(N / segments) colours per block.  Fewer than two segments
+    give every column its own colour.  Column c N + i lists the rows of
+    node i + k (mod N), |k| <= half_width, in every copy.  Every map is
+    built from (node, k) terms broadcast over the row's and the column's
+    copy, and a node block's terms from (node in its block, k) tables, so
+    the maps take O(d) time and memory and decode no position.  Colourings
+    are cached, so the bands of every run on one grid share theirs.
     """
     span = 2 * half_width + 1
-    segments = N // span
+    segments = max(N // span, 1)
     nodes = np.arange(N)
-    if segments <= 1:
-        offset = nodes
-    else:
-        starts = (np.arange(segments) * N) // segments
-        offset = nodes - np.repeat(starts, np.diff(starts, append=N))
-    per_block = int(offset.max()) + 1
-    # distinct rows a node's column reaches in one block
+    # node i lies in segment ((i + 1) segments - 1) // N
+    offset = nodes - ((nodes + 1) * segments - 1) // N * N // segments
+    per_block = int(offset[-1]) + 1
+    colours = blocks * per_block
+    # the distinct rows a node's column reaches in one block: node + reach
     reach = np.arange(-half_width, half_width + 1) if N >= span else nodes
+    row = (nodes[:, None] + reach) % N
     d = blocks * N
-    col = np.arange(d)
-    node = col % N
-    col_colour = (col // N) * per_block + offset[node]
-    seed = np.zeros((d, blocks * per_block))
-    seed[col, col_colour] = 1.0
-    band = (node[:, None] + reach) % N
-    rows = (np.arange(blocks)[:, None] * N + band[:, None, :]).reshape(d, -1)
-    return Colouring(seed, (rows * d + col[:, None]).reshape(-1),
-                     (rows * seed.shape[1] + col_colour[:, None]).reshape(-1))
+    column_colour = (np.arange(blocks)[:, None] * per_block
+                     + offset).reshape(-1)
+    perturbation = np.zeros((d, colours))
+    perturbation[np.arange(d), column_colour] = FD_STEP
+    sources = _per_entry(row * colours + offset[:, None], N * colours,
+                         per_block, blocks)
+    if nodes_per_block is None:
+        shape = (d, d)
+        targets = _per_entry(row * d + nodes[:, None], N * d, N, blocks)
+    else:
+        # interleaved, copy c of node i = b g + j sits at row j blocks + c
+        # of node block b, and its row node i + k at row
+        # ((j + k) % g) blocks + c of node block b + (j + k) // g (mod n);
+        # with n <= 2 blocks a row's neighbours coincide, and only the sum
+        # of its blocks matters
+        g = nodes_per_block
+        n, s = N // g, blocks * g
+        local = np.arange(g)[:, None] + reach
+        ahead = local // g
+        step = -ahead % n
+        side = np.where(step == 0, 1, np.where(step == 1, 2, 0))
+        table = ((side * n * s + local % g * blocks) * s
+                 + np.arange(g)[:, None] * blocks)
+        node_term = ((np.arange(n)[:, None, None] + ahead) % n * (s * s)
+                     + table).reshape(N, -1)
+        shape = (3, n, s, s)
+        targets = _per_entry(node_term, s, 1, blocks)
+    return Colouring(column_colour, perturbation, sources, targets, shape)
 
 
 #: Order d of the Newton matrix from which a step factorises it by block
@@ -367,9 +413,14 @@ class Band:
     def d(self) -> int:
         return self.blocks * self.N
 
-    @property
+    @functools.cached_property
     def colouring(self) -> Colouring:
-        return band_colouring(self.N, self.half_width, self.blocks)
+        """The colouring and maps of J, into the node blocks from
+        BAND_CROSSOVER on when N has a cut, else into a dense M."""
+        blocked = (self.d >= BAND_CROSSOVER
+                   and self.nodes_per_block < self.N)
+        return band_colouring(self.N, self.half_width, self.blocks,
+                              self.nodes_per_block if blocked else None)
 
     @functools.cached_property
     def nodes_per_block(self) -> int:
@@ -387,25 +438,6 @@ class Band:
 
     def deinterleave(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.N, self.blocks).T.reshape(self.d)
-
-
-@functools.lru_cache(maxsize=8)
-def _block_targets(band: Band) -> np.ndarray:
-    """Flat position, in the (3, n, s, s) array of sub-, main and
-    super-diagonal blocks of the interleaved Newton matrix, of every entry
-    ``band.colouring`` lists (in its order).  With n <= 2 blocks a row's
-    neighbours coincide, and only the sum of its blocks matters."""
-    d = band.d
-    s = band.blocks * band.nodes_per_block
-    n = d // s
-    position = np.empty(d, dtype=np.intp)
-    position[band.interleave(np.arange(d)).ravel()] = np.arange(d)
-    rows, cols = np.divmod(band.colouring.entries, d)
-    block, local_row = np.divmod(position[rows], s)
-    col_block, local_col = np.divmod(position[cols], s)
-    step = (col_block - block) % n
-    side = np.where(step == 0, 1, np.where(step == 1, 2, 0))
-    return ((side * n + block) * s + local_row) * s + local_col
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -503,15 +535,16 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], band: Band,
     Jacobian of f at z (step FD_STEP), from one batched evaluation.
 
     f must accept column-stacked states of shape (d, m) and return (d, m).
-    The batch holds z itself and then one perturbed state per colour of
-    ``band.colouring``; its first column is f(z), and each entry the
-    colouring lists is read off its column's colour and scattered as
-    0.0 - h * (difference), after which 1.0 is added on the diagonal;
-    (0 - y) + 1 rounds as 1 - y, so M is bitwise np.eye(d) - h * J without
-    any d x d arithmetic.  Below BAND_CROSSOVER, and for a band whose
-    nodes do not split into blocks, the entries go into a dense d x d
-    array; otherwise into the blocks of a :class:`CyclicBlockMatrix`.
-    Returns (f(z), M).
+    The batch holds z itself and then z plus the stored perturbation of
+    ``band.colouring``, one state per colour; its first column is f(z),
+    and each entry the colouring lists is read off its column's colour and
+    scattered through its target map as 0.0 - h * (difference), after
+    which 1.0 is added on the diagonal; (0 - y) + 1 rounds as 1 - y, so M
+    is bitwise np.eye(d) - h * J without any d x d arithmetic.  The map
+    writes into the storage the band uses: below BAND_CROSSOVER, and for a
+    band whose nodes do not split into blocks, a dense d x d array;
+    otherwise the blocks of a :class:`CyclicBlockMatrix`.  Returns
+    (f(z), M).
     """
     if not isinstance(band, Band):
         raise TypeError(f"band must be a Band, got {type(band).__name__}")
@@ -521,25 +554,22 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], band: Band,
     colouring = band.colouring
     states = np.empty((d, 1 + colouring.n_colours))
     states[:, 0] = z
-    np.add(z[:, None], FD_STEP * colouring.seed, out=states[:, 1:])
+    np.add(z[:, None], colouring.perturbation, out=states[:, 1:])
     batch = np.asarray(f(states), dtype=float)
     if batch.shape != states.shape:
         raise ValueError(f"batched field returned shape {batch.shape}, "
                          f"expected {states.shape}")
     f0 = batch[:, 0]
     compressed = (batch[:, 1:] - batch[:, :1]) / FD_STEP
-    values = 0.0 - h * compressed.ravel()[colouring.sources]
-    # a single block of the whole circle (a prime N) would be M itself
-    if d < BAND_CROSSOVER or band.nodes_per_block == band.N:
-        M = np.zeros((d, d))
-        M.reshape(-1)[colouring.entries] = values
+    M = np.zeros(colouring.shape)
+    M.reshape(-1)[colouring.targets] = 0.0 - h * compressed.ravel()[
+        colouring.sources]
+    if M.ndim == 2:
         M.reshape(-1)[::d + 1] += 1.0
         return f0, M
-    s = band.blocks * band.nodes_per_block
-    blocks = np.zeros((3, d // s, s, s))
-    blocks.reshape(-1)[_block_targets(band)] = values
-    blocks[1].reshape(-1, s * s)[:, ::s + 1] += 1.0
-    return f0, CyclicBlockMatrix(band, blocks)
+    s = M.shape[-1]
+    M[1].reshape(-1, s * s)[:, ::s + 1] += 1.0
+    return f0, CyclicBlockMatrix(band, M)
 
 
 def _factorise(M) -> Callable[[np.ndarray], np.ndarray]:

@@ -378,11 +378,13 @@ def _characteristics_reference(profile: Callable, spec: HamiltonianSpec,
         return profile(y)
 
     t_star = ref_mod.burgers_shock_time(wrapped, L, advection=advection)
+    bounds = ref_mod.profile_bounds(wrapped, L)
 
     def solve(t, nodes):
         try:
             return ref_mod.burgers_characteristics(wrapped, nodes, t,
-                                                   advection=advection)
+                                                   advection=advection,
+                                                   bounds=bounds)
         except NonConvergenceError:
             return None
 

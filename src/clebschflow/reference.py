@@ -14,6 +14,7 @@ from .dynamics import NonConvergenceError
 __all__ = [
     "burgers_characteristics",
     "burgers_shock_time",
+    "profile_bounds",
 ]
 
 
@@ -22,12 +23,23 @@ _CHARACTERISTICS_TOL = 1e-12
 _CHARACTERISTICS_MAX_ITER = 100
 
 
-def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
+def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
+                            bounds=None):
     """Pre-shock solution of u_t = a u u_x (a = ``advection``) at (x, t).
 
     Solves the implicit characteristic relation u = u0(x + a t u) by Newton
     iteration, seeded with u0(x), with the forward-difference slope
     (u0(y + h) - u0(y)) / h, which reuses the u0(y) of the residual.
+    ``bounds``, when given, is an interval (lo, hi) holding every value of
+    u0 (see :func:`profile_bounds`).  Before breaking g(u) = u - u0(x + a t
+    u) is increasing and its root lies in it, so a point whose Newton
+    iterate would leave it keeps from then on a bracket of its own, the
+    interval narrowed at each iterate by the sign of its residual, and
+    takes the bracket's midpoint whenever Newton's iterate falls outside
+    it.  A point whose iterates stay inside never changes path, and a
+    round checks the interval with one min and one max over the
+    unconverged points.  Without bounds Newton runs unguarded, and near
+    breaking it can diverge from the u0(x) seed.
     Valid strictly before the gradient catastrophe.  At or past it the
     iteration either raises NonConvergenceError or lands on one of the
     isolated roots the relation keeps there, so callers keep t below the
@@ -59,6 +71,8 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
     xs = np.tile(x_arr.reshape(-1), t_arr.size)[index]
     at, u = at[index], flat[index]
     fd_step = 1e-6
+    # per-point brackets, made once an iterate first leaves the bounds
+    guarded = low = high = None
     for _ in range(_CHARACTERISTICS_MAX_ITER):
         if not index.size:
             break
@@ -72,6 +86,8 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
             going = ~done
             index, xs, at, u = index[going], xs[going], at[going], u[going]
             y, profile, residual = y[going], profile[going], residual[going]
+            if guarded is not None:
+                guarded, low, high = guarded[going], low[going], high[going]
             if not index.size:
                 break
         slope = (np.asarray(u0(y + fd_step), dtype=float) - profile) / fd_step
@@ -79,12 +95,40 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0):
         if np.any(np.abs(denom) < 1e-10) or not np.all(np.isfinite(denom)):
             raise NonConvergenceError(
                 "characteristics cross at or before this time")
-        u = u - residual / denom
+        newton = u - residual / denom
+        if bounds is not None and (guarded is not None
+                                   or newton.min() < bounds[0]
+                                   or newton.max() > bounds[1]):
+            if guarded is None:
+                guarded = np.zeros(u.shape, dtype=bool)
+                low = np.full(u.shape, float(bounds[0]))
+                high = np.full(u.shape, float(bounds[1]))
+            guarded |= (newton < bounds[0]) | (newton > bounds[1])
+            # the root lies above an iterate with a negative residual
+            below = residual < 0.0
+            low = np.where(guarded & below, u, low)
+            high = np.where(guarded & ~below, u, high)
+            outside = guarded & ~((newton > low) & (newton < high))
+            newton = np.where(outside, 0.5 * (low + high), newton)
+        u = newton
     if index.size:
         raise NonConvergenceError(
             f"characteristic relation not solved to {_CHARACTERISTICS_TOL:g} "
             f"in {_CHARACTERISTICS_MAX_ITER} iterations")
     return rows if rows.ndim else float(rows)
+
+
+def profile_bounds(u0: Callable, L: float):
+    """An interval (lo, hi) holding every value of the L-periodic u0: the
+    range of 8192 samples over one period, widened to either side by its
+    width.  Newton from the u0(x) seed overshoots the range itself from
+    about half the breaking time on and still converges; the margin leaves
+    those paths alone, while an iterate that runs away (to 1e5 times the
+    range near breaking) leaves the interval at once."""
+    values = np.asarray(u0(np.linspace(0.0, L, 8192, endpoint=False)),
+                        dtype=float)
+    lo, hi = float(values.min()), float(values.max())
+    return 2.0 * lo - hi, 2.0 * hi - lo
 
 
 def burgers_shock_time(u0: Callable, L: float, advection: float = 6.0,

@@ -5,9 +5,10 @@ adjoint, the discrete sums and gradients with every term evaluated, the
 pointwise flow in jet variables, the travelling wave's wave-frame
 reduction with its self-test built on that flow and its scipy DOP853
 solution, the shooting search that found the frozen travelling-wave
-parameters, the implicit midpoint step built from single field calls
-and a column-by-column Jacobian, and a run loop that solves every step by
-Newton.
+parameters, the Newton matrix's maps built from flat d x d entry
+positions and decoded into node blocks, the implicit midpoint step built
+from single field calls and a column-by-column Jacobian, and a run loop
+that solves every step by Newton.
 """
 
 from dataclasses import dataclass
@@ -483,6 +484,54 @@ def find_periodic_travelling_wave(spec: HamiltonianSpec, L: float,
         else:
             return None
     return None
+
+
+# -- the Newton matrix's maps through flat entry positions ------------------------
+
+def flat_band_entries(N, half_width, blocks=1):
+    """The seed of a band's colouring and, for every entry it lists (in
+    dynamics.band_colouring's order), the flat position rows * d + col of
+    the entry in the d x d Jacobian and of its source, row * colours +
+    colour, in the compressed difference."""
+    span = 2 * half_width + 1
+    segments = N // span
+    nodes = np.arange(N)
+    if segments <= 1:
+        offset = nodes
+    else:
+        starts = (np.arange(segments) * N) // segments
+        offset = nodes - np.repeat(starts, np.diff(starts, append=N))
+    per_block = int(offset.max()) + 1
+    reach = np.arange(-half_width, half_width + 1) if N >= span else nodes
+    d = blocks * N
+    col = np.arange(d)
+    node = col % N
+    col_colour = (col // N) * per_block + offset[node]
+    seed = np.zeros((d, blocks * per_block))
+    seed[col, col_colour] = 1.0
+    band = (node[:, None] + reach) % N
+    rows = (np.arange(blocks)[:, None] * N + band[:, None, :]).reshape(d, -1)
+    return (seed, (rows * d + col[:, None]).reshape(-1),
+            (rows * seed.shape[1] + col_colour[:, None]).reshape(-1))
+
+
+def decoded_block_targets(band, entries):
+    """Flat position, in the (3, n, s, s) sub-, main and super-diagonal
+    blocks of the node-interleaved Newton matrix of ``band`` (cut at
+    band.nodes_per_block), of each flat d x d entry position: each is
+    decoded into its row and column and then into block and local
+    indices."""
+    d = band.d
+    s = band.blocks * band.nodes_per_block
+    n = d // s
+    position = np.empty(d, dtype=np.intp)
+    position[band.interleave(np.arange(d)).ravel()] = np.arange(d)
+    rows, cols = np.divmod(entries, d)
+    block, local_row = np.divmod(position[rows], s)
+    col_block, local_col = np.divmod(position[cols], s)
+    step = (col_block - block) % n
+    side = np.where(step == 0, 1, np.where(step == 1, 2, 0))
+    return ((side * n + block) * s + local_row) * s + local_col
 
 
 # -- implicit midpoint from single calls -------------------------------------------

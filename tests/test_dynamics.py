@@ -31,7 +31,13 @@ from clebschflow.harness import (
     ExperimentConfig, convergence_study, run_experiment)
 
 from oracles import (
-    column_jacobian, dense_K, midpoint_step_by_columns, newton_steps)
+    column_jacobian,
+    decoded_block_targets,
+    dense_K,
+    flat_band_entries,
+    midpoint_step_by_columns,
+    newton_steps,
+)
 
 L = 8.0
 W = 2 * np.pi / L
@@ -481,24 +487,35 @@ class TestJacobianAssembly:
                              ids=["collective_colouring",
                                   "conventional_colouring"])
     def test_columns_of_one_colour_share_no_row(self, scheme, N):
-        colouring = scheme_field(scheme, BURGERS,
-                                 PeriodicGrid(N, L))[1].colouring
-        d, m = colouring.seed.shape
-        rows, cols = np.divmod(colouring.entries, d)
+        band = scheme_field(scheme, BURGERS, PeriodicGrid(N, L))[1]
+        # the maps into the dense matrix, whatever storage the band uses
+        colouring = band_colouring(band.N, band.half_width, band.blocks)
+        assert colouring.shape == (band.d, band.d)
+        d, m = colouring.perturbation.shape
+        rows, cols = np.divmod(colouring.targets, d)
         source_rows, colours = np.divmod(colouring.sources, m)
-        # every column has exactly one colour, and each entry is read from
-        # its own row and its column's colour
-        np.testing.assert_array_equal(colouring.seed.sum(axis=1), np.ones(d))
+        # every column is perturbed in exactly one batch column, its
+        # colour's, and each entry is read from its own row and its
+        # column's colour
+        seed = np.eye(m)[colouring.column_colour]
+        assert_bitwise(colouring.perturbation, dynamics.FD_STEP * seed)
         np.testing.assert_array_equal(source_rows, rows)
-        np.testing.assert_array_equal(colouring.seed[cols, colours],
-                                      np.ones(cols.size))
+        np.testing.assert_array_equal(colours,
+                                      colouring.column_colour[cols])
         # all d diagonal entries of J are listed, once each
         np.testing.assert_array_equal(np.sort(rows[rows == cols]),
                                       np.arange(d))
         # a (row, colour) slot is read by one listed entry only, and no
         # entry is listed twice
         assert np.unique(colouring.sources).size == colouring.sources.size
-        assert np.unique(colouring.entries).size == colouring.entries.size
+        assert np.unique(colouring.targets).size == colouring.targets.size
+        # the band's own maps (into node blocks at N = 512) colour and read
+        # alike, and write each entry to a slot of its own
+        own = band.colouring
+        assert_bitwise(own.column_colour, colouring.column_colour)
+        assert_bitwise(own.perturbation, colouring.perturbation)
+        assert_bitwise(own.sources, colouring.sources)
+        assert np.unique(own.targets).size == own.targets.size
 
     @pytest.mark.parametrize("N", [32, 64, 512])
     def test_colour_counts(self, N):
@@ -510,12 +527,14 @@ class TestJacobianAssembly:
 
     def test_default_colouring_is_the_identity(self):
         colouring = band_colouring(5, 5)
-        np.testing.assert_array_equal(colouring.seed, np.eye(5))
-        np.testing.assert_array_equal(np.sort(colouring.entries),
+        np.testing.assert_array_equal(colouring.column_colour, np.arange(5))
+        assert_bitwise(colouring.perturbation, dynamics.FD_STEP * np.eye(5))
+        np.testing.assert_array_equal(np.sort(colouring.targets),
                                       np.arange(25))
-        rows, cols = np.divmod(colouring.entries, 5)
+        rows, cols = np.divmod(colouring.targets, 5)
         assert np.count_nonzero(rows == cols) == 5
-        for array in (colouring.seed, colouring.entries, colouring.sources):
+        for array in (colouring.column_colour, colouring.perturbation,
+                      colouring.sources, colouring.targets):
             assert not array.flags.writeable  # shared through a cache
 
     def test_a_wrapped_field_assembles_on_the_band_it_is_given(self):
@@ -577,6 +596,44 @@ class TestJacobianAssembly:
         f_z, M = fd_jacobian(lambda v: A @ v, full_band(2), z, 0.25)
         np.testing.assert_allclose(f_z, A @ z, rtol=1e-15)
         np.testing.assert_allclose(M, np.eye(2) - 0.25 * A, atol=1e-6)
+
+
+#: Grid sizes of the map tests: every N below the stencil span of a field,
+#: cuts into one and two node blocks, primes, and the benchmark's sizes.
+MAP_SIZES = [*range(2, 10), 16, 31, 32, 64, 127, 128, 256, 257, 300, 512,
+             1024]
+
+
+class TestNewtonMaps:
+    """The maps built from the band's geometry are the flat d x d entry
+    positions, and those positions decoded into node blocks."""
+
+    @pytest.mark.parametrize("half_width, blocks", [
+        (dynamics.COLLECTIVE_HALF_WIDTH, 2),
+        (dynamics.CONVENTIONAL_HALF_WIDTH, 1),
+        (1, 1)])
+    @pytest.mark.parametrize("N", MAP_SIZES)
+    def test_maps_are_the_decoded_flat_entries(self, N, half_width, blocks):
+        seed, entries, sources = flat_band_entries(N, half_width, blocks)
+        band = Band(N, half_width, blocks)
+        g = band.nodes_per_block
+        dense = band_colouring(N, half_width, blocks)
+        cut = band_colouring(N, half_width, blocks, g)
+        assert dense.shape == (band.d, band.d)
+        assert cut.shape == (3, N // g, blocks * g, blocks * g)
+        for colouring in (dense, cut):
+            assert_bitwise(colouring.perturbation, dynamics.FD_STEP * seed)
+            np.testing.assert_array_equal(colouring.column_colour,
+                                          seed.argmax(axis=1))
+            np.testing.assert_array_equal(colouring.sources, sources)
+        np.testing.assert_array_equal(dense.targets, entries)
+        np.testing.assert_array_equal(cut.targets,
+                                      decoded_block_targets(band, entries))
+        # the band takes the node blocks from the crossover on, given a cut
+        blocked = band.d >= dynamics.BAND_CROSSOVER and g < N
+        chosen = cut if blocked else dense
+        assert band.colouring.shape == chosen.shape
+        assert_bitwise(band.colouring.targets, chosen.targets)
 
 
 def bump_case(scheme, spec, N):

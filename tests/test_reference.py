@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.optimize import brentq
 
-from clebschflow.dynamics import conventional_flat_field
+from clebschflow.dynamics import NonConvergenceError, conventional_flat_field
 from clebschflow.grid import PeriodicGrid
 from clebschflow.hamiltonian import BURGERS, EXTENDED_BURGERS
 from clebschflow.harness import (
@@ -12,7 +13,11 @@ from clebschflow.harness import (
     preset_config,
     resolve_initial_condition,
 )
-from clebschflow.reference import burgers_characteristics, burgers_shock_time
+from clebschflow.reference import (
+    burgers_characteristics,
+    burgers_shock_time,
+    profile_bounds,
+)
 
 from oracles import (
     SingularReductionError,
@@ -101,6 +106,79 @@ class TestCharacteristics:
         ux = (burgers_characteristics(cosine_profile, x + h, t)
               - burgers_characteristics(cosine_profile, x - h, t)) / (2 * h)
         assert abs(ut - 6 * u * ux) < 1e-6
+
+
+class TestBracketedCharacteristics:
+    """Near breaking, Newton from the u0(x) seed can run away; with the
+    profile's bounds each point that would leave them is bracketed."""
+
+    # a burgers-shock observation: the half node x = 4.3125 at step 1684
+    X, T = 4.3125, 1684 * 2.0 ** -12
+
+    def test_bounds_hold_the_profile(self):
+        lo, hi = profile_bounds(cosine_profile, L)
+        assert lo == pytest.approx(-0.5) and hi == pytest.approx(2.5)
+        y = np.linspace(-L, 2 * L, 10001)
+        assert lo < cosine_profile(y).min() and cosine_profile(y).max() < hi
+
+    def test_the_runaway_point_is_the_brentq_root(self):
+        assert 0.96 < self.T / burgers_shock_time(cosine_profile, L) < 0.97
+        with pytest.raises(NonConvergenceError):
+            burgers_characteristics(cosine_profile, self.X, self.T)
+        u = burgers_characteristics(cosine_profile, self.X, self.T,
+                                    bounds=profile_bounds(cosine_profile, L))
+
+        def g(v):
+            return v - cosine_profile(self.X + 6.0 * self.T * v)
+
+        # g is increasing before breaking and its root lies in the range
+        root = brentq(g, 0.5, 1.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(g(u)) < 1e-12
+        assert u == pytest.approx(root, abs=1e-10)
+
+    def test_the_preset_records_the_point(self):
+        ic = resolve_initial_condition(preset_config("burgers-shock"))
+        row = ic.reference([self.T], np.array([self.X]))[0]
+        assert row is not None
+        assert row[0] == pytest.approx(burgers_characteristics(
+            ic.profile, self.X, self.T,
+            bounds=profile_bounds(ic.profile, L)), abs=1e-12)
+
+    def test_points_that_stay_inside_keep_their_path(self):
+        # up to 3/4 of the breaking time no iterate leaves the bounds: the
+        # same values from the same profile calls
+        t_star = burgers_shock_time(cosine_profile, L)
+        x = np.linspace(0.0, L, 64, endpoint=False) + L / 128
+        times = np.linspace(0.01, 0.75, 40) * t_star
+        plain, plain_sizes = counted(cosine_profile)
+        guarded, guarded_sizes = counted(cosine_profile)
+        expected = burgers_characteristics(plain, x, times)
+        got = burgers_characteristics(guarded, x, times,
+                                      bounds=profile_bounds(cosine_profile, L))
+        assert got.tobytes() == expected.tobytes()
+        assert guarded_sizes == plain_sizes
+
+    def test_each_point_is_its_own_call_near_breaking(self):
+        t_star = burgers_shock_time(cosine_profile, L)
+        bounds = profile_bounds(cosine_profile, L)
+        x = np.linspace(0.0, L, 32, endpoint=False) + L / 64
+        times = np.linspace(0.95, 0.98, 7) * t_star
+        block = burgers_characteristics(cosine_profile, x, times,
+                                        bounds=bounds)
+        bracketed = 0
+        for k, t in enumerate(times):
+            for i, node in enumerate(x):
+                one = burgers_characteristics(cosine_profile, node, t,
+                                              bounds=bounds)
+                assert np.float64(one).tobytes() == block[k, i].tobytes()
+                try:
+                    bracketed += burgers_characteristics(
+                        cosine_profile, node, t) != one
+                except NonConvergenceError:
+                    bracketed += 1
+        assert bracketed > 0
+        residual = block - cosine_profile(x + 6.0 * times[:, None] * block)
+        assert np.abs(residual).max() < 1e-12
 
 
 class TestWaveFrameReduction:

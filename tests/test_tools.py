@@ -131,12 +131,17 @@ def test_failed_checks_are_kept_and_printed(tmp_path):
     script = tmp_path / "perfbench" / "run.py"
     script.parent.mkdir()
     result = dict(canned(2.0, correct=False), failed=2560)
+    manifest = {"cpu": "test", "host_kernel_ms": [1.5, None],
+                "raw_samples": {"wall_s": [0.2, 0.4]}}
     script.write_text(
         "print('FAILED repeat 3: CSV output differs from the first repeat "
         "of its phase')\n"
-        "print('manifest {\"cpu\": \"test\"}')\n"
+        f"print({json.dumps('manifest ' + json.dumps(manifest))})\n"
         f"print({json.dumps(json.dumps(result))})\n")
     run = bench_pairs.run_bench(str(tmp_path), "bump-long", 1, 1.0)
+    # the manifest's per-repeat samples are kept with the run
+    assert run["raw_samples"] == {"wall_s": [0.2, 0.4]}
+    assert run["host_kernel_ms"] == [1.5, None]
     assert run["failures"] == [
         "repeat 3: CSV output differs from the first repeat of its phase"]
     assert run["host"]["cpu"] == "test"
@@ -156,3 +161,58 @@ def test_checkouts_of_unequal_path_length_are_refused(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert "differ in length" in err
+
+
+def with_raw(result, wall_s, kernel_ms):
+    """A canned result with the raw wall times and host-kernel times a
+    manifest gives."""
+    return dict(result, raw_samples={"wall_s": wall_s,
+                                     "collective.step_ms": [None]},
+                host_kernel_ms=kernel_ms)
+
+
+def test_raw_medians_are_kept_and_printed(tmp_path, monkeypatch, capsys):
+    # a host that ran the change's second run 1.6 times slower: the scaled
+    # metrics hide it, the raw medians and kernel times show it
+    raw = {("p", 1): ([1.0, 2.0, 3.0], [2.0]), ("c", 1): ([1.0, 1.0], [2.0]),
+           ("p", 2): ([4.0], [2.0, None]), ("c", 2): ([6.0, 7.0], [3.2])}
+
+    def runner(checkout, workload, seed, seconds):
+        return with_raw(canned(1.0), *raw[checkout, seed])
+
+    pairs = bench_pairs.run_pairs("p", "c", "bump-long", [1, 2], 40.0,
+                                  runner)
+    assert bench_pairs.raw_medians(pairs) == {
+        "collective.step_ms": {"parent": None, "change": None},
+        "host_kernel_ms": {"parent": 2.0, "change": 2.6},
+        "wall_s": {"parent": 3.0, "change": 3.75}}
+    lines = bench_pairs.summary_lines(bench_pairs.summarise(pairs), pairs)
+    at = lines.index(next(line for line in lines
+                          if line.startswith("raw median")))
+    assert [line.split() for line in lines[at + 1:at + 4]] == [
+        ["collective.step_ms", "n/a", "n/a"],
+        ["host_kernel_ms", "2", "2.6", "+30.0", "%"],
+        ["wall_s", "3", "3.75", "+25.0", "%"]]
+    # --out keeps them beside every pair's samples
+    monkeypatch.setattr(bench_pairs, "run_pairs",
+                        lambda *args: pairs)
+    (tmp_path / "pa").mkdir()
+    (tmp_path / "cn").mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "pa"),
+                             "--change", str(tmp_path / "cn"),
+                             "--workload", "bump-long", "--seeds", "1", "2",
+                             "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["bump-long"]
+    assert record["raw_medians"]["wall_s"] == {"parent": 3.0, "change": 3.75}
+    assert record["pairs"][1]["change"]["host_kernel_ms"] == [3.2]
+    assert record["pairs"][0]["parent"]["raw_samples"]["wall_s"] == [
+        1.0, 2.0, 3.0]
+    assert "raw median" in capsys.readouterr().out
+
+
+def test_runs_without_raw_samples_print_no_raw_medians():
+    pairs = [{"seed": 1, "parent": canned(1.0), "change": canned(2.0)}]
+    assert bench_pairs.raw_medians(pairs) == {}
+    lines = bench_pairs.summary_lines(bench_pairs.summarise(pairs), pairs)
+    assert not any(line.startswith("raw median") for line in lines)

@@ -14,13 +14,17 @@ with one line and exit status 2.
 
 It prints, per end-to-end metric, the parent's median, the change's
 median, the distance between the parent's quartiles and in how many pairs
-the change read lower (every metric is better lower), then per side the
-runs whose repeats all passed the benchmark's checks, and every check a
-repeat failed.  ``--out`` writes the same summary with both sides'
-quartiles, every pair's metrics, ``correct`` flags and failed checks, and
-the host (CPU, CPU count, Python, numpy and the BLAS thread pin, from the
-benchmark's manifest) to a JSON file, keyed by workload: an existing file
-keeps its other workloads.
+the change read lower (every metric is better lower); then each side's
+raw medians, the median over its runs of each run's median raw sample
+(times not scaled by the host's speed) and of its host-kernel times, so
+a host slowdown shows beside the scaled metrics; then per side the runs
+whose repeats all passed the benchmark's checks, and every check a repeat
+failed.  ``--out`` writes the same summary and raw medians with both
+sides' quartiles, every pair's metrics, raw samples, host-kernel times,
+``correct`` flags and failed checks, and the host (CPU, CPU count,
+Python, numpy and the BLAS thread pin, from the benchmark's manifest) to
+a JSON file, keyed by workload: an existing file keeps its other
+workloads.
 """
 
 from __future__ import annotations
@@ -41,13 +45,16 @@ import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
 HOST_KEYS = ("cpu", "nproc", "python", "numpy", "blas_threads")
+#: Per-repeat samples of the manifest kept with each run.
+RAW_KEYS = ("raw_samples", "host_kernel_ms")
 
 
 def run_bench(checkout: str, workload: str, seed: int,
               seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` in ``checkout``: its result
-    object with the manifest beside it and the checks its repeats failed
-    (``failures``, when any did), or an ``error`` when it printed none."""
+    object with the manifest's host, raw samples and host-kernel times
+    beside it and the checks its repeats failed (``failures``, when any
+    did), or an ``error`` when it printed none."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -61,6 +68,8 @@ def run_bench(checkout: str, workload: str, seed: int,
     manifest = next((json.loads(line[len("manifest "):]) for line in lines
                      if line.startswith("manifest ")), {})
     result["host"] = {key: manifest.get(key) for key in HOST_KEYS}
+    for key in RAW_KEYS:
+        result[key] = manifest.get(key)
     failures = [line[len("FAILED "):] for line in lines
                 if line.startswith("FAILED ")]
     if failures:
@@ -124,6 +133,35 @@ def summarise(pairs: list) -> dict:
     return summary
 
 
+def run_samples(run: dict) -> dict:
+    """A run's raw samples by name, with its host-kernel times when it has
+    them; a repeat without a sample reads None."""
+    samples = dict(run.get("raw_samples") or {})
+    if run.get("host_kernel_ms") is not None:
+        samples["host_kernel_ms"] = run["host_kernel_ms"]
+    return samples
+
+
+def raw_medians(pairs: list) -> dict:
+    """Per raw sample name and side, the median over the runs of each
+    run's median sample, or None when no run has one."""
+    names = sorted({name for p in pairs for side in SIDES
+                    for name in run_samples(p[side])})
+    medians = {}
+    for name in names:
+        medians[name] = {}
+        for side in SIDES:
+            per_run = []
+            for p in pairs:
+                values = [v for v in run_samples(p[side]).get(name, [])
+                          if v is not None]
+                if values:
+                    per_run.append(statistics.median(values))
+            medians[name][side] = (statistics.median(per_run) if per_run
+                                   else None)
+    return medians
+
+
 def summary_lines(summary: dict, pairs: list) -> list:
     lines = [f"{'metric':24} {'unit':>4} {'parent':>12} {'change':>12} "
              f"{'diff':>8} {'parent IQR':>12}  change lower"]
@@ -138,6 +176,17 @@ def summary_lines(summary: dict, pairs: list) -> list:
                      f"{q3 - q1:>12.3g}")
         lines.append(f"{metric:24} {s['unit']:>4} {shown}  "
                      f"{s['change_lower']}/{s['pairs']}")
+    raw = raw_medians(pairs)
+    if raw:
+        lines.append(f"{'raw median':29} {'parent':>12} {'change':>12} "
+                     f"{'diff':>8}")
+    for name, sides in raw.items():
+        parent, change = sides["parent"], sides["change"]
+        shown = [f"{'n/a':>12}" if v is None else f"{v:>12.6g}"
+                 for v in (parent, change)]
+        diff = ("" if not parent or change is None
+                else f"{100.0 * (change / parent - 1.0):+.1f} %")
+        lines.append(f"{name:29} {shown[0]} {shown[1]} {diff:>8}".rstrip())
     for side in SIDES:
         wrong = sum(not p[side].get("correct") for p in pairs)
         lines.append(f"{side}: {len(pairs) - wrong} of {len(pairs)} runs "
@@ -176,7 +225,8 @@ def main(argv=None) -> int:
             "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
             "parent": Path(parent).name, "change": Path(change).name,
             "seeds": args.seeds,
-            "host": host, "summary": summary, "pairs": pairs}
+            "host": host, "summary": summary,
+            "raw_medians": raw_medians(pairs), "pairs": pairs}
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
                             + "\n")
     return 0
