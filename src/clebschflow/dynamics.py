@@ -279,9 +279,8 @@ class Colouring:
     """Column colouring of a sparse d x d Jacobian, with the maps that
     assemble the Newton matrix from it.
 
-    Column j has colour column_colour[j], and perturbation is FD_STEP
-    times the 0/1 seed, 1 at (j, column_colour[j]): the step every batch
-    column takes.  The k-th entry that may be nonzero is read from
+    perturbation is FD_STEP times the 0/1 seed, 1 at (j, the colour of
+    column j): the step every batch column takes.  The k-th entry that may be nonzero is read from
     flat position sources[k] of the (d, colours) compressed difference (its
     own row, its column's colour) and written to flat position targets[k]
     of an array of the given shape: the dense d x d matrix, or the
@@ -291,15 +290,13 @@ class Colouring:
     can serve every caller.
     """
 
-    column_colour: np.ndarray
     perturbation: np.ndarray
     sources: np.ndarray
     targets: np.ndarray
     shape: tuple
 
     def __post_init__(self):
-        for array in (self.column_colour, self.perturbation, self.sources,
-                      self.targets):
+        for array in (self.perturbation, self.sources, self.targets):
             array.flags.writeable = False
 
     @property
@@ -349,10 +346,9 @@ def band_colouring(N: int, half_width: int, blocks: int = 1,
     reach = np.arange(-half_width, half_width + 1) if N >= span else nodes
     row = (nodes[:, None] + reach) % N
     d = blocks * N
-    column_colour = (np.arange(blocks)[:, None] * per_block
-                     + offset).reshape(-1)
+    colour = (np.arange(blocks)[:, None] * per_block + offset).reshape(-1)
     perturbation = np.zeros((d, colours))
-    perturbation[np.arange(d), column_colour] = FD_STEP
+    perturbation[np.arange(d), colour] = FD_STEP
     sources = _per_entry(row * colours + offset[:, None], N * colours,
                          per_block, blocks)
     if nodes_per_block is None:
@@ -376,7 +372,7 @@ def band_colouring(N: int, half_width: int, blocks: int = 1,
                      + table).reshape(N, -1)
         shape = (3, n, s, s)
         targets = _per_entry(node_term, s, 1, blocks)
-    return Colouring(column_colour, perturbation, sources, targets, shape)
+    return Colouring(perturbation, sources, targets, shape)
 
 
 #: Order d of the Newton matrix from which a step factorises it by block

@@ -377,8 +377,7 @@ def _characteristics_reference(profile: Callable, spec: HamiltonianSpec,
             y[outside] = np.mod(y[outside], L)
         return profile(y)
 
-    t_star = ref_mod.burgers_shock_time(wrapped, L, advection=advection)
-    bounds = ref_mod.profile_bounds(wrapped, L)
+    t_star, bounds = ref_mod.burgers_breaking(wrapped, L, advection=advection)
 
     def solve(t, nodes):
         try:

@@ -12,9 +12,8 @@ import numpy as np
 from .dynamics import NonConvergenceError
 
 __all__ = [
+    "burgers_breaking",
     "burgers_characteristics",
-    "burgers_shock_time",
-    "profile_bounds",
 ]
 
 
@@ -23,27 +22,28 @@ _CHARACTERISTICS_TOL = 1e-12
 _CHARACTERISTICS_MAX_ITER = 100
 
 
-def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
-                            bounds=None):
+def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0, *,
+                            bounds):
     """Pre-shock solution of u_t = a u u_x (a = ``advection``) at (x, t).
 
     Solves the implicit characteristic relation u = u0(x + a t u) by Newton
     iteration, seeded with u0(x), with the forward-difference slope
     (u0(y + h) - u0(y)) / h, which reuses the u0(y) of the residual.
-    ``bounds``, when given, is an interval (lo, hi) holding every value of
-    u0 (see :func:`profile_bounds`).  Before breaking g(u) = u - u0(x + a t
-    u) is increasing and its root lies in it, so a point whose Newton
+    ``bounds`` is an interval (lo, hi) holding every value of u0 (see
+    :func:`burgers_breaking`).  Before breaking g(u) = u - u0(x + a t u)
+    is increasing and its root lies in it, so a point whose Newton
     iterate would leave it keeps from then on a bracket of its own, the
     interval narrowed at each iterate by the sign of its residual, and
     takes the bracket's midpoint whenever Newton's iterate falls outside
     it.  A point whose iterates stay inside never changes path, and a
     round checks the interval with one min and one max over the
-    unconverged points.  Without bounds Newton runs unguarded, and near
-    breaking it can diverge from the u0(x) seed.
+    unconverged points.  Infinite bounds never bracket a point: Newton
+    then runs unguarded, and near breaking it can diverge from the u0(x)
+    seed.
     Valid strictly before the gradient catastrophe.  At or past it the
     iteration either raises NonConvergenceError or lands on one of the
     isolated roots the relation keeps there, so callers keep t below the
-    breaking time (:func:`burgers_shock_time`).  Accepts scalar or array x
+    breaking time (:func:`burgers_breaking`).  Accepts scalar or array x
     and returns matching shape.
 
     ``t`` may also be a 1-D array of times; the result then has one row per
@@ -96,9 +96,8 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
             raise NonConvergenceError(
                 "characteristics cross at or before this time")
         newton = u - residual / denom
-        if bounds is not None and (guarded is not None
-                                   or newton.min() < bounds[0]
-                                   or newton.max() > bounds[1]):
+        if (guarded is not None or newton.min() < bounds[0]
+                or newton.max() > bounds[1]):
             if guarded is None:
                 guarded = np.zeros(u.shape, dtype=bool)
                 low = np.full(u.shape, float(bounds[0]))
@@ -118,25 +117,23 @@ def burgers_characteristics(u0: Callable, x, t, advection: float = 6.0,
     return rows if rows.ndim else float(rows)
 
 
-def profile_bounds(u0: Callable, L: float):
-    """An interval (lo, hi) holding every value of the L-periodic u0: the
-    range of 8192 samples over one period, widened to either side by its
-    width.  Newton from the u0(x) seed overshoots the range itself from
-    about half the breaking time on and still converges; the margin leaves
-    those paths alone, while an iterate that runs away (to 1e5 times the
-    range near breaking) leaves the interval at once."""
-    values = np.asarray(u0(np.linspace(0.0, L, 8192, endpoint=False)),
-                        dtype=float)
-    lo, hi = float(values.min()), float(values.max())
-    return 2.0 * lo - hi, 2.0 * hi - lo
+def burgers_breaking(u0: Callable, L: float, advection: float = 6.0,
+                     n: int = 8192):
+    """The first gradient-catastrophe time 1/max(a u0') of the L-periodic
+    u0 from a fine sample of its slope, infinite when the slope never has
+    the breaking sign, and an interval (lo, hi) holding every value of u0:
+    the range of the same samples, widened to either side by its width.
 
-
-def burgers_shock_time(u0: Callable, L: float, advection: float = 6.0,
-                       n: int = 8192) -> float:
-    """First gradient-catastrophe time 1/max(a u0') from a fine sample of
-    the initial slope; infinite when the slope never has the breaking sign."""
+    Newton from the u0(x) seed overshoots the range itself from about half
+    the breaking time on and still converges; the margin leaves those
+    paths alone, while an iterate that runs away (to 1e5 times the range
+    near breaking) leaves the interval at once."""
     x = np.linspace(0.0, L, n, endpoint=False)
     h = 1e-6 * L
-    slope = (np.asarray(u0(x + h)) - np.asarray(u0(x - h))) / (2.0 * h)
+    ahead, behind = np.asarray(u0(x + h)), np.asarray(u0(x - h))
+    slope = (ahead - behind) / (2.0 * h)
     peak = float(np.max(advection * slope))
-    return math.inf if peak <= 0.0 else 1.0 / peak
+    t_star = math.inf if peak <= 0.0 else 1.0 / peak
+    lo = float(min(ahead.min(), behind.min()))
+    hi = float(max(ahead.max(), behind.max()))
+    return t_star, (2.0 * lo - hi, 2.0 * hi - lo)

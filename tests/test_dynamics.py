@@ -497,11 +497,11 @@ class TestJacobianAssembly:
         # every column is perturbed in exactly one batch column, its
         # colour's, and each entry is read from its own row and its
         # column's colour
-        seed = np.eye(m)[colouring.column_colour]
+        colour = colouring.perturbation.argmax(axis=1)
+        seed = np.eye(m)[colour]
         assert_bitwise(colouring.perturbation, dynamics.FD_STEP * seed)
         np.testing.assert_array_equal(source_rows, rows)
-        np.testing.assert_array_equal(colours,
-                                      colouring.column_colour[cols])
+        np.testing.assert_array_equal(colours, colour[cols])
         # all d diagonal entries of J are listed, once each
         np.testing.assert_array_equal(np.sort(rows[rows == cols]),
                                       np.arange(d))
@@ -512,7 +512,6 @@ class TestJacobianAssembly:
         # the band's own maps (into node blocks at N = 512) colour and read
         # alike, and write each entry to a slot of its own
         own = band.colouring
-        assert_bitwise(own.column_colour, colouring.column_colour)
         assert_bitwise(own.perturbation, colouring.perturbation)
         assert_bitwise(own.sources, colouring.sources)
         assert np.unique(own.targets).size == own.targets.size
@@ -527,14 +526,13 @@ class TestJacobianAssembly:
 
     def test_default_colouring_is_the_identity(self):
         colouring = band_colouring(5, 5)
-        np.testing.assert_array_equal(colouring.column_colour, np.arange(5))
         assert_bitwise(colouring.perturbation, dynamics.FD_STEP * np.eye(5))
         np.testing.assert_array_equal(np.sort(colouring.targets),
                                       np.arange(25))
         rows, cols = np.divmod(colouring.targets, 5)
         assert np.count_nonzero(rows == cols) == 5
-        for array in (colouring.column_colour, colouring.perturbation,
-                      colouring.sources, colouring.targets):
+        for array in (colouring.perturbation, colouring.sources,
+                      colouring.targets):
             assert not array.flags.writeable  # shared through a cache
 
     def test_a_wrapped_field_assembles_on_the_band_it_is_given(self):
@@ -623,8 +621,6 @@ class TestNewtonMaps:
         assert cut.shape == (3, N // g, blocks * g, blocks * g)
         for colouring in (dense, cut):
             assert_bitwise(colouring.perturbation, dynamics.FD_STEP * seed)
-            np.testing.assert_array_equal(colouring.column_colour,
-                                          seed.argmax(axis=1))
             np.testing.assert_array_equal(colouring.sources, sources)
         np.testing.assert_array_equal(dense.targets, entries)
         np.testing.assert_array_equal(cut.targets,

@@ -312,11 +312,11 @@ class TestInitialConditions:
         # only off (0, L); taken off that interval it is bitwise np.mod
         wraps = []
 
-        def shock_time(u0, L, advection):
+        def breaking(u0, L, advection):
             wraps.append(u0)
-            return math.inf
+            return math.inf, (-math.inf, math.inf)
 
-        monkeypatch.setattr(ref_mod, "burgers_shock_time", shock_time)
+        monkeypatch.setattr(ref_mod, "burgers_breaking", breaking)
         identity = lambda y: np.array(y, dtype=float)
         cosine = lambda y: 1.0 + 0.5 * np.cos(2.0 * np.pi * y / period)
         for profile in (identity, cosine):
@@ -894,7 +894,8 @@ class TestFineGridReference:
         nodes = {COLLECTIVE: g.half_nodes, CONVENTIONAL: g.full_nodes}
         for method, (_, exact) in compared.items():
             oracle = ref_mod.burgers_characteristics(
-                profile, nodes[method], 0.0625)
+                profile, nodes[method], 0.0625,
+                bounds=ref_mod.burgers_breaking(profile, L)[1])
             assert np.max(np.abs(exact - oracle)) < 1e-3
 
     def test_refinement_self_consistency(self, monkeypatch):

@@ -48,9 +48,8 @@ def test_each_exported_name_has_one_home():
 
 def test_reference_exports_only_the_characteristics_oracles():
     from clebschflow import reference
-    assert sorted(reference.__all__) == ["burgers_characteristics",
-                                         "burgers_shock_time",
-                                         "profile_bounds"]
+    assert sorted(reference.__all__) == ["burgers_breaking",
+                                         "burgers_characteristics"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -32,7 +32,7 @@ from clebschflow.hamiltonian import (
     grad_collective,
     grad_conventional,
 )
-from clebschflow.reference import burgers_characteristics
+from clebschflow.reference import burgers_breaking, burgers_characteristics
 
 L = 8.0
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
@@ -299,18 +299,22 @@ def test_characteristics_rows_are_the_scalar_solves(bump, fractions, zero_at,
                                                     extra_nodes):
     u0, t_star, x = bump
     x = np.concatenate([x, extra_nodes])
+    bounds = burgers_breaking(u0, L)[1]
+
+    def solve(x, t):
+        return burgers_characteristics(u0, x, t, bounds=bounds)
+
     times = [f * t_star for f in fractions]
     times.insert(min(zero_at, len(times)), 0.0)
     try:
-        singles = [burgers_characteristics(u0, x, t) for t in times]
-        points = [[burgers_characteristics(u0, node, t) for node in x]
-                  for t in times]
+        singles = [solve(x, t) for t in times]
+        points = [[solve(node, t) for node in x] for t in times]
     except NonConvergenceError:
         # one point the iteration cannot solve fails the whole block
         with pytest.raises(NonConvergenceError):
-            burgers_characteristics(u0, x, np.array(times))
+            solve(x, np.array(times))
         return
-    rows = burgers_characteristics(u0, x, np.array(times))
+    rows = solve(x, np.array(times))
     assert rows.shape == (len(times), x.size)
     np.testing.assert_array_equal(rows, np.stack(singles))
     # every entry is bitwise its own (x, t) call
@@ -322,11 +326,15 @@ def test_characteristics_rows_are_the_scalar_solves(bump, fractions, zero_at,
 @given(cosine_bumps(), st.floats(1e-3, 0.9))
 def test_characteristics_keep_their_return_shapes(bump, fraction):
     u0, t_star, x = bump
+    bounds = burgers_breaking(u0, L)[1]
+
+    def solve(x, t):
+        return burgers_characteristics(u0, x, t, bounds=bounds)
+
     t = fraction * t_star
-    point = burgers_characteristics(u0, float(x[0]), t)
-    assert isinstance(point, float)
+    assert isinstance(solve(float(x[0]), t), float)
     grid = x.reshape(1, -1)
-    assert burgers_characteristics(u0, grid, t).shape == grid.shape
+    assert solve(grid, t).shape == grid.shape
     times = np.array([0.0, t])
-    assert burgers_characteristics(u0, float(x[0]), times).shape == (2,)
-    assert burgers_characteristics(u0, grid, times).shape == (2,) + grid.shape
+    assert solve(float(x[0]), times).shape == (2,)
+    assert solve(grid, times).shape == (2,) + grid.shape

@@ -13,11 +13,7 @@ from clebschflow.harness import (
     preset_config,
     resolve_initial_condition,
 )
-from clebschflow.reference import (
-    burgers_characteristics,
-    burgers_shock_time,
-    profile_bounds,
-)
+from clebschflow.reference import burgers_breaking, burgers_characteristics
 
 from oracles import (
     SingularReductionError,
@@ -36,6 +32,13 @@ def cosine_profile(y):
     return 1.0 + 0.5 * np.cos(W * np.asarray(y))
 
 
+#: bounds that never bracket a point: the characteristics solve as plain
+#: Newton from the u0(x) seed
+UNBOUNDED = (-np.inf, np.inf)
+
+T_STAR, BOUNDS = burgers_breaking(cosine_profile, L)
+
+
 def counted(profile):
     """The profile and the list of the sizes of the arrays it was called
     on, in call order."""
@@ -52,25 +55,26 @@ class TestCharacteristics:
     def test_time_zero_returns_profile(self):
         x = np.linspace(0, L, 9)
         np.testing.assert_array_equal(
-            burgers_characteristics(cosine_profile, x, 0.0), cosine_profile(x))
+            burgers_characteristics(cosine_profile, x, 0.0, bounds=UNBOUNDED),
+            cosine_profile(x))
 
     def test_constants_are_exact_solutions(self):
         const = lambda y: np.full_like(np.asarray(y, dtype=float), 1.4)
         for t in (0.1, 1.0, 10.0):
-            assert burgers_characteristics(const, 2.0, t) == pytest.approx(1.4, abs=1e-12)
+            u = burgers_characteristics(const, 2.0, t, bounds=UNBOUNDED)
+            assert u == pytest.approx(1.4, abs=1e-12)
 
     def test_implicit_relation_satisfied(self):
         x = np.linspace(0, L, 33)
         t = 0.25
-        u = burgers_characteristics(cosine_profile, x, t)
+        u = burgers_characteristics(cosine_profile, x, t, bounds=BOUNDS)
         residual = np.max(np.abs(u - cosine_profile(x + 6 * t * u)))
         assert residual < 1e-12
 
     def test_shock_time_of_cosine_profile(self):
         # max slope of 1 + cos(2 pi x / 8)/2 is pi/8, so breaking happens
         # near 1/(6 pi/8) ~ 0.4244
-        t_star = burgers_shock_time(cosine_profile, L)
-        assert t_star == pytest.approx(8 / (6 * np.pi), rel=1e-4)
+        assert T_STAR == pytest.approx(8 / (6 * np.pi), rel=1e-4)
 
     def test_a_round_evaluates_the_profile_on_unconverged_points_only(self):
         # a point's own call evaluates u0 once for its seed, then once for
@@ -82,12 +86,12 @@ class TestCharacteristics:
         for t in times:
             for node in x:
                 profile, sizes = counted(cosine_profile)
-                burgers_characteristics(profile, node, t)
+                burgers_characteristics(profile, node, t, bounds=UNBOUNDED)
                 rounds.append(len(sizes) // 2)
         assert rounds.count(0) == x.size  # the t = 0 points
         assert len(set(rounds)) > 3
         profile, sizes = counted(cosine_profile)
-        burgers_characteristics(profile, x, times)
+        burgers_characteristics(profile, x, times, bounds=UNBOUNDED)
         # after the seed, round r evaluates the residual at the points that
         # take r rounds or more and the slope at those that take more
         want = [x.size]
@@ -100,12 +104,13 @@ class TestCharacteristics:
     def test_solves_the_advection_form(self):
         # u_t + (-6u) u_x = 0, differentiated numerically
         x, t, h = 3.1, 0.2, 1e-5
-        u = burgers_characteristics(cosine_profile, x, t)
-        ut = (burgers_characteristics(cosine_profile, x, t + h)
-              - burgers_characteristics(cosine_profile, x, t - h)) / (2 * h)
-        ux = (burgers_characteristics(cosine_profile, x + h, t)
-              - burgers_characteristics(cosine_profile, x - h, t)) / (2 * h)
-        assert abs(ut - 6 * u * ux) < 1e-6
+        def u(x, t):
+            return burgers_characteristics(cosine_profile, x, t,
+                                           bounds=BOUNDS)
+
+        ut = (u(x, t + h) - u(x, t - h)) / (2 * h)
+        ux = (u(x + h, t) - u(x - h, t)) / (2 * h)
+        assert abs(ut - 6 * u(x, t) * ux) < 1e-6
 
 
 class TestBracketedCharacteristics:
@@ -116,17 +121,18 @@ class TestBracketedCharacteristics:
     X, T = 4.3125, 1684 * 2.0 ** -12
 
     def test_bounds_hold_the_profile(self):
-        lo, hi = profile_bounds(cosine_profile, L)
+        lo, hi = BOUNDS
         assert lo == pytest.approx(-0.5) and hi == pytest.approx(2.5)
         y = np.linspace(-L, 2 * L, 10001)
         assert lo < cosine_profile(y).min() and cosine_profile(y).max() < hi
 
     def test_the_runaway_point_is_the_brentq_root(self):
-        assert 0.96 < self.T / burgers_shock_time(cosine_profile, L) < 0.97
+        assert 0.96 < self.T / T_STAR < 0.97
         with pytest.raises(NonConvergenceError):
-            burgers_characteristics(cosine_profile, self.X, self.T)
+            burgers_characteristics(cosine_profile, self.X, self.T,
+                                    bounds=UNBOUNDED)
         u = burgers_characteristics(cosine_profile, self.X, self.T,
-                                    bounds=profile_bounds(cosine_profile, L))
+                                    bounds=BOUNDS)
 
         def g(v):
             return v - cosine_profile(self.X + 6.0 * self.T * v)
@@ -142,38 +148,34 @@ class TestBracketedCharacteristics:
         assert row is not None
         assert row[0] == pytest.approx(burgers_characteristics(
             ic.profile, self.X, self.T,
-            bounds=profile_bounds(ic.profile, L)), abs=1e-12)
+            bounds=burgers_breaking(ic.profile, L)[1]), abs=1e-12)
 
     def test_points_that_stay_inside_keep_their_path(self):
         # up to 3/4 of the breaking time no iterate leaves the bounds: the
         # same values from the same profile calls
-        t_star = burgers_shock_time(cosine_profile, L)
         x = np.linspace(0.0, L, 64, endpoint=False) + L / 128
-        times = np.linspace(0.01, 0.75, 40) * t_star
+        times = np.linspace(0.01, 0.75, 40) * T_STAR
         plain, plain_sizes = counted(cosine_profile)
         guarded, guarded_sizes = counted(cosine_profile)
-        expected = burgers_characteristics(plain, x, times)
-        got = burgers_characteristics(guarded, x, times,
-                                      bounds=profile_bounds(cosine_profile, L))
+        expected = burgers_characteristics(plain, x, times, bounds=UNBOUNDED)
+        got = burgers_characteristics(guarded, x, times, bounds=BOUNDS)
         assert got.tobytes() == expected.tobytes()
         assert guarded_sizes == plain_sizes
 
     def test_each_point_is_its_own_call_near_breaking(self):
-        t_star = burgers_shock_time(cosine_profile, L)
-        bounds = profile_bounds(cosine_profile, L)
         x = np.linspace(0.0, L, 32, endpoint=False) + L / 64
-        times = np.linspace(0.95, 0.98, 7) * t_star
+        times = np.linspace(0.95, 0.98, 7) * T_STAR
         block = burgers_characteristics(cosine_profile, x, times,
-                                        bounds=bounds)
+                                        bounds=BOUNDS)
         bracketed = 0
         for k, t in enumerate(times):
             for i, node in enumerate(x):
                 one = burgers_characteristics(cosine_profile, node, t,
-                                              bounds=bounds)
+                                              bounds=BOUNDS)
                 assert np.float64(one).tobytes() == block[k, i].tobytes()
                 try:
                     bracketed += burgers_characteristics(
-                        cosine_profile, node, t) != one
+                        cosine_profile, node, t, bounds=UNBOUNDED) != one
                 except NonConvergenceError:
                     bracketed += 1
         assert bracketed > 0
