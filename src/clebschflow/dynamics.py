@@ -49,13 +49,14 @@ A column colouring (Curtis, Powell & Reid 1974) perturbs all columns of
 one colour in one batch column: 16 columns for the lifted field and 6 for
 the direct one at N = 32, 64 or 512, instead of 2N and N.  Columns of one
 colour never share a row, so every entry is bitwise the column-by-column
-difference.  Below d = BAND_CROSSOVER the entries are scattered into a
-dense M, which every Newton update solves with np.linalg.solve.  From it
-on, the state is interleaved by node, (q_i, p_i), and cut into blocks of
-NODES_PER_BLOCK nodes (when N is not a multiple of it, of the least
-divisor of N above it; a prime N stays dense), so M is cyclic block
-tridiagonal (8 x 8 blocks for the lifted field, 4 x 4 for the direct one)
-and is held as its three block diagonals, with no d x d array.  A step
+difference.  The entries are scattered into one storage, a
+CyclicBlockMatrix: the state is cut into node blocks, each holding every
+copy of its nodes, and M is held as its block diagonals, with no d x d
+array.  Below d = BAND_CROSSOVER, and for a prime N, the cut is one block,
+M itself, which every Newton update solves with np.linalg.solve.  From it
+on, a block holds NODES_PER_BLOCK nodes (when N is not a multiple of it,
+the least divisor of N above it), so M is cyclic block tridiagonal (8 x 8
+blocks for the lifted field, 4 x 4 for the direct one).  A step
 factorises it once by block cyclic reduction, and every update is then a
 sweep of batched block products around one solve of the reduced s x s
 system.  A run starts each Newton step after its first from the
@@ -283,8 +284,7 @@ class Colouring:
     column j): the step every batch column takes.  The k-th entry that may be nonzero is read from
     flat position sources[k] of the (d, colours) compressed difference (its
     own row, its column's colour) and written to flat position targets[k]
-    of an array of the given shape: the dense d x d matrix, or the
-    (3, n, s, s) sub-, main and super-diagonal node blocks of a
+    of an array of the given shape, the node blocks of a
     :class:`CyclicBlockMatrix`.  Columns of one colour share no row, and no
     two entries share a target.  The arrays are read-only, so one colouring
     can serve every caller.
@@ -315,13 +315,15 @@ def _per_entry(node_term: np.ndarray, row_stride: int, col_stride: int,
 
 
 @functools.lru_cache(maxsize=8)
-def band_colouring(N: int, half_width: int, blocks: int = 1,
-                   nodes_per_block: Optional[int] = None) -> Colouring:
+def band_colouring(N: int, half_width: int, blocks: int,
+                   nodes_per_block: int) -> Colouring:
     """Colouring of a field on ``blocks`` stacked copies of an N-node
     circle whose output node i reads only inputs within cyclic grid
     distance ``half_width`` of i, in every block; its targets are in the
-    dense d x d matrix, or with ``nodes_per_block`` (a divisor of N) in the
-    node blocks of that cut.
+    node blocks of the cut into ``nodes_per_block`` nodes (a divisor of N,
+    at least half_width unless it is N), laid out as in
+    :class:`CyclicBlockMatrix`.  A cut into one block lists the dense
+    positions rows * d + col.
 
     Two columns can share a row only when their nodes are at most
     2 * half_width apart, so the circle is cut into N // (2 half_width + 1)
@@ -351,28 +353,22 @@ def band_colouring(N: int, half_width: int, blocks: int = 1,
     perturbation[np.arange(d), colour] = FD_STEP
     sources = _per_entry(row * colours + offset[:, None], N * colours,
                          per_block, blocks)
-    if nodes_per_block is None:
-        shape = (d, d)
-        targets = _per_entry(row * d + nodes[:, None], N * d, N, blocks)
-    else:
-        # interleaved, copy c of node i = b g + j sits at row j blocks + c
-        # of node block b, and its row node i + k at row
-        # ((j + k) % g) blocks + c of node block b + (j + k) // g (mod n);
-        # with n <= 2 blocks a row's neighbours coincide, and only the sum
-        # of its blocks matters
-        g = nodes_per_block
-        n, s = N // g, blocks * g
-        local = np.arange(g)[:, None] + reach
-        ahead = local // g
-        step = -ahead % n
-        side = np.where(step == 0, 1, np.where(step == 1, 2, 0))
-        table = ((side * n * s + local % g * blocks) * s
-                 + np.arange(g)[:, None] * blocks)
-        node_term = ((np.arange(n)[:, None, None] + ahead) % n * (s * s)
-                     + table).reshape(N, -1)
-        shape = (3, n, s, s)
-        targets = _per_entry(node_term, s, 1, blocks)
-    return Colouring(perturbation, sources, targets, shape)
+    # copy c of node i = b g + j sits at row c g + j of node block b, and
+    # its row node i + k at row c g + (j + k) % g of node block
+    # b + (j + k) // g (mod n), whose column block lies step = -ahead
+    # (mod n) from it: 0 main, 1 super, n - 1 sub (with n = 2 the super
+    # block stands for both)
+    g = nodes_per_block
+    n, s = N // g, blocks * g
+    local = np.arange(g)[:, None] + reach
+    ahead = local // g
+    side = np.minimum(-ahead % n, 2)
+    table = (side * n * s + local % g) * s + np.arange(g)[:, None]
+    node_term = ((np.arange(n)[:, None, None] + ahead) % n * (s * s)
+                 + table).reshape(N, -1)
+    targets = _per_entry(node_term, g * s, g, blocks)
+    return Colouring(perturbation, sources, targets,
+                     (1 if n == 1 else 3, n, s, s))
 
 
 #: Order d of the Newton matrix from which a step factorises it by block
@@ -395,10 +391,10 @@ class Band:
     z[c N + i] for copy c of node i, so d = blocks * N.
 
     Everything the Newton layer needs is derived from these three numbers:
-    the column colouring of J, and for d >= BAND_CROSSOVER the cut of the
-    node-interleaved matrix (z ordered (q_0, p_0, q_1, p_1, ...)) into
-    cyclic tridiagonal blocks of nodes_per_block nodes.  A half-width of at
-    least N makes every output read every input: the dense difference.
+    the column colouring of J, and the cut of the state into node blocks
+    of nodes_per_block nodes, in which M is cyclic block tridiagonal (see
+    :class:`CyclicBlockMatrix`).  A half-width of at least N makes every
+    output read every input: the dense difference.
     """
 
     N: int
@@ -411,29 +407,32 @@ class Band:
 
     @functools.cached_property
     def colouring(self) -> Colouring:
-        """The colouring and maps of J, into the node blocks from
-        BAND_CROSSOVER on when N has a cut, else into a dense M."""
-        blocked = (self.d >= BAND_CROSSOVER
-                   and self.nodes_per_block < self.N)
+        """The colouring of J and its maps into the node blocks."""
         return band_colouring(self.N, self.half_width, self.blocks,
-                              self.nodes_per_block if blocked else None)
+                              self.nodes_per_block)
 
     @functools.cached_property
     def nodes_per_block(self) -> int:
-        """The least divisor of N that is at least NODES_PER_BLOCK and the
+        """N (one block, M itself) below d = BAND_CROSSOVER; from it on the
+        least divisor of N that is at least NODES_PER_BLOCK and the
         half-width, so every node's band lies in its own block and the two
-        beside it; N itself when there is none, and then M stays dense."""
-        low = min(max(NODES_PER_BLOCK, self.half_width), self.N)
-        return next(g for g in range(low, self.N + 1) if self.N % g == 0)
+        beside it, and N itself when there is none."""
+        if self.d < BAND_CROSSOVER:
+            return self.N
+        low = max(NODES_PER_BLOCK, self.half_width)
+        return next((g for g in range(low, self.N) if self.N % g == 0),
+                    self.N)
 
     def interleave(self, v: np.ndarray) -> np.ndarray:
-        """v (d,) as node blocks (n, s): s = blocks * nodes_per_block
-        values each, copy index fastest."""
-        return v.reshape(self.blocks, self.N).T.reshape(
-            -1, self.blocks * self.nodes_per_block)
+        """v (d,) as node blocks (n, s): block k holds copy c of node
+        k g + j at c g + j (g = nodes_per_block, s = blocks * g)."""
+        g = self.nodes_per_block
+        return v.reshape(self.blocks, -1, g).swapaxes(0, 1).reshape(
+            -1, self.blocks * g)
 
     def deinterleave(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.N, self.blocks).T.reshape(self.d)
+        return x.reshape(-1, self.blocks, self.nodes_per_block).swapaxes(
+            0, 1).reshape(self.d)
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -442,12 +441,14 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class CyclicBlockMatrix:
-    """The Newton matrix of a band at d >= BAND_CROSSOVER, interleaved by
-    node (see :class:`Band`) and held as its n block rows
+    """The Newton matrix of a band, cut into its n node blocks (see
+    :meth:`Band.interleave`) and held as its n block rows
 
-        A_k x_{k-1} + B_k x_k + C_k x_{k+1}    (indices mod n)
+        B_k x_k + C_k x_{k+1} + A_k x_{k-1}    (indices mod n)
 
-    of s x s blocks, ``blocks[0, 1, 2] = (A, B, C)``, with no d x d array.
+    of s x s blocks, ``blocks[0, 1, 2] = (B, C, A)``: main, super and sub
+    diagonal, with no d x d array.  One block (n = 1) is M itself, in the
+    state's own order, held as ``blocks`` of shape (1, 1, d, d).
     """
 
     def __init__(self, band: Band, blocks: np.ndarray):
@@ -468,9 +469,13 @@ class CyclicBlockMatrix:
         (A_j, C_j) and so couples to k +- 2.  An odd count carries its
         last even block, whose coupling to block 0 stays direct.  A level
         of one block leaves A + B + C, solved by np.linalg.solve at every
-        call; the rest of a solve is batched products over the levels.
+        call; the rest of a solve is batched products over the levels.  A
+        matrix of one block is that solve alone.
         """
-        A, B, C = self.blocks
+        if len(self.blocks[0]) == 1:
+            whole = self.blocks[0, 0]
+            return lambda r: np.linalg.solve(whole, r)
+        B, C, A = self.blocks
         s = B.shape[1]
         levels = []
         while len(B) > 1:
@@ -526,7 +531,7 @@ class CyclicBlockMatrix:
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], band: Band,
                 z: np.ndarray,
-                h: float) -> tuple[np.ndarray, np.ndarray | CyclicBlockMatrix]:
+                h: float) -> tuple[np.ndarray, CyclicBlockMatrix]:
     """f(z) and the Newton matrix I - h J, with J the forward-difference
     Jacobian of f at z (step FD_STEP), from one batched evaluation.
 
@@ -534,13 +539,11 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], band: Band,
     The batch holds z itself and then z plus the stored perturbation of
     ``band.colouring``, one state per colour; its first column is f(z),
     and each entry the colouring lists is read off its column's colour and
-    scattered through its target map as 0.0 - h * (difference), after
-    which 1.0 is added on the diagonal; (0 - y) + 1 rounds as 1 - y, so M
-    is bitwise np.eye(d) - h * J without any d x d arithmetic.  The map
-    writes into the storage the band uses: below BAND_CROSSOVER, and for a
-    band whose nodes do not split into blocks, a dense d x d array;
-    otherwise the blocks of a :class:`CyclicBlockMatrix`.  Returns
-    (f(z), M).
+    scattered through its target map into the blocks of a
+    :class:`CyclicBlockMatrix` on the band's cut as 0.0 - h * (difference),
+    after which 1.0 is added on the diagonal; (0 - y) + 1 rounds as 1 - y,
+    so every block entry is bitwise that of np.eye(d) - h * J, and a band
+    of one block holds exactly that matrix.  Returns (f(z), M).
     """
     if not isinstance(band, Band):
         raise TypeError(f"band must be a Band, got {type(band).__name__}")
@@ -560,26 +563,9 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], band: Band,
     M = np.zeros(colouring.shape)
     M.reshape(-1)[colouring.targets] = 0.0 - h * compressed.ravel()[
         colouring.sources]
-    if M.ndim == 2:
-        M.reshape(-1)[::d + 1] += 1.0
-        return f0, M
     s = M.shape[-1]
-    M[1].reshape(-1, s * s)[:, ::s + 1] += 1.0
+    M[0].reshape(-1, s * s)[:, ::s + 1] += 1.0
     return f0, CyclicBlockMatrix(band, M)
-
-
-def _factorise(M) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> M^{-1} r for a Newton matrix from :func:`fd_jacobian`; a dense
-    one is solved afresh at every call, as np.linalg.solve."""
-    if isinstance(M, CyclicBlockMatrix):
-        return M.factorise()
-    return lambda r: np.linalg.solve(M, r)
-
-
-def _max_row_sum(M) -> float:
-    if isinstance(M, CyclicBlockMatrix):
-        return M.max_row_sum()
-    return float(np.abs(M).sum(axis=1).max())
 
 
 DEFAULT_NEWTON = NewtonConfig()
@@ -639,7 +625,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
         if len(increments) == cfg.max_iter:
             break
         if solve is None:
-            solve = _factorise(M)
+            solve = M.factorise()
         dz = solve(r)
         z_new -= dz
         dz_norm = float(np.abs(dz).max())
@@ -653,7 +639,7 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
                                      tuple(increments))
         if len(increments) > 1 and theta >= FLOOR_THETA:
             if floor is None:
-                floor = EPS * _max_row_sum(M) * z_size
+                floor = EPS * M.max_row_sum() * z_size
             if r_norm <= floor:
                 return z_new, StepReport(rounds, r_norm, "floor", theta,
                                          tuple(increments))
@@ -669,22 +655,18 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
 
 
 def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
-                     z: np.ndarray, dt: float,
-                     cfg: NewtonConfig = DEFAULT_NEWTON,
-                     guess: Optional[np.ndarray] = None):
+                     z: np.ndarray, dt: float, guess: np.ndarray,
+                     cfg: NewtonConfig = DEFAULT_NEWTON):
     """One implicit midpoint step by plain iteration, or None to decline.
 
     Iterates  z+ <- z + dt * F((z + z+)/2)  from ``guess``, one
-    single-state field call per round.  Without a guess the first round
-    maps z to the start z + dt * F(z), which is O(dt) from the solution,
-    so the rate it would give understates the later ones and is not
-    measured: the round counts in newton_iterations but not in increments.
-    From the second increment on, the rate is the ratio of the round's
-    increment to the previous one; a round is accepted, with status
-    "fixed-point", when rate/(1 - rate) |dz| <= KAPPA * cfg.tol *
-    (1 + max|z|), the increment test of :func:`midpoint_step` with a rate
-    measured within the step.  An iterate that maps to itself has rate 0.
-    A round with a measured rate whose increment is at the roundoff floor,
+    single-state field call per round.  From the second increment on, the
+    rate is the ratio of the round's increment to the previous one; a
+    round is accepted, with status "fixed-point", when rate/(1 - rate) |dz|
+    <= KAPPA * cfg.tol * (1 + max|z|), the increment test of
+    :func:`midpoint_step` with a rate measured within the step.  An
+    iterate that maps to itself has rate 0.  A round with a measured rate
+    whose increment is at the roundoff floor,
     at most FIXED_POINT_FLOOR * eps * (1 + max|z|), is accepted whatever
     that rate.  Returns (z_next, StepReport), or None as soon as a rate
     above the floor exceeds FIXED_POINT_RATE (or is not a number), an
@@ -692,7 +674,7 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
     """
     _check_dt(dt)
     z = np.asarray(z, dtype=float)
-    z_new = z if guess is None else np.asarray(guess, dtype=float)
+    z_new = np.asarray(guess, dtype=float)
     size = 1.0 + float(np.abs(z).max())
     target = KAPPA * cfg.tol * size
     floor = FIXED_POINT_FLOOR * EPS * size
@@ -710,9 +692,7 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
             rate = dz_norm / increments[-1]
             if not rate <= FIXED_POINT_RATE and dz_norm > floor:
                 return None
-        # round one from z only makes the start z + dt F(z)
-        if guess is not None or rounds > 1:
-            increments.append(dz_norm)
+        increments.append(dz_norm)
         z_new = z_next
         if rate is not None and (
                 dz_norm <= floor or rate / (1.0 - rate) * dz_norm <= target):
@@ -782,7 +762,7 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
     for step in range(1, n_steps + 1):
         taken = None
         if states is not None and len(states) > 1:
-            taken = fixed_point_step(field, z, dt, cfg, _extrapolate(states))
+            taken = fixed_point_step(field, z, dt, _extrapolate(states), cfg)
             if taken is None:
                 guess = _extrapolate(states[-2:])
                 states = None

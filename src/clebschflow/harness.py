@@ -68,6 +68,7 @@ __all__ = [
     "ConvergenceLevel",
     "COLLECTIVE",
     "CONVENTIONAL",
+    "MAX_N",
     "MAX_STEPS",
     "PRESETS",
     "TRAVELLING_WAVE_PARAMS",
@@ -93,6 +94,10 @@ _METHODS = (COLLECTIVE, CONVENTIONAL, "both")
 #: Largest step count a run may ask for, about 390 times the longest preset.
 MAX_STEPS = 10 ** 8
 
+#: Largest grid a run may ask for: a lifted run keeps 64 observed states of
+#: 2N floats each in its observation block (OBSERVE_BLOCK), 1 GiB at this N.
+MAX_N = 2 ** 20
+
 
 class ConfigError(ValueError):
     """A configuration value or key is not usable."""
@@ -115,8 +120,8 @@ class ExperimentConfig:
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}, "
                               f"got {self.method!r}")
-        if self.N < 3:
-            raise ConfigError(f"need N >= 3, got {self.N}")
+        if not 3 <= self.N <= MAX_N:
+            raise ConfigError(f"need 3 <= N <= {MAX_N}, got {self.N}")
         if not 0 < self.L < math.inf:
             raise ConfigError(f"L must be positive and finite, got {self.L}")
         if not 0 < self.dt < math.inf:

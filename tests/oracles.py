@@ -515,22 +515,23 @@ def flat_band_entries(N, half_width, blocks=1):
             (rows * seed.shape[1] + col_colour[:, None]).reshape(-1))
 
 
-def decoded_block_targets(band, entries):
-    """Flat position, in the (3, n, s, s) sub-, main and super-diagonal
-    blocks of the node-interleaved Newton matrix of ``band`` (cut at
-    band.nodes_per_block), of each flat d x d entry position: each is
-    decoded into its row and column and then into block and local
-    indices."""
-    d = band.d
-    s = band.blocks * band.nodes_per_block
-    n = d // s
-    position = np.empty(d, dtype=np.intp)
-    position[band.interleave(np.arange(d)).ravel()] = np.arange(d)
+def decoded_block_targets(N, blocks, nodes_per_block, entries):
+    """Flat position, in the (sides, n, s, s) main-, super- and
+    sub-diagonal node blocks of dynamics.CyclicBlockMatrix for the cut of
+    ``blocks`` copies of N nodes into blocks of ``nodes_per_block`` nodes,
+    of each flat d x d entry position: each is decoded into its row and
+    column and then into block and local indices.  Copy c of node
+    k g + j sits at local index c g + j of block k."""
+    g = nodes_per_block
+    d, s, n = blocks * N, blocks * g, N // g
+    copy, node = np.divmod(np.arange(d), N)
+    block, j = np.divmod(node, g)
+    position = block * s + copy * g + j
     rows, cols = np.divmod(entries, d)
     block, local_row = np.divmod(position[rows], s)
     col_block, local_col = np.divmod(position[cols], s)
     step = (col_block - block) % n
-    side = np.where(step == 0, 1, np.where(step == 1, 2, 0))
+    side = np.where(step == 0, 0, np.where(step == 1, 1, 2))
     return ((side * n + block) * s + local_row) * s + local_col
 
 

@@ -187,6 +187,21 @@ class TestRunCommand:
             assert err.startswith("configuration error: t_end / dt")
         assert not (tmp_path / "d.csv").exists()
 
+    def test_grid_above_the_cap_exits_one(self, tmp_path, capsys):
+        # unchecked, building the grid's nodes fails in numpy's allocator
+        N = 10 ** 15
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"N": N, "t_end": 0.0}))
+        for argv in (["--config", str(path)],
+                     ["--N", str(N), "--t-end", "0"]):
+            code, out, err = run_cli(capsys, "run", *argv,
+                                     "--out", str(tmp_path / "d.csv"))
+            assert code == 1
+            assert err == (f"configuration error: need 3 <= N <= "
+                           f"{harness.MAX_N}, got {N}\n")
+            assert out == ""
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("text", ["{not json", "[" * 100000],
                              ids=["syntax", "nested-too-deep"])
     def test_malformed_json_exits_one(self, tmp_path, capsys, text):

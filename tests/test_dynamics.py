@@ -342,8 +342,8 @@ class TestStoppingRule:
         assert report.theta >= dynamics.FLOOR_THETA
         assert len(report.increments) == report.newton_iterations
         _, M = fd_jacobian(rhs, band, z0, 0.5 * dt)
-        floor = (np.finfo(float).eps * np.abs(M).sum(axis=1).max()
-                 * (1.0 + np.abs(z0).max()))
+        row_sums = np.abs(M.blocks[0, 0]).sum(axis=1)
+        floor = np.finfo(float).eps * row_sums.max() * (1.0 + np.abs(z0).max())
         assert report.final_residual <= floor
         # the default tolerance accepts the same step on its increments,
         # within roundoff of the floor's answer
@@ -467,7 +467,25 @@ class TestJacobianAssembly:
         for b in (band, full_band(band.d)):
             f_z, M = fd_jacobian(rhs, b, z, h)
             assert_bitwise(f_z, f0)
-            assert_bitwise(M, M_loop)
+            assert_bitwise(M.blocks[0, 0], M_loop)
+
+    @pytest.mark.parametrize("N", [16, 33, 64])
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_one_block_is_the_dense_matrix_and_its_solve(self, scheme, N):
+        # below the crossover the cut is one block, M itself, solved by
+        # np.linalg.solve on it
+        g = PeriodicGrid(N, L)
+        rhs, band = scheme_field(scheme, EXTENDED_BURGERS, g)
+        z = random_state(g, band.d)
+        h = 2.0 ** -9
+        dense = np.eye(band.d) - h * column_jacobian(
+            rhs, z, dynamics.FD_STEP)[1]
+        _, M = fd_jacobian(rhs, band, z, h)
+        assert M.blocks.shape == (1, 1, band.d, band.d)
+        assert_bitwise(M.blocks[0, 0], dense)
+        r = np.random.default_rng(N).standard_normal(band.d)
+        assert_bitwise(M.factorise()(r), np.linalg.solve(dense, r))
+        assert M.max_row_sum() == np.abs(dense).sum(axis=1).max()
 
     @pytest.mark.parametrize("N", [3, 4, 7, 8, 13, 16, 33, 64])
     @pytest.mark.parametrize("spec", [BURGERS, EXTENDED_BURGERS],
@@ -480,7 +498,7 @@ class TestJacobianAssembly:
         f_z, M = fd_jacobian(rhs, band, z, 2.0 ** -9)
         f_dense, M_dense = fd_jacobian(rhs, full_band(band.d), z, 2.0 ** -9)
         assert_bitwise(f_z, f_dense)
-        assert_bitwise(M, M_dense)
+        assert_bitwise(M.blocks, M_dense.blocks)
 
     @pytest.mark.parametrize("N", [3, 7, 14, 20, 32, 33, 64, 512])
     @pytest.mark.parametrize("scheme", ["collective", "conventional"],
@@ -488,9 +506,11 @@ class TestJacobianAssembly:
                                   "conventional_colouring"])
     def test_columns_of_one_colour_share_no_row(self, scheme, N):
         band = scheme_field(scheme, BURGERS, PeriodicGrid(N, L))[1]
-        # the maps into the dense matrix, whatever storage the band uses
-        colouring = band_colouring(band.N, band.half_width, band.blocks)
-        assert colouring.shape == (band.d, band.d)
+        # the maps into one block, the dense matrix, whatever cut the band
+        # uses
+        colouring = band_colouring(band.N, band.half_width, band.blocks,
+                                   band.N)
+        assert colouring.shape == (1, 1, band.d, band.d)
         d, m = colouring.perturbation.shape
         rows, cols = np.divmod(colouring.targets, d)
         source_rows, colours = np.divmod(colouring.sources, m)
@@ -525,7 +545,7 @@ class TestJacobianAssembly:
                             g)[1].colouring.n_colours == 6
 
     def test_default_colouring_is_the_identity(self):
-        colouring = band_colouring(5, 5)
+        colouring = band_colouring(5, 5, 1, 5)
         assert_bitwise(colouring.perturbation, dynamics.FD_STEP * np.eye(5))
         np.testing.assert_array_equal(np.sort(colouring.targets),
                                       np.arange(25))
@@ -549,7 +569,7 @@ class TestJacobianAssembly:
         for b in (full_band(band.d), band):
             f_field, M_field = fd_jacobian(wrapped, b, z, 2.0 ** -9)
             assert_bitwise(f_field, f_z)
-            assert_bitwise(M_field, M)
+            assert_bitwise(M_field.blocks, M.blocks)
         # one batch each, z and then one state per colour: the identity,
         # then 16 colours
         assert widths == [(1 + 2 * g.N,), (1 + 16,)]
@@ -593,7 +613,8 @@ class TestJacobianAssembly:
         z = np.array([0.3, -1.2])
         f_z, M = fd_jacobian(lambda v: A @ v, full_band(2), z, 0.25)
         np.testing.assert_allclose(f_z, A @ z, rtol=1e-15)
-        np.testing.assert_allclose(M, np.eye(2) - 0.25 * A, atol=1e-6)
+        np.testing.assert_allclose(M.blocks[0, 0], np.eye(2) - 0.25 * A,
+                                   atol=1e-6)
 
 
 #: Grid sizes of the map tests: every N below the stencil span of a field,
@@ -604,7 +625,8 @@ MAP_SIZES = [*range(2, 10), 16, 31, 32, 64, 127, 128, 256, 257, 300, 512,
 
 class TestNewtonMaps:
     """The maps built from the band's geometry are the flat d x d entry
-    positions, and those positions decoded into node blocks."""
+    positions in one block, and those positions decoded into node blocks
+    in a cut into several."""
 
     @pytest.mark.parametrize("half_width, blocks", [
         (dynamics.COLLECTIVE_HALF_WIDTH, 2),
@@ -613,21 +635,25 @@ class TestNewtonMaps:
     @pytest.mark.parametrize("N", MAP_SIZES)
     def test_maps_are_the_decoded_flat_entries(self, N, half_width, blocks):
         seed, entries, sources = flat_band_entries(N, half_width, blocks)
-        band = Band(N, half_width, blocks)
-        g = band.nodes_per_block
-        dense = band_colouring(N, half_width, blocks)
+        # the cut from the crossover on, taken at every N: the least
+        # divisor of N from max(NODES_PER_BLOCK, half_width), else N
+        low = max(dynamics.NODES_PER_BLOCK, half_width)
+        g = next((g for g in range(low, N) if N % g == 0), N)
+        whole = band_colouring(N, half_width, blocks, N)
         cut = band_colouring(N, half_width, blocks, g)
-        assert dense.shape == (band.d, band.d)
-        assert cut.shape == (3, N // g, blocks * g, blocks * g)
-        for colouring in (dense, cut):
+        n, s = N // g, blocks * g
+        assert whole.shape == (1, 1, blocks * N, blocks * N)
+        assert cut.shape == (1 if n == 1 else 3, n, s, s)
+        for colouring in (whole, cut):
             assert_bitwise(colouring.perturbation, dynamics.FD_STEP * seed)
             np.testing.assert_array_equal(colouring.sources, sources)
-        np.testing.assert_array_equal(dense.targets, entries)
-        np.testing.assert_array_equal(cut.targets,
-                                      decoded_block_targets(band, entries))
-        # the band takes the node blocks from the crossover on, given a cut
-        blocked = band.d >= dynamics.BAND_CROSSOVER and g < N
-        chosen = cut if blocked else dense
+        np.testing.assert_array_equal(whole.targets, entries)
+        np.testing.assert_array_equal(
+            cut.targets, decoded_block_targets(N, blocks, g, entries))
+        # the band takes that cut from the crossover on, one block below it
+        band = Band(N, half_width, blocks)
+        chosen = cut if band.d >= dynamics.BAND_CROSSOVER else whole
+        assert band.nodes_per_block == chosen.shape[-1] // blocks
         assert band.colouring.shape == chosen.shape
         assert_bitwise(band.colouring.targets, chosen.targets)
 
@@ -644,16 +670,15 @@ def bump_case(scheme, spec, N):
 def expand(M):
     """The dense matrix, in the state's own order, of the blocks of a
     CyclicBlockMatrix."""
-    _, n, s, _ = M.blocks.shape
-    interleaved = np.zeros((n * s, n * s))
+    sides, n, s, _ = M.blocks.shape
+    cut = np.zeros((n * s, n * s))
     for k in range(n):
-        for side, j in enumerate((k - 1, k, k + 1)):
+        for side, j in zip(range(sides), (k, k + 1, k - 1)):
             j %= n
-            interleaved[k * s:(k + 1) * s, j * s:(j + 1) * s] += (
-                M.blocks[side, k])
+            cut[k * s:(k + 1) * s, j * s:(j + 1) * s] += M.blocks[side, k]
     order = M.band.interleave(np.arange(M.band.d)).ravel()
-    dense = np.empty_like(interleaved)
-    dense[np.ix_(order, order)] = interleaved
+    dense = np.empty_like(cut)
+    dense[np.ix_(order, order)] = cut
     return dense
 
 
@@ -706,14 +731,17 @@ class TestBandedSolve:
         np.testing.assert_allclose(x, x_dense, rtol=0,
                                    atol=1e-9 * np.abs(x_dense).max())
 
-    # a prime N has no blocks: its one block would be M itself
-    @pytest.mark.parametrize("N, path", [(255, np.ndarray),
-                                         (256, dynamics.CyclicBlockMatrix),
-                                         (257, np.ndarray)])
-    def test_the_crossover_picks_the_path(self, N, path):
-        rhs, band, z = bump_case("conventional", BURGERS, N)
-        assert band.d == N
-        assert type(fd_jacobian(rhs, band, z, 0.5 * self.DT)[1]) is path
+    # below the crossover, and at a prime N, the cut is one block
+    @pytest.mark.parametrize("scheme, N, n", [
+        ("conventional", 255, 1), ("conventional", 256, 64),
+        ("conventional", 257, 1), ("collective", 127, 1),
+        ("collective", 128, 32)])
+    def test_the_crossover_picks_the_path(self, scheme, N, n):
+        rhs, band, z = bump_case(scheme, BURGERS, N)
+        M = fd_jacobian(rhs, band, z, 0.5 * self.DT)[1]
+        assert isinstance(M, dynamics.CyclicBlockMatrix)
+        s = band.d // n
+        assert M.blocks.shape == (1 if n == 1 else 3, n, s, s)
 
     def test_one_factorisation_serves_many_right_hand_sides(self):
         M, dense = self.newton_matrix("collective", 192)
@@ -958,26 +986,9 @@ class TestFixedPoint:
         assert report.newton_iterations == len(report.increments) >= 2
         assert np.abs(z1 - exact).max() <= 1e-12 * (1.0 + 2.0)
 
-    def test_a_start_from_z_measures_its_rate_from_z_plus_dt_f(self):
-        # lifted extended Burgers, N = 7, dt = 2^-9: the first increment
-        # from z is O(dt), and a rate measured from it understates the
-        # later ones (accepting on it left this step 0.71 tol (1 + max|z|)
-        # from the solution), so that round only makes the start
-        g = PeriodicGrid(7, L)
-        rhs, _ = collective_flat_field(EXTENDED_BURGERS, g)
-        z = lift(g, 1.0 + 0.1 * np.cos(W * g.full_nodes))
-        dt = 2.0 ** -9
-        z1, report = dynamics.fixed_point_step(rhs, z, dt)
-        assert report.status == "fixed-point"
-        assert (report.newton_iterations, len(report.increments)) == (3, 2)
-        z_ref, _ = midpoint_step_by_columns(rhs, z, dt)
-        size = 1.0 + np.abs(z).max()
-        assert np.abs(z1 - z_ref).max() <= (dynamics.KAPPA
-                                            * NewtonConfig().tol * size)
-
     def test_a_state_that_maps_to_itself_is_accepted_in_one_round(self):
         z = np.array([1.0, 2.0])
-        z1, report = dynamics.fixed_point_step(np.zeros_like, z, 0.25)
+        z1, report = dynamics.fixed_point_step(np.zeros_like, z, 0.25, z)
         assert_bitwise(z1, z)
         assert (report.newton_iterations, report.theta) == (1, 0.0)
 
@@ -989,7 +1000,8 @@ class TestFixedPoint:
     ])
     def test_declines(self, field, dt):
         with np.errstate(invalid="ignore"):
-            assert dynamics.fixed_point_step(field, np.ones(4), dt) is None
+            z = np.ones(4)
+            assert dynamics.fixed_point_step(field, z, dt, z) is None
 
 
 class TestTimeStepValidation:
@@ -999,7 +1011,7 @@ class TestTimeStepValidation:
         with pytest.raises(ValueError, match="dt"):
             midpoint_step(rhs, band, z0, dt)
         with pytest.raises(ValueError, match="dt"):
-            dynamics.fixed_point_step(rhs, z0, dt)
+            dynamics.fixed_point_step(rhs, z0, dt, z0)
         # checked before the loop, so also for a run of no steps
         for n_steps in (0, 4):
             with pytest.raises(ValueError, match="dt"):

@@ -18,6 +18,7 @@ from clebschflow.harness import (
     COLLECTIVE,
     CONVENTIONAL,
     FINE_GRID_REFINE,
+    MAX_N,
     MAX_STEPS,
     ConfigError,
     ExperimentConfig,
@@ -120,6 +121,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(method="spectral"),
         dict(N=2),
+        dict(N=MAX_N + 1),
+        dict(N=10 ** 15),
         dict(dt=0.0),
         dict(t_end=-1.0),
         dict(t_end=math.nan),
@@ -193,6 +196,11 @@ class TestConfigValidation:
     def test_step_count_above_the_cap_rejected(self, data):
         with pytest.raises(ConfigError, match=f"at most {MAX_STEPS}"):
             config_from_dict(data)
+
+    def test_grid_cap_admits_every_preset_and_its_fine_grid(self):
+        config_from_dict({"N": MAX_N})
+        finest = max(cfg.N for cfg in PRESETS.values()) * FINE_GRID_REFINE
+        assert finest < MAX_N
 
     def test_step_cap_admits_every_preset(self):
         longest = max(cfg.n_steps for cfg in PRESETS.values())

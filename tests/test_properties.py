@@ -194,9 +194,9 @@ def test_accepted_steps_lie_within_tolerance_of_their_fixed_point(
         # the same step iterated on to its fixed point
         fixed = accepted.copy()
         _, M = fd_jacobian(field, band, 0.5 * (z + fixed), 0.5 * dt)
+        solve = M.factorise()
         for _ in range(20):
-            fixed -= np.linalg.solve(
-                M, fixed - z - dt * field(0.5 * (z + fixed)))
+            fixed -= solve(fixed - z - dt * field(0.5 * (z + fixed)))
         tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
         assert np.max(np.abs(accepted - fixed)) <= tolerance
         z = accepted
@@ -233,8 +233,9 @@ def test_accepted_fixed_point_steps_lie_within_tolerance_of_the_solution(
     # the same step iterated on to its fixed point by Newton
     fixed = accepted.copy()
     _, M = fd_jacobian(field, band, 0.5 * (z + fixed), 0.5 * dt)
+    solve = M.factorise()
     for _ in range(20):
-        fixed -= np.linalg.solve(M, fixed - z - dt * field(0.5 * (z + fixed)))
+        fixed -= solve(fixed - z - dt * field(0.5 * (z + fixed)))
     tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
     assert np.max(np.abs(accepted - fixed)) <= tolerance
 
@@ -266,9 +267,9 @@ def test_fixed_point_steps_from_extrapolated_starts_lie_within_tolerance(
         if status == "fixed-point":
             fixed = accepted.copy()
             _, M = fd_jacobian(field, band, 0.5 * (z + fixed), 0.5 * dt)
+            solve = M.factorise()
             for _ in range(20):
-                fixed -= np.linalg.solve(
-                    M, fixed - z - dt * field(0.5 * (z + fixed)))
+                fixed -= solve(fixed - z - dt * field(0.5 * (z + fixed)))
             tolerance = NewtonConfig().tol * (1.0 + np.max(np.abs(z)))
             assert np.max(np.abs(accepted - fixed)) <= tolerance
         z = accepted
