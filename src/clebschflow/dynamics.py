@@ -78,7 +78,12 @@ starts from the polynomial through the run's last states, the line
 through two at steps 2 and 3 and the cubic through four from step 4 on,
 O(dt^4) from the solution (the extrapolated starting value of Hairer &
 Wanner, IV.8).  At the Burgers settings that leaves one round to measure
-a rate and one to accept: 2 field calls a step.  A declined step
+a rate and one to accept.  As Newton's first update does, a plain step
+tests its first round with the rate its predecessor measured, when that
+predecessor was a plain step of two or more rounds and the rate is at
+most FIXED_POINT_RATE, and it often accepts there; a step accepted in one
+round measured no rate and passes none on.  So Burgers steps mostly
+alternate 1 and 2 field calls.  A declined step
 is solved by Newton from 2 z_n - z_{n-1}, and the run stays on Newton to
 its end (as LSODA switches between functional iteration and Newton;
 Petzold, SIAM J. Sci. Stat. Comput. 4, 1983), keeping no states.
@@ -187,7 +192,8 @@ class StepReport:
     more update after it.  increments holds the max norm of every update,
     and theta the latest contraction rate: the ratio of the last two
     increments when the step made two, otherwise the one carried in from
-    the previous step (None when there was none).
+    the previous step (None when there was none), so a plain step accepted
+    in its first round reports the rate carried in.
     """
 
     newton_iterations: int
@@ -656,7 +662,8 @@ def midpoint_step(field: Callable[[np.ndarray], np.ndarray], band: Band,
 
 def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
                      z: np.ndarray, dt: float, guess: np.ndarray,
-                     cfg: NewtonConfig = DEFAULT_NEWTON):
+                     cfg: NewtonConfig = DEFAULT_NEWTON,
+                     rate: Optional[float] = None):
     """One implicit midpoint step by plain iteration, or None to decline.
 
     Iterates  z+ <- z + dt * F((z + z+)/2)  from ``guess``, one
@@ -664,9 +671,11 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
     rate is the ratio of the round's increment to the previous one; a
     round is accepted, with status "fixed-point", when rate/(1 - rate) |dz|
     <= KAPPA * cfg.tol * (1 + max|z|), the increment test of
-    :func:`midpoint_step` with a rate measured within the step.  An
-    iterate that maps to itself has rate 0.  A round with a measured rate
-    whose increment is at the roundoff floor,
+    :func:`midpoint_step`.  The first round is tested with ``rate``, a
+    contraction rate below 1 carried in from the previous plain step, when
+    one is given, and otherwise waits for a measured one; a carried rate
+    only ever accepts, never declines.  An iterate that maps to itself has
+    rate 0.  A round with a rate whose increment is at the roundoff floor,
     at most FIXED_POINT_FLOOR * eps * (1 + max|z|), is accepted whatever
     that rate.  Returns (z_next, StepReport), or None as soon as a rate
     above the floor exceeds FIXED_POINT_RATE (or is not a number), an
@@ -679,7 +688,6 @@ def fixed_point_step(field: Callable[[np.ndarray], np.ndarray],
     target = KAPPA * cfg.tol * size
     floor = FIXED_POINT_FLOOR * EPS * size
     increments = []
-    rate = None
     for rounds in range(1, FIXED_POINT_ROUNDS + 1):
         z_next = z + dt * np.asarray(field(0.5 * (z + z_new)), dtype=float)
         # the increment is minus the residual of the previous iterate
@@ -743,8 +751,12 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
     solved by Newton from the line, and so is every step after it; the run
     then keeps no earlier states.  A Newton step is handed the contraction rate its
     predecessor reported when that was a Newton step too, so it can stop
-    on its first increment.  The equations and their tolerance are the
-    same on both paths.
+    on its first increment.  A plain step is handed the rate its
+    predecessor measured when that was a plain step of two or more rounds
+    and the rate is at most FIXED_POINT_RATE, so it can stop on its first
+    round.  Each measured rate so serves one following step, and the noise
+    rate of a floor-accepted step, which can be 1 or more, serves none.
+    The equations and their tolerance are the same on both paths.
 
     The observer, when given, is called as observer(step, t, z, report)
     after every completed step with t = step * dt.  On Newton failure the
@@ -755,14 +767,15 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     z = np.asarray(z0, dtype=float).copy()
-    guess = theta = None
+    guess = theta = rate = None
     # the run's last (at most four) states, oldest first, until a step
     # declines plain iteration
     states = [z]
     for step in range(1, n_steps + 1):
         taken = None
         if states is not None and len(states) > 1:
-            taken = fixed_point_step(field, z, dt, _extrapolate(states), cfg)
+            taken = fixed_point_step(field, z, dt, _extrapolate(states), cfg,
+                                     rate=rate)
             if taken is None:
                 guess = _extrapolate(states[-2:])
                 states = None
@@ -774,7 +787,12 @@ def integrate(field: Callable[[np.ndarray], np.ndarray], band: Band,
                 err.step = step
                 return IntegrationResult(z, step - 1, err)
         z_next, report = taken
-        theta = report.theta if report.status != "fixed-point" else None
+        plain = report.status == "fixed-point"
+        theta = None if plain else report.theta
+        # a rate measured within a plain step certifies the next one; a
+        # floor-accepted step can show a noise rate of 1 or more
+        rate = report.theta if (plain and report.newton_iterations > 1
+                                and report.theta <= FIXED_POINT_RATE) else None
         if states is None:
             guess = _extrapolate((z, z_next))
         else:

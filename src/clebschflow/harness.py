@@ -625,7 +625,9 @@ def convergence_study(base_config: ExperimentConfig, levels,
     "fine-grid" substitutes a lifted run per level at FINE_GRID_REFINE
     times the nodes and dt/4, restricted to the node set of each scheme,
     and then no run calls the configuration's own reference.
-    A diverged run, refined or not, raises NonConvergenceError.
+    Every level and its refined run are checked before the first run
+    starts; an invalid one raises ConfigError naming the level.  A
+    diverged run, refined or not, raises NonConvergenceError.
     Observed order between consecutive levels is log2(err_k / err_{k+1}),
     attached to the finer level.
     """
@@ -638,16 +640,33 @@ def convergence_study(base_config: ExperimentConfig, levels,
             and resolve_initial_condition(base_config).reference is None):
         raise ConfigError("configuration has no exact reference; use "
                           "reference='fine-grid'")
-    rows = {}
+    # every level's runs, checked before the first of them starts
+    plans = []
     for N in levels:
         config = replace(base_config, N=N, output_path=None,
                          observe_every=max(base_config.n_steps, 1))
-        result = _converged_run(config, N, exact=reference == "auto")
+        fine = None
         if reference == "fine-grid":
             # 4 n_steps steps, also when t_end is not a multiple of dt
             fine = replace(config, method=COLLECTIVE, N=FINE_GRID_REFINE * N,
                            dt=config.dt / 4, t_end=config.n_steps * config.dt,
                            observe_every=max(4 * config.n_steps, 1))
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"level N={N}: {exc}") from None
+        if fine is not None:
+            try:
+                fine.validate()
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"level N={N}: its fine-grid reference (N={fine.N}, "
+                    f"dt/4): {exc}") from None
+        plans.append((N, config, fine))
+    rows = {}
+    for N, config, fine in plans:
+        result = _converged_run(config, N, exact=reference == "auto")
+        if fine is not None:
             refined = _converged_run(
                 fine, N, exact=False,
                 label=f"refined (N={fine.N}, dt/4) ").runs[0]

@@ -373,6 +373,23 @@ class TestConvergeCommand:
         assert err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("levels, reference, message", [
+        ("8,131073", "fine-grid",
+         "level N=131073: its fine-grid reference (N=1048584, dt/4): "
+         f"need 3 <= N <= {harness.MAX_N}, got 1048584"),
+        ("8,2", "auto", f"level N=2: need 3 <= N <= {harness.MAX_N}, got 2"),
+    ])
+    def test_an_invalid_level_exits_one_before_any_run(
+            self, capsys, monkeypatch, levels, reference, message):
+        # every level, and its refined run, is checked before level 8 runs
+        monkeypatch.setattr(harness, "integrate", no_step)
+        code, out, err = run_cli(
+            capsys, "converge", "--levels", levels, "--reference", reference,
+            "--t-end", "0", "--ic", "periodic-bump")
+        assert code == 1
+        assert err == f"configuration error: {message}\n"
+        assert out == ""
+
     def test_diverging_level_exits_two_without_a_table(self, tmp_path,
                                                        capsys):
         import numpy as np

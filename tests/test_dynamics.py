@@ -423,7 +423,7 @@ class TestStoppingRule:
             assert report.newton_iterations == len(report.increments) == 1
 
         # a run: the same Newton first step, then only single-state calls,
-        # one per fixed-point round
+        # one per fixed-point round (one when a carried rate accepts)
         calls.clear()
         per_step.clear()
         result = integrate(counted, band, z0, 2.0 ** -12, 64,
@@ -434,7 +434,7 @@ class TestStoppingRule:
         for (before, _), (after, report) in zip(per_step, per_step[1:]):
             assert report.status == "fixed-point"
             assert after[len(before):] == [()] * report.newton_iterations
-            assert report.newton_iterations == len(report.increments) >= 2
+            assert report.newton_iterations == len(report.increments) >= 1
 
 
 def scheme_field(scheme, spec, g):
@@ -882,20 +882,147 @@ class TestFixedPoint:
             assert_bitwise(z, z_ref)
 
     @pytest.mark.parametrize("scheme", ["collective", "conventional"])
-    def test_burgers_steps_take_two_rounds_from_a_cubic_start(self, scheme):
+    def test_burgers_steps_alternate_one_and_two_rounds_from_a_cubic_start(
+            self, scheme):
         # the shock-every-step configuration, cut to 64 steps: from step 4
         # on the start is the cubic through the last four states, close
-        # enough that the second round, the first with a rate, accepts
+        # enough that the second round, the first with a measured rate,
+        # accepts; the rate it measured accepts the next step's first
+        # round, and that step, with no rate of its own, passes none on
         rhs, band, z0 = cosine_case(scheme, BURGERS, 64)
         rounds = []
         result = integrate(rhs, band, z0, 2.0 ** -12, 64,
                            observer=lambda k, t, z, rep: rounds.append(
                                rep.newton_iterations))
         assert result.converged
-        if scheme == "collective":
-            assert rounds[3:] == [2] * 61
-        else:
-            assert max(rounds[3:]) <= 3
+        assert rounds == [3, 3, 3] + [1, 2] * 30 + [1]
+
+    def test_a_carried_rate_accepts_the_first_round_when_its_test_passes(
+            self):
+        # z' = -z at dt = 0.1 contracts at exactly 0.05 per round; from
+        # 1e-12 off the solution the first increment, about 1.05e-12, is
+        # above the floor (4.3e-14) and 0.05/0.95 of it is within the
+        # target KAPPA tol (1 + max|z|) = 3e-13
+        z = np.array([1.0, -2.0, 0.5])
+        exact = z * (1.0 - 0.05) / (1.0 + 0.05)
+        guess = exact + 1e-12
+        z1, report = dynamics.fixed_point_step(lambda v: -v, z, 0.1, guess,
+                                               rate=0.05)
+        assert report.status == "fixed-point"
+        assert report.newton_iterations == len(report.increments) == 1
+        assert report.increments[0] > dynamics.FIXED_POINT_FLOOR * (
+            dynamics.EPS * 3.0)
+        assert report.theta == 0.05
+        assert np.abs(z1 - exact).max() <= 1e-12 * (1.0 + 2.0)
+        # without the rate the same step waits for a measured one
+        _, measured = dynamics.fixed_point_step(lambda v: -v, z, 0.1, guess)
+        assert measured.newton_iterations == 2
+        assert measured.increments[0] == report.increments[0]
+
+    def test_a_carried_rate_that_fails_leaves_the_rounds_unchanged(self):
+        # from 1e-4 off, 0.05/0.95 of the first increment misses the
+        # target, and the step makes the rounds it makes without the rate
+        z = np.array([1.0, -2.0, 0.5])
+        guess = z * (1.0 - 0.05) / (1.0 + 0.05) + 1e-4
+        carried = dynamics.fixed_point_step(lambda v: -v, z, 0.1, guess,
+                                            rate=0.05)
+        plain = dynamics.fixed_point_step(lambda v: -v, z, 0.1, guess)
+        assert carried[1] == plain[1]
+        assert plain[1].newton_iterations > 1
+        assert_bitwise(carried[0], plain[0])
+
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.05, 0.125, 0.5, 0.9])
+    @pytest.mark.parametrize("offset", [1e-4, 1e-8, 1e-12, 1e-14])
+    def test_a_carried_rate_never_makes_a_step_decline(self, rate, offset):
+        # a carried rate can only accept the first round; every later
+        # round is tested with its own measured rate, as without one
+        z = np.array([1.0, -2.0, 0.5])
+        guess = z * (1.0 - 0.05) / (1.0 + 0.05) + offset
+        plain = dynamics.fixed_point_step(lambda v: -v, z, 0.1, guess)
+        carried = dynamics.fixed_point_step(lambda v: -v, z, 0.1, guess,
+                                            rate=rate)
+        assert plain is not None and carried is not None
+        assert (carried[1].newton_iterations
+                <= plain[1].newton_iterations)
+
+    def test_a_run_carries_only_a_rate_measured_in_a_plain_step(
+            self, monkeypatch):
+        # integrate hands a plain step the rate its predecessor measured
+        # in two or more rounds, when at most FIXED_POINT_RATE, and
+        # nothing after a Newton step or a step accepted in one round
+        plain = dynamics.fixed_point_step
+        calls = []
+
+        def recorded(*args, rate=None, **kwargs):
+            calls.append(rate)
+            return plain(*args, rate=rate, **kwargs)
+
+        monkeypatch.setattr(dynamics, "fixed_point_step", recorded)
+
+        def run(rhs, band, z0, dt, n_steps):
+            calls.clear()
+            reports = []
+            result = integrate(rhs, band, z0, dt, n_steps,
+                               observer=lambda k, t, z, rep: reports.append(
+                                   rep))
+            assert result.converged
+            assert len(calls) == n_steps - 1
+            # calls[k] was made for step k + 2, after reports[k]
+            return list(zip(reports, calls))
+
+        rhs, band, z0 = cosine_case("collective", BURGERS, 64)
+        pairs = run(rhs, band, z0, 2.0 ** -12, 64)
+        assert pairs[0][0].status != "fixed-point" and pairs[0][1] is None
+        kinds = set()
+        for before, rate in pairs[1:]:
+            assert before.status == "fixed-point"
+            if before.newton_iterations == 1:
+                assert rate is None
+            else:
+                assert rate == before.theta <= dynamics.FIXED_POINT_RATE
+            kinds.add(before.newton_iterations > 1)
+        assert kinds == {False, True}
+
+        # z' = -z at dt = 0.3 contracts at 0.15; from a state of size
+        # 1e-14 every increment is at the floor, so each plain step is
+        # accepted in its second round with a rate above FIXED_POINT_RATE,
+        # and none is carried
+        pairs = run(lambda v: -v, full_band(3),
+                    1e-14 * np.array([1.0, -2.0, 0.5]), 0.3, 8)
+        for before, rate in pairs[1:]:
+            assert before.status == "fixed-point"
+            assert before.newton_iterations == 2
+            assert before.theta > dynamics.FIXED_POINT_RATE
+            assert rate is None
+
+    @pytest.mark.parametrize("scheme", ["collective", "conventional"])
+    def test_every_step_of_the_shock_setting_lies_within_tolerance(
+            self, scheme):
+        # the full shock-every-step setting: N = 64, dt = 2^-12, 1280
+        # steps; each accepted step, plain in one round or more, lies within
+        # tol (1 + max|z|) of its Newton-iterated fixed point, the check of
+        # the property tests (worst seen: 0.10 tol in one round, 0.02 tol
+        # in two).  Each Newton update from the accepted step gains a
+        # factor of about 1e-3, so four reach the roundoff floor.
+        rhs, band, z0 = cosine_case(scheme, BURGERS, 64)
+        dt = 2.0 ** -12
+        seen = []
+        result = integrate(rhs, band, z0, dt, 1280,
+                           observer=lambda k, t, z, rep: seen.append(
+                               (z.copy(), rep.newton_iterations)))
+        assert result.converged
+        assert 1 in {rounds for _, rounds in seen}
+        tol = NewtonConfig().tol
+        z = z0
+        for accepted, _ in seen:
+            fixed = accepted.copy()
+            _, M = fd_jacobian(rhs, band, 0.5 * (z + fixed), 0.5 * dt)
+            solve = M.factorise()
+            for _ in range(4):
+                fixed -= solve(fixed - z - dt * rhs(0.5 * (z + fixed)))
+            assert np.abs(accepted - fixed).max() <= tol * (
+                1.0 + np.abs(z).max())
+            z = accepted
 
     @pytest.mark.parametrize("scheme, log2_dt, n_steps, fallback", [
         ("collective", 8, 141, 62), ("conventional", 8, 141, 63),

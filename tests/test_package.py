@@ -1,12 +1,14 @@
 """Package hygiene: the exported names resolve, the package imports numpy
 alone (scipy and sympy are test-only oracles), no module imports a name it
 never uses, the names the benchmark's tracer wraps still exist, and the
-README's quick start runs."""
+README's quick start runs and its plain-round totals are what the run
+prints."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +122,24 @@ def test_readme_quick_start_runs():
     grid, u = namespace["grid"], namespace["u"]
     assert namespace["run"].converged
     assert u.shape == (grid.N,) and np.all(np.isfinite(u))
+
+
+def test_readme_round_totals_are_what_the_command_prints(
+        tmp_path, monkeypatch, capsys):
+    # after the rounds table, the first sh block is a command and the
+    # first text block the summary lines it prints
+    from clebschflow.cli import main
+    readme = (ROOT / "README.md").read_text()
+    after = readme.split("| linear, then cubic from step 4 | a carried rate |",
+                         1)[1]
+    command = after.split("```sh\n", 1)[1].split("```", 1)[0]
+    quoted = after.split("```text\n", 1)[1].split("```", 1)[0].splitlines()
+    argv = shlex.split(command)
+    assert argv[0] == "clebschflow"
+    assert len(quoted) == 2
+    monkeypatch.delenv("CLEBSCHFLOW_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for line in quoted:
+        assert line in printed
